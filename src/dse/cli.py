@@ -8,7 +8,7 @@ Subcommands:
 A run writes samples.csv (every evaluation, tagged by iteration), pareto.csv
 (final constrained front), hvi_trace.csv, feature_importance.csv and
 run_meta.json into the scenario's output directory. Artifacts are
-byte-reproducible for a fixed scenario and seed, whatever DSE_THREADS says.
+byte-reproducible for a fixed scenario and seed.
 """
 
 from __future__ import annotations

@@ -161,6 +161,15 @@ def request_csv(space: DesignSpace, batch: Sequence[Configuration]) -> str:
     return buf.getvalue()
 
 
+def _require_finite(spec: EvaluatorSpec, key: tuple[str, ...],
+                    objectives: tuple[float, ...], raw_output: str = "") -> None:
+    # a NaN is never dominated and would land on the front unnoticed
+    for name, value in zip(spec.objectives, objectives):
+        if not math.isfinite(value):
+            raise EvaluationError(
+                f"non-finite objective {name}={value!r} for configuration {key}", raw_output)
+
+
 def _evaluate_builtin(spec: EvaluatorSpec, space: DesignSpace,
                       batch: Sequence[Configuration], iteration_tag: int):
     fn = BUILTIN_EVALUATORS[spec.name]
@@ -172,6 +181,7 @@ def _evaluate_builtin(spec: EvaluatorSpec, space: DesignSpace,
             raise EvaluationError(
                 f"builtin {spec.name!r} does not produce objective {missing[0]!r}")
         objectives = tuple(float(outputs[o]) for o in spec.objectives)
+        _require_finite(spec, _config_key(space, config), objectives)
         feasible = bool(outputs.get("feasible", True)) if spec.feasibility is not None else True
         records.append(EvaluationRecord(config, objectives, feasible, iteration_tag))
     return records
@@ -211,6 +221,7 @@ def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
             objectives = tuple(float(row[col[o]]) for o in spec.objectives)
         except ValueError as e:
             raise EvaluationError(f"unparseable objective value for {key}: {e}", text)
+        _require_finite(spec, key, objectives, text)
         if fea_name is not None:
             feasible = row[col[fea_name]].strip() == spec.feasibility.true_value
         else:

@@ -7,8 +7,8 @@ with per-node feature subsampling. Ordered features split on thresholds
 (categorical level indices) split on level equality, never on thresholds.
 
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
-RngState(seed ^ t, stream), so forests are bit-identical however many threads
-train trees.
+RngState(seed ^ t, stream), so each tree is a pure function of the training
+data, the seed, the stream and t.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .rng import RngState
-from .util import thread_map
 
 
 class FitError(ValueError):
@@ -327,7 +326,7 @@ class _TreeBuilder:
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """An immutable fitted ensemble, safe for concurrent prediction."""
+    """An immutable fitted ensemble."""
 
     kind: str  # "regressor" | "classifier"
     n_features: int
@@ -383,7 +382,9 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
     if len(unordered) != d:
         raise FitError("unordered mask length does not match feature count")
 
-    def build_one(t: int) -> tuple[TreeNode, np.ndarray]:
+    trees = []
+    importances = []
+    for t in range(hp.n_estimators):
         gen = RngState(rng.seed ^ t, rng.stream_id).generator
         if hp.bootstrap:
             sample = gen.integers(0, n, size=n)
@@ -400,18 +401,14 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
             if n_neg:
                 ws[~pos] = hp.class_weight[1] / n_neg
         builder = _TreeBuilder(Xs, ys, ws, unordered, hp, gen, classifier)
-        root = builder.build()
-        return root, builder.importance
-
-    results = thread_map(build_one, range(hp.n_estimators))
-    trees = tuple(r[0] for r in results)
-    raw = np.mean([r[1] for r in results], axis=0)
+        trees.append(builder.build())
+        importances.append(builder.importance)
     return Forest(
         kind="classifier" if classifier else "regressor",
         n_features=d,
         unordered=unordered,
-        trees=trees,
-        raw_importance=raw,
+        trees=tuple(trees),
+        raw_importance=np.mean(importances, axis=0),
     )
 
 

@@ -11,7 +11,7 @@ exploration samples.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from .pareto import (
     objective_stddevs,
     pareto_front,
 )
-from .priors import sample_configuration
+from .priors import sample_distinct
 from .rng import RngState
-from .space import ENUMERATION_CAP, Configuration, DesignSpace, Scenario, encode_matrix, enumerate_space
-from .util import thread_map
+from .space import Configuration, DesignSpace, Scenario, encode_matrix
 
 # fixed substream tags so artifact bytes do not depend on code path details
 _STREAM_WARMUP = 1
@@ -49,13 +48,6 @@ class SurrogateBundle:
 
 
 @dataclass
-class LoopState:
-    archive: ParetoArchive
-    iteration: int = 0
-    hvi_trace: list[tuple[int, float]] = field(default_factory=list)
-
-
-@dataclass
 class RunResult:
     archive: ParetoArchive
     bundle: SurrogateBundle
@@ -69,20 +61,7 @@ def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> list[Configurat
     no role here; their influence ends with warm-up and batch fill)."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
-    card = space.cardinality()
-    if card is not None and card <= s and card <= ENUMERATION_CAP:
-        return list(enumerate_space(space))
-    seen: set[Configuration] = set()
-    out: list[Configuration] = []
-    attempts = 0
-    limit = 100 * s
-    while len(out) < s and attempts < limit:
-        attempts += 1
-        cfg = sample_configuration(space, rng, uniform=True)
-        if cfg not in seen:
-            seen.add(cfg)
-            out.append(cfg)
-    return out
+    return sample_distinct(space, s, rng, uniform=True)
 
 
 def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
@@ -92,19 +71,18 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
     unordered = space.unordered_mask
     p = len(scenario.objectives)
 
-    def fit_one(j: int) -> Forest:
-        if j < p:
-            y = [r.objectives[j] for r in records]
-            return fit_regressor(X, y, scenario.regressor_hp, rng.substream(j), unordered)
-        labels = [r.feasible for r in records]
-        return fit_classifier(X, labels, scenario.classifier_hp, rng.substream(j), unordered)
-
-    with_classifier = scenario.feasibility is not None and scenario.use_feasibility_filter
-    models = thread_map(fit_one, range(p + 1 if with_classifier else p))
+    regressors = tuple(
+        fit_regressor(X, [r.objectives[j] for r in records], scenario.regressor_hp,
+                      rng.substream(j), unordered)
+        for j in range(p))
+    classifier = None
+    if scenario.feasibility is not None and scenario.use_feasibility_filter:
+        classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
+                                    rng.substream(p), unordered)
     return SurrogateBundle(
         space=space,
-        regressors=tuple(models[:p]),
-        classifier=models[p] if with_classifier else None,
+        regressors=regressors,
+        classifier=classifier,
         threshold=scenario.feasibility_threshold,
     )
 
@@ -148,28 +126,10 @@ def select_batch(predicted: list[Configuration], m: int, space: DesignSpace,
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
-    batch = list(fresh)
-    if len(batch) == m:
-        return batch
-    taken = set(batch) | archive_configs
-    needed = m - len(batch)
-    attempts = 0
-    limit = 100 * m
-    while needed > 0 and attempts < limit:
-        attempts += 1
-        cfg = sample_configuration(space, rng)
-        if cfg not in taken:
-            taken.add(cfg)
-            batch.append(cfg)
-            needed -= 1
-    if needed > 0:
-        card = space.cardinality()
-        if card is not None and card <= ENUMERATION_CAP:
-            remaining = [c for c in enumerate_space(space) if c not in taken]
-            order = rng.generator.permutation(len(remaining))
-            for i in order[:needed]:
-                batch.append(remaining[int(i)])
-    return batch
+    if len(fresh) == m:
+        return fresh
+    return fresh + sample_distinct(space, m - len(fresh), rng,
+                                   taken=set(fresh) | archive_configs, limit=100 * m)
 
 
 def mono_objective_best(archive: ParetoArchive) -> EvaluationRecord | None:
@@ -194,10 +154,13 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     when the prediction is exhausted or after optimization_iterations.
 
     ``reference_front`` (optional list of objective vectors) enables the
-    per-iteration HVI trace for bi-objective scenarios.
+    per-iteration HVI trace; it requires a bi-objective scenario.
     """
     from .priors import warmup_sample
 
+    if reference_front is not None and len(scenario.objectives) != 2:
+        raise ValueError(f"the HVI trace needs exactly two objectives, "
+                         f"the scenario has {len(scenario.objectives)}")
     t0 = time.perf_counter()
     space = scenario.space
     root = RngState(scenario.seed)
@@ -205,7 +168,7 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
 
     warm = warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
     archive = ParetoArchive()
-    state = LoopState(archive)
+    i = 0
     try:
         archive.extend(evaluate_batch(spec, space, warm, iteration_tag=-1))
 
@@ -213,7 +176,6 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
         bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(0))
 
         max_iterations = scenario.optimization_iterations
-        i = 0
         if max_iterations > 0:
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
                                   root.substream(_STREAM_POOL).substream(0))
@@ -230,17 +192,17 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                 pool = candidate_pool(space, scenario.pareto_prediction_samples,
                                       root.substream(_STREAM_POOL).substream(i))
                 predicted = predict_pareto(bundle, pool, archive.configurations())
-        state.iteration = i
     except EvaluationError as e:
         e.partial_records = list(archive.records)
         raise
 
     meta: dict = {
-        "iterations_run": state.iteration,
+        "iterations_run": i,
         "evaluations": len(archive.records),
         "duration_seconds": time.perf_counter() - t0,
     }
-    if reference_front is not None and len(scenario.objectives) == 2:
+    hvi_trace: list[tuple[int, float]] = []
+    if reference_front is not None:
         ref = [tuple(map(float, p)) for p in reference_front]
         sigma = objective_stddevs([r.objectives for r in archive.records] + ref)
         meta["hvi_stddevs"] = dict(zip(scenario.objectives, sigma.tolist()))
@@ -252,5 +214,5 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                 value = hvi([r.objectives for r in front], ref, sigma)
             else:
                 value = float("inf")
-            state.hvi_trace.append((tag, value))
-    return RunResult(archive=archive, bundle=bundle, hvi_trace=state.hvi_trace, meta=meta)
+            hvi_trace.append((tag, value))
+    return RunResult(archive=archive, bundle=bundle, hvi_trace=hvi_trace, meta=meta)

@@ -63,7 +63,8 @@ def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
     """Indices of the non-dominated points, ascending.
 
     Duplicate objective vectors are all retained (they may correspond to
-    distinct configurations). Empty input yields an empty front.
+    distinct configurations). Empty input yields an empty front; NaN input
+    is rejected, since a NaN point is never dominated.
     """
     n = len(points)
     if n == 0:
@@ -71,6 +72,8 @@ def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise ValueError("points must share a common objective count")
+    if np.isnan(P).any():
+        raise ValueError("objective vectors must not contain NaN")
     # a dominator always precedes its victim lexicographically, so a single
     # sweep against the kept set suffices
     order = np.lexsort(P.T[::-1])

@@ -10,7 +10,7 @@ and the front prediction never see them.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import AbstractSet, Any
 
 from .rng import RngState
 from .space import (
@@ -137,35 +137,42 @@ def sample_configuration(space: DesignSpace, rng: RngState, uniform: bool = Fals
     return Configuration(tuple(draw(p, rng) for p in space.parameters))
 
 
-def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[Configuration]:
-    """The design-of-experiments phase: min(n, cardinality) distinct
-    configurations drawn from the per-parameter priors.
+def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = False,
+                    taken: AbstractSet[Configuration] = frozenset(),
+                    limit: int | None = None) -> list[Configuration]:
+    """Up to n distinct configurations, none of them in ``taken``.
 
-    Duplicates are rejected; after 100*n failed attempts the sampler falls
-    back to enumerating finite spaces (spaces with real parameters do not
-    collide in practice).
+    With nothing taken, a finite space that n covers comes back whole, in
+    enumeration order. Otherwise draws (prior or uniform) that repeat are
+    rejected; after ``limit`` attempts (default 100*n) a finite space is
+    topped up with a random order of its unused configurations, so the
+    result is short only when the space runs out (spaces with real
+    parameters do not collide in practice).
     """
-    if n < 1:
-        raise ValueError("warm-up size must be >= 1")
     card = space.cardinality()
-    if card is not None and n >= card and card <= ENUMERATION_CAP:
+    finite = card is not None and card <= ENUMERATION_CAP
+    if finite and not taken and n >= card:
         return list(enumerate_space(space))
-
-    seen: set[Configuration] = set()
+    seen = set(taken)
     out: list[Configuration] = []
     attempts = 0
-    limit = 100 * n
+    limit = 100 * n if limit is None else limit
     while len(out) < n and attempts < limit:
         attempts += 1
-        cfg = sample_configuration(space, rng)
+        cfg = sample_configuration(space, rng, uniform)
         if cfg not in seen:
             seen.add(cfg)
             out.append(cfg)
-    if len(out) < n and card is not None and card <= ENUMERATION_CAP:
+    if len(out) < n and finite:
         remaining = [c for c in enumerate_space(space) if c not in seen]
         order = rng.generator.permutation(len(remaining))
-        for idx in order:
-            out.append(remaining[int(idx)])
-            if len(out) == n:
-                break
+        out.extend(remaining[int(i)] for i in order[: n - len(out)])
     return out
+
+
+def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[Configuration]:
+    """The design-of-experiments phase: min(n, cardinality) distinct
+    configurations drawn from the per-parameter priors."""
+    if n < 1:
+        raise ValueError("warm-up size must be >= 1")
+    return sample_distinct(space, n, rng)

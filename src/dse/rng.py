@@ -2,8 +2,8 @@
 
 Every stochastic component draws from an :class:`RngState`, which is fully
 determined by a ``(seed, stream_id)`` pair. Equal pairs reproduce equal draw
-sequences on every platform; parallel workers must be given distinct stream
-ids (see :meth:`RngState.substream`).
+sequences on every platform; components that must not share draws are given
+distinct stream ids (see :meth:`RngState.substream`).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ def splitmix64(x: int) -> int:
 class RngState:
     """A named random stream: PCG64 keyed by (seed, stream_id).
 
-    The generator is created lazily and advances as values are drawn, so a
-    single RngState must not be shared between concurrent workers. Derive
-    independent child streams with :meth:`substream`.
+    The generator is created lazily and advances as values are drawn, so
+    whatever draws from a shared RngState changes what later draws see.
+    Derive independent child streams with :meth:`substream`.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")

@@ -181,6 +181,52 @@ def test_evaluator_failure_persists_partial_archive(tmp_path, capsys):
     assert len(rows) == 30  # warm-up persisted, failing batch aborted the run
 
 
+def test_non_finite_objective_aborts_run_and_keeps_partial_archive(tmp_path, capsys):
+    import sys as _sys
+    import textwrap
+
+    # answers the 30-row warm-up, then reports NaN for every later batch
+    script = tmp_path / "nan_late.py"
+    script.write_text(textwrap.dedent("""\
+        import csv, sys
+        rows = [r for r in csv.reader(sys.stdin) if r]
+        value = "nan" if len(rows) - 1 <= 20 else "1.0"
+        out = csv.writer(sys.stdout, lineterminator="\\n")
+        out.writerow(rows[0] + ["cycles", "logic", "feasible"])
+        for row in rows[1:]:
+            out.writerow(row + [value, "1.0", "true"])
+    """))
+    out = tmp_path / "nan"
+    evaluator = json.dumps({"command": f"{_sys.executable} {script}"})
+    code = run_cli("run", TOY, "--set", f"output_dir={out}",
+                   "--set", f"evaluator={evaluator}")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: EvaluationError: non-finite objective cycles=nan")
+    assert len(read_rows(out / "samples.csv")) == 30
+
+
+@pytest.mark.parametrize("objectives", [["cycles"], ["cycles", "logic", "power"]])
+def test_reference_front_needs_two_objectives(tmp_path, capsys, objectives):
+    import sys as _sys
+
+    marker = tmp_path / "evaluated"
+    script = tmp_path / "touch.py"
+    script.write_text(f"import pathlib, sys\npathlib.Path({str(marker)!r}).touch()\nsys.exit(3)\n")
+    reference = tmp_path / "ref.csv"
+    reference.write_text(",".join(objectives) + "\n" + ",".join("1.0" for _ in objectives) + "\n")
+    evaluator = json.dumps({"command": f"{_sys.executable} {script}"})
+    code = run_cli("run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
+                   "--set", f"optimization_objectives={json.dumps(objectives)}",
+                   "--set", f"evaluator={evaluator}",
+                   "--reference-front", reference)
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ValueError:") and "two objectives" in err
+    assert "\n" not in err
+    assert not marker.exists()
+
+
 def test_report_identical_runs_have_zero_ci(tmp_path, truth_dir):
     dirs = []
     for name in ("r1", "r2", "r3"):

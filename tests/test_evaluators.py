@@ -15,6 +15,7 @@ from dse import (
     parse_scenario,
     toy_fpga,
 )
+from dse import evaluators
 from dse.space import DomainError, FeasibleOutput
 
 FEA = FeasibleOutput("feasible", "true")
@@ -219,6 +220,32 @@ def test_unparseable_objective_is_a_protocol_error(tmp_path):
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
     with pytest.raises(EvaluationError, match="unparseable"):
         evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_objective_is_a_protocol_error(tmp_path, value):
+    body = textwrap.dedent(f"""\
+        import csv, sys
+        rows = list(csv.reader(sys.stdin))
+        out = csv.writer(sys.stdout, lineterminator="\\n")
+        out.writerow(rows[0] + ["cost", "feasible"])
+        for row in rows[1:]:
+            if row:
+                out.writerow(row + ["{value}", "true"])
+    """)
+    space = small_space()
+    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "nonfinite.py", body),
+                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
+    with pytest.raises(EvaluationError, match=r"non-finite objective cost=.*\('2', '1', 'true', '1'\)"):
+        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+
+
+def test_builtin_non_finite_objective_is_rejected(monkeypatch):
+    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "nan_model",
+                        lambda values: {"cost": float("nan")})
+    spec = EvaluatorSpec("builtin", name="nan_model", objectives=("cost",))
+    with pytest.raises(EvaluationError, match=r"non-finite objective cost=nan.*'4', '2'"):
+        evaluate_batch(spec, small_space(), [Configuration((4, 2, "false", 2))])
 
 
 def test_empty_batch_rejected(toy_scenario):

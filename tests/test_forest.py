@@ -207,24 +207,6 @@ def test_classifier_grid_has_81_documented_combos(toy_scenario, toy_truth):
 
 # --- determinism ------------------------------------------------------------------
 
-def test_fit_is_deterministic_across_thread_counts(monkeypatch, toy_scenario, toy_truth):
-    _, records = toy_truth
-    space = toy_scenario.space
-    X = encode_matrix(space, [r.config for r in records])
-    y = [r.objectives[0] for r in records]
-
-    def fingerprint():
-        forest = fit_regressor(X, y, ForestHyperparams(), RngState(12, 34),
-                               space.unordered_mask)
-        return forest.predict_batch(X)
-
-    monkeypatch.setenv("DSE_THREADS", "1")
-    serial = fingerprint()
-    monkeypatch.setenv("DSE_THREADS", "4")
-    threaded = fingerprint()
-    assert np.array_equal(serial, threaded)
-
-
 def test_identical_seed_gives_identical_forest():
     gen = np.random.default_rng(13)
     X = gen.random((50, 2))

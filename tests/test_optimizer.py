@@ -7,6 +7,7 @@ from dse import (
     ForestHyperparams,
     Parameter,
     ParetoArchive,
+    Prior,
     RngState,
     candidate_pool,
     fit_classifier,
@@ -107,6 +108,19 @@ def test_batch_subset_is_deterministic(toy_scenario):
     assert a == b
     assert len(a) == 4
     assert set(a) <= set(predicted)
+
+
+def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
+    # the prior never draws "b"; both "a" configurations are already taken
+    space = DesignSpace((
+        Parameter("v", "categorical", values=("a", "b"),
+                  prior=Prior("categorical", probs=(1.0, 0.0))),
+        Parameter("n", "integer", lower=0, upper=1),
+    ))
+    archive = {Configuration(("a", 0)), Configuration(("a", 1))}
+    batch = select_batch([], 2, space, archive, RngState(13))
+    assert len(batch) == 2
+    assert set(batch) == {Configuration(("b", 0)), Configuration(("b", 1))}
 
 
 def test_batch_returns_short_when_space_is_exhausted():

@@ -65,6 +65,12 @@ def test_front_empty():
     assert pareto_front([]) == []
 
 
+def test_front_rejects_nan():
+    # a NaN point is never dominated, so it would silently join the front
+    with pytest.raises(ValueError, match="NaN"):
+        pareto_front([(1, 1), (float("nan"), 5), (2, 2)])
+
+
 def test_front_keeps_duplicates():
     assert pareto_front([(1, 1), (1, 1), (2, 2)]) == [0, 1]
 

@@ -169,6 +169,23 @@ def test_warmup_has_no_duplicates(toy_scenario):
     assert len(set(out)) == 100
 
 
+# the prior never draws "b", so those configurations come only from the
+# enumeration fallback
+ONLY_A = DesignSpace((
+    Parameter("v", "categorical", values=("a", "b"),
+              prior=Prior("categorical", probs=(1.0, 0.0))),
+    Parameter("n", "integer", lower=0, upper=1),
+))
+
+
+def test_warmup_falls_back_to_enumeration_when_the_prior_runs_dry():
+    out = warmup_sample(ONLY_A, 3, RngState(4))
+    assert len(out) == 3
+    assert len(set(out)) == 3
+    assert {Configuration(("a", 0)), Configuration(("a", 1))} < set(out)
+    assert sum(c.values[0] == "b" for c in out) == 1
+
+
 @st.composite
 def sampling_spaces(draw):
     params = []
