@@ -14,8 +14,6 @@ from .forest import (
     fit_classifier,
     fit_regressor,
     kfold_recall,
-    predict_feasible_prob,
-    predict_regression,
 )
 from .pareto import (
     EvaluationRecord,
@@ -69,8 +67,7 @@ __all__ = [
     "encode", "enumerate_space", "evaluate_batch", "feature_importance",
     "fit_classifier", "fit_regressor", "hvi", "hypervolume_2d",
     "kfold_recall", "mono_objective_best", "objective_stddevs",
-    "parse_scenario", "pareto_front", "predict_feasible_prob",
-    "predict_pareto", "predict_regression", "reference_front", "run",
-    "sample_beta", "sample_parameter", "select_batch", "serialize_scenario",
-    "toy_fpga", "warmup_sample",
+    "parse_scenario", "pareto_front", "predict_pareto", "reference_front",
+    "run", "sample_beta", "sample_parameter", "select_batch",
+    "serialize_scenario", "toy_fpga", "warmup_sample",
 ]

@@ -29,7 +29,7 @@ from . import __version__
 from .evaluators import EvaluationError, brute_force_front
 from .forest import feature_importance
 from .optimizer import RunResult, mono_objective_best, run
-from .pareto import EvaluationRecord, hvi, objective_stddevs, pareto_front
+from .pareto import EvaluationRecord, feasible_front, feasible_hvi, objective_stddevs
 from .space import (
     CATEGORICAL,
     INTEGER,
@@ -103,26 +103,32 @@ def read_records_csv(path: Path, space: DesignSpace,
     return records
 
 
-def read_raw_rows(path: Path) -> list[dict[str, str]]:
+class ReferenceFrontError(ValueError):
+    """A reference-front file that yields no feasible point."""
+
+
+def read_points_csv(path: Path, objectives: Sequence[str]
+                    ) -> tuple[list[tuple[float, ...]], list[bool]]:
+    """Objective vectors and feasibility flags of a records CSV; a file with
+    no ``feasible`` column counts every row as feasible."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [o for o in objectives if o not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path} has no column {missing[0]!r}")
+        rows = list(reader)
+    points = [tuple(float(row[o]) for o in objectives) for row in rows]
+    return points, [row.get("feasible", "true") == "true" for row in rows]
 
 
 def read_front_csv(path: Path, objectives: Sequence[str]) -> list[tuple[float, ...]]:
     """Objective vectors of a reference-front CSV; keeps feasible rows and
     reduces to the non-dominated subset so any records file works too."""
-    rows = read_raw_rows(path)
-    pts = []
-    for row in rows:
-        missing = [o for o in objectives if o not in row]
-        if missing:
-            raise ValidationError(f"{path} has no column {missing[0]!r}")
-        if "feasible" in row and row["feasible"] != "true":
-            continue
-        pts.append(tuple(float(row[o]) for o in objectives))
-    if not pts:
-        return []
-    return [pts[i] for i in pareto_front(pts)]
+    points, feasible = read_points_csv(path, objectives)
+    front = [points[i] for i in feasible_front(points, feasible)]
+    if not front:
+        raise ReferenceFrontError("reference front file has no feasible rows")
+    return front
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +210,6 @@ def cmd_run(args) -> int:
     reference = None
     if args.reference_front:
         reference = read_front_csv(Path(args.reference_front), scenario.objectives)
-        if not reference:
-            print("error: ReferenceFrontError: reference front file has no feasible rows",
-                  file=sys.stderr)
-            return 1
     out_dir = Path(scenario.output_dir)
     try:
         result = run(scenario, reference_front=reference)
@@ -261,6 +263,14 @@ def cmd_brute_force(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    """Per-run HVI of each run's feasible front, their mean and, for two or
+    more runs, the 80 % confidence half-width.
+
+    The reference is the --reference-front file or, without one, the
+    feasible front of every run's samples pooled; objectives are scaled by
+    standard deviations over all samples plus the given reference. A run
+    with no feasible sample scores ``inf``.
+    """
     run_dirs = [Path(d) for d in args.run_dir]
     metas = []
     for d in run_dirs:
@@ -278,41 +288,21 @@ def cmd_report(args) -> int:
         print("error: ReportError: the hypervolume report needs exactly two objectives",
               file=sys.stderr)
         return 1
-    param_names = metas[0]["parameters"]
 
-    per_run: list[list[tuple[tuple[float, ...], bool]]] = []
-    for d in run_dirs:
-        rows = read_raw_rows(d / "samples.csv")
-        if rows and any(o not in rows[0] for o in objectives):
-            print(f"error: ReportError: {d}/samples.csv is missing an objective column",
-                  file=sys.stderr)
-            return 1
-        per_run.append([
-            (tuple(float(row[o]) for o in objectives), row["feasible"] == "true")
-            for row in rows
-        ])
-
-    all_points = [objs for records in per_run for objs, _ in records]
+    per_run = [read_points_csv(d / "samples.csv", objectives) for d in run_dirs]
+    all_points = [p for points, _ in per_run for p in points]
     if args.reference_front:
         reference = read_front_csv(Path(args.reference_front), objectives)
-        sigma_pool = all_points + list(reference)
+        sigma = objective_stddevs(all_points + reference)
     else:
-        feas = [objs for records in per_run for objs, ok in records if ok]
-        if not feas:
+        all_feasible = [ok for _, feasible in per_run for ok in feasible]
+        reference = [all_points[i] for i in feasible_front(all_points, all_feasible)]
+        if not reference:
             print("error: ReportError: no feasible record in any run", file=sys.stderr)
             return 1
-        reference = [feas[i] for i in pareto_front(feas)]
-        sigma_pool = all_points
-    sigma = objective_stddevs(sigma_pool)
-
-    values = []
-    for d, records in zip(run_dirs, per_run):
-        feas = [objs for objs, ok in records if ok]
-        if not feas:
-            values.append((str(d), math.inf))
-            continue
-        front = [feas[i] for i in pareto_front(feas)]
-        values.append((str(d), hvi(front, reference, sigma)))
+        sigma = objective_stddevs(all_points)
+    values = [(str(d), feasible_hvi(points, feasible, reference, sigma))
+              for d, (points, feasible) in zip(run_dirs, per_run)]
 
     buf = io.StringIO()
     buf.write("run,hvi\n")

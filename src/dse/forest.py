@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import RngState
+from .space import require_bool, require_int
 
 
 class FitError(ValueError):
@@ -77,18 +78,18 @@ def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown surrogate key {sorted(unknown)[0]!r}")
+    where = "surrogate.classifier" if classifier else "surrogate.regressor"
     kwargs: dict = {}
-    if "n_estimators" in raw:
-        kwargs["n_estimators"] = int(raw["n_estimators"])
-    if "max_depth" in raw:
-        kwargs["max_depth"] = None if raw["max_depth"] is None else int(raw["max_depth"])
+    for key in ("n_estimators", "min_samples_split"):
+        if key in raw:
+            kwargs[key] = require_int(raw[key], f"{where}.{key}")
+    if raw.get("max_depth") is not None:
+        kwargs["max_depth"] = require_int(raw["max_depth"], f"{where}.max_depth")
     if "max_features" in raw:
         mf = raw["max_features"]
         kwargs["max_features"] = mf if mf == "auto" else float(mf)
     if "bootstrap" in raw:
-        kwargs["bootstrap"] = bool(raw["bootstrap"])
-    if "min_samples_split" in raw:
-        kwargs["min_samples_split"] = int(raw["min_samples_split"])
+        kwargs["bootstrap"] = require_bool(raw["bootstrap"], f"{where}.bootstrap")
     if "class_weight" in raw:
         cw = raw["class_weight"]
         if not isinstance(cw, dict) or set(cw) != {"true", "false"}:
@@ -173,40 +174,29 @@ class _TreeBuilder:
             self._grow(node, idx, depth, stack)
         return root
 
-    def _make_leaf(self, node: TreeNode, idx) -> None:
+    def _node_stats(self, idx) -> tuple[float, float, float]:
+        """(impurity, node weight, leaf value) of the samples at a node."""
         y = self.y[idx]
         if self.classifier:
             w = self.w[idx]
             total = float(w.sum())
-            node.value = float(w[y > 0.5].sum()) / total if total > 0 else 0.5
-        else:
-            node.value = float(y.mean())
-
-    def _node_impurity(self, idx) -> tuple[float, float]:
-        # returns (impurity, node weight)
-        if self.classifier:
-            w = self.w[idx]
-            total = float(w.sum())
-            pos = float(w[self.y[idx] > 0.5].sum())
-            return _gini_impurity(pos, total), total
-        return _variance_impurity(self.y[idx]), float(len(idx))
+            pos = float(w[y > 0.5].sum())
+            return _gini_impurity(pos, total), total, pos / total if total > 0 else 0.5
+        m = y.mean()
+        return float(np.mean(y * y) - m * m), float(len(idx)), float(m)
 
     def _grow(self, node: TreeNode, idx, depth, stack) -> None:
-        impurity, weight = self._node_impurity(idx)
-        if (
-            len(idx) < self.hp.min_samples_split
-            or len(idx) < 2
+        impurity, weight, value = self._node_stats(idx)
+        stop = (
+            len(idx) < max(2, self.hp.min_samples_split)
             or impurity <= 0.0
             or (self.hp.max_depth is not None and depth >= self.hp.max_depth)
-        ):
-            self._make_leaf(node, idx)
-            return
-
-        split = self._best_split(idx)
+        )
+        split = None if stop else self._best_split(idx)
         if split is None:
-            self._make_leaf(node, idx)
+            node.value = value
             return
-        feature, test_value, gain, left_mask = split
+        gain, feature, test_value, left_mask = split
         self.importance[feature] += (weight / self.root_weight) * gain
         node.feature = feature
         node.threshold = test_value
@@ -235,8 +225,7 @@ class _TreeBuilder:
                 best = (gain, int(f), test_value, left_mask)
         if best is None or best[0] <= 0.0:
             return None
-        gain, feature, test_value, left_mask = best
-        return feature, test_value, gain, left_mask
+        return best
 
     def _split_score(self, y_sorted, w_sorted, boundaries):
         """Impurity decrease of every candidate boundary, vectorized.
@@ -431,20 +420,6 @@ def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
     """
     labels = np.asarray([1.0 if bool(v) else 0.0 for v in np.asarray(labels).ravel()])
     return _fit(X, labels, hp, rng, unordered, classifier=True)
-
-
-def predict_regression(forest: Forest, x) -> float:
-    if forest.kind != "regressor":
-        raise ValueError("predict_regression requires a regression forest")
-    return float(forest.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def predict_feasible_prob(forest: Forest, x) -> float:
-    """Mean over trees of the leaf feasible-class probability; the optimizer
-    treats prob >= threshold (default 0.5) as feasible."""
-    if forest.kind != "classifier":
-        raise ValueError("predict_feasible_prob requires a classification forest")
-    return float(forest.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def feature_importance(forest: Forest) -> np.ndarray:

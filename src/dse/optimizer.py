@@ -17,14 +17,7 @@ import numpy as np
 
 from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
-from .pareto import (
-    EvaluationRecord,
-    ParetoArchive,
-    constrained_front,
-    hvi,
-    objective_stddevs,
-    pareto_front,
-)
+from .pareto import EvaluationRecord, ParetoArchive, feasible_hvi, objective_stddevs, pareto_front
 from .priors import sample_distinct
 from .rng import RngState
 from .space import Configuration, DesignSpace, Scenario, encode_matrix
@@ -105,7 +98,7 @@ def predict_pareto(bundle: SurrogateBundle, pool: list[Configuration],
             return []
         X = X[keep]
     preds = np.column_stack([reg.predict_batch(X) for reg in bundle.regressors])
-    idx = pareto_front([tuple(row) for row in preds])
+    idx = pareto_front(preds)
     return [candidates[i] for i in idx]
 
 
@@ -148,10 +141,11 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     """Execute the full search for a scenario.
 
     Warm-up with doe_samples prior-drawn distinct configurations, evaluate,
-    fit surrogates, then loop: predict the front over a fresh pool excluding
-    everything evaluated, evaluate a batch of at most
-    evaluations_per_iteration of it, refit on all records. The loop stops
-    when the prediction is exhausted or after optimization_iterations.
+    fit surrogates, then loop at most optimization_iterations times: predict
+    the front over a fresh pool excluding everything evaluated, evaluate a
+    batch of at most evaluations_per_iteration of it, refit on all records.
+    The loop stops early when the prediction or the batch comes back empty.
+    The last refit is the returned bundle (its importances are reported).
 
     ``reference_front`` (optional list of objective vectors) enables the
     per-iteration HVI trace; it requires a bi-objective scenario.
@@ -171,27 +165,22 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     i = 0
     try:
         archive.extend(evaluate_batch(spec, space, warm, iteration_tag=-1))
-
         fit_rng = root.substream(_STREAM_FIT)
         bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(0))
-
-        max_iterations = scenario.optimization_iterations
-        if max_iterations > 0:
+        while i < scenario.optimization_iterations:
+            evaluated = archive.configurations()
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
-                                  root.substream(_STREAM_POOL).substream(0))
-            predicted = predict_pareto(bundle, pool, archive.configurations())
-            while predicted and i < max_iterations:
-                batch = select_batch(predicted, scenario.evaluations_per_iteration,
-                                     space, archive.configurations(),
-                                     root.substream(_STREAM_BATCH).substream(i))
-                if not batch:
-                    break
-                archive.extend(evaluate_batch(spec, space, batch, iteration_tag=i))
-                i += 1
-                bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(i))
-                pool = candidate_pool(space, scenario.pareto_prediction_samples,
-                                      root.substream(_STREAM_POOL).substream(i))
-                predicted = predict_pareto(bundle, pool, archive.configurations())
+                                  root.substream(_STREAM_POOL).substream(i))
+            predicted = predict_pareto(bundle, pool, evaluated)
+            if not predicted:
+                break
+            batch = select_batch(predicted, scenario.evaluations_per_iteration, space,
+                                 evaluated, root.substream(_STREAM_BATCH).substream(i))
+            if not batch:
+                break
+            archive.extend(evaluate_batch(spec, space, batch, iteration_tag=i))
+            i += 1
+            bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(i))
     except EvaluationError as e:
         e.partial_records = list(archive.records)
         raise
@@ -204,15 +193,11 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     hvi_trace: list[tuple[int, float]] = []
     if reference_front is not None:
         ref = [tuple(map(float, p)) for p in reference_front]
-        sigma = objective_stddevs([r.objectives for r in archive.records] + ref)
+        records = archive.records
+        sigma = objective_stddevs([r.objectives for r in records] + ref)
         meta["hvi_stddevs"] = dict(zip(scenario.objectives, sigma.tolist()))
-        tags = sorted({r.iteration_tag for r in archive.records})
-        for tag in tags:
-            upto = [r for r in archive.records if r.iteration_tag <= tag]
-            front = constrained_front(upto)
-            if front:
-                value = hvi([r.objectives for r in front], ref, sigma)
-            else:
-                value = float("inf")
-            hvi_trace.append((tag, value))
+        for tag in sorted({r.iteration_tag for r in records}):
+            upto = [r for r in records if r.iteration_tag <= tag]
+            hvi_trace.append((tag, feasible_hvi([r.objectives for r in upto],
+                                                [r.feasible for r in upto], ref, sigma)))
     return RunResult(archive=archive, bundle=bundle, hvi_trace=hvi_trace, meta=meta)

@@ -9,6 +9,7 @@ normalization so objectives with large raw ranges do not drown the others.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -91,17 +92,20 @@ def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
     return sorted(kept_idx)
 
 
+def feasible_front(points: Sequence[ObjectiveVector], feasible: Sequence[bool]) -> list[int]:
+    """Indices of the non-dominated points among the feasible ones, ascending."""
+    keep = [i for i, ok in enumerate(feasible) if ok]
+    return [keep[j] for j in pareto_front([points[i] for i in keep])]
+
+
 def constrained_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
     """Non-dominated subset of the feasible records.
 
     Infeasible records never enter the front but stay in the archive: they
     still teach the feasibility classifier where the boundary runs.
     """
-    feasible = [r for r in records if r.feasible]
-    if not feasible:
-        return []
-    idx = pareto_front([r.objectives for r in feasible])
-    return [feasible[i] for i in idx]
+    idx = feasible_front([r.objectives for r in records], [r.feasible for r in records])
+    return [records[i] for i in idx]
 
 
 def hypervolume_2d(front: Sequence[ObjectiveVector], ref: ObjectiveVector) -> float:
@@ -154,6 +158,15 @@ def hvi(approx_front: Sequence[ObjectiveVector],
     ref_point = np.maximum(A.max(axis=0), R.max(axis=0)) + 1e-6
     value = hypervolume_2d(R, ref_point) - hypervolume_2d(A, ref_point)
     return max(0.0, value)
+
+
+def feasible_hvi(points: Sequence[ObjectiveVector], feasible: Sequence[bool],
+                 reference_front: Sequence[ObjectiveVector],
+                 stddevs: Sequence[float]) -> float:
+    """HVI of the feasible front of ``points`` against a reference front;
+    ``inf`` when no point is feasible (nothing approximates the reference)."""
+    front = [points[i] for i in feasible_front(points, feasible)]
+    return hvi(front, reference_front, stddevs) if front else math.inf
 
 
 def reference_front(runs: Sequence[Sequence[EvaluationRecord]]) -> list[EvaluationRecord]:

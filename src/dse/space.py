@@ -335,6 +335,20 @@ _TOP_LEVEL_KEYS = {
 _PARAM_KEYS = {"parameter_type", "values", "prior"}
 
 
+def require_int(value: Any, field: str) -> int:
+    """A JSON integer (booleans excluded), else a ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def require_bool(value: Any, field: str) -> bool:
+    """A JSON boolean, else a ValidationError naming the field."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_prior(raw: Any, kind: str, n_levels: int, where: str) -> Prior:
     if raw is None:
         return UNIFORM_PRIOR
@@ -452,7 +466,8 @@ def parse_scenario(json_text: str) -> Scenario:
     doe = doc.get("design_of_experiment", {})
     if not isinstance(doe, dict):
         raise ValidationError("design_of_experiment must be an object")
-    n_samples = int(doe.get("number_of_samples", 1000))
+    n_samples = require_int(doe.get("number_of_samples", 1000),
+                            "design_of_experiment.number_of_samples")
 
     surrogate = doc.get("surrogate", {})
     if not isinstance(surrogate, dict):
@@ -469,14 +484,18 @@ def parse_scenario(json_text: str) -> Scenario:
         evaluator=evaluator,
         feasibility=feasibility,
         doe_samples=n_samples,
-        optimization_iterations=int(doc.get("optimization_iterations", 50)),
-        evaluations_per_iteration=int(doc.get("evaluations_per_optimization_iteration", 100)),
-        pareto_prediction_samples=int(doc.get("pareto_prediction_samples", 100_000)),
+        optimization_iterations=require_int(doc.get("optimization_iterations", 50),
+                                            "optimization_iterations"),
+        evaluations_per_iteration=require_int(doc.get("evaluations_per_optimization_iteration", 100),
+                                              "evaluations_per_optimization_iteration"),
+        pareto_prediction_samples=require_int(doc.get("pareto_prediction_samples", 100_000),
+                                              "pareto_prediction_samples"),
         regressor_hp=regressor_hp,
         classifier_hp=classifier_hp,
-        seed=int(doc.get("seed", 0)),
+        seed=require_int(doc.get("seed", 0), "seed"),
         output_dir=str(doc.get("output_dir", "dse_output")),
-        use_feasibility_filter=bool(doc.get("use_feasibility_filter", True)),
+        use_feasibility_filter=require_bool(doc.get("use_feasibility_filter", True),
+                                            "use_feasibility_filter"),
         feasibility_threshold=float(doc.get("feasibility_threshold", 0.5)),
     )
 

@@ -3,9 +3,9 @@ import csv
 
 import pytest
 
-from dse.cli import main, read_front_csv, read_records_csv
+from dse.cli import load_scenario, main, read_front_csv, read_records_csv
 from dse.pareto import constrained_front, dominates
-from dse.space import parse_scenario
+from dse.space import ValidationError, parse_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -154,6 +154,23 @@ def test_scenario_error_is_single_machine_line(tmp_path, capsys):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("override, field", [
+    ("use_feasibility_filter=False", "use_feasibility_filter"),
+    ("use_feasibility_filter=1", "use_feasibility_filter"),
+    ('surrogate.regressor.bootstrap="no"', "surrogate.regressor.bootstrap"),
+    ("surrogate.classifier.n_estimators=10.0", "surrogate.classifier.n_estimators"),
+    ("surrogate.regressor.max_depth=4.5", "surrogate.regressor.max_depth"),
+    ("optimization_iterations=2.9", "optimization_iterations"),
+    ("design_of_experiment.number_of_samples=12.5", "design_of_experiment.number_of_samples"),
+    ('evaluations_per_optimization_iteration="20"', "evaluations_per_optimization_iteration"),
+    ("pareto_prediction_samples=true", "pareto_prediction_samples"),
+    ("seed=true", "seed"),
+])
+def test_scalar_fields_must_have_their_json_type(override, field):
+    with pytest.raises(ValidationError, match=field):
+        load_scenario(TOY, [override])
+
+
 def test_evaluator_failure_persists_partial_archive(tmp_path, capsys):
     import sys as _sys
     import textwrap
@@ -261,3 +278,16 @@ def test_report_rejects_mismatched_objectives(tmp_path, run_dir, capsys):
     assert run_cli("run", LINEAR, "--set", f"output_dir={out}") == 0
     assert run_cli("report", run_dir, out) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_reference_front_without_feasible_rows_fails_alike(tmp_path, run_dir, capsys, command):
+    reference = tmp_path / "ref.csv"
+    reference.write_text("cycles,logic,feasible\n10.0,2.0,false\n")
+    if command == "run":
+        args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
+    else:
+        args = ["report", run_dir, "--output", tmp_path / "report.csv"]
+    assert run_cli(*args, "--reference-front", reference) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ReferenceFrontError: reference front file has no feasible rows\n"

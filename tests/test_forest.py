@@ -8,8 +8,6 @@ from dse import (
     fit_classifier,
     fit_regressor,
     kfold_recall,
-    predict_feasible_prob,
-    predict_regression,
 )
 from dse.forest import FitError, Forest, TreeNode, classifier_grid
 from dse.space import encode_matrix
@@ -22,7 +20,7 @@ def test_constant_targets_predict_exactly():
     X = [[0.0], [1.0], [2.0], [3.0]]
     forest = fit_regressor(X, [7.0, 7.0, 7.0, 7.0], ForestHyperparams(), RngState(0))
     for x in X:
-        assert predict_regression(forest, x) == 7.0
+        assert forest.predict_batch([x])[0] == 7.0
 
 
 def test_pure_tree_interpolates_training_data():
@@ -30,7 +28,7 @@ def test_pure_tree_interpolates_training_data():
     y = [float(i) for i in range(10)]
     forest = fit_regressor(X, y, PURE_TREE, RngState(1))
     for xi, yi in zip(X, y):
-        assert predict_regression(forest, xi) == yi
+        assert forest.predict_batch([xi])[0] == yi
 
 
 def test_empty_training_set_is_a_fit_error():
@@ -46,28 +44,28 @@ def test_dimension_mismatch_is_a_fit_error():
 def test_prediction_dimension_mismatch():
     forest = fit_regressor([[1.0], [2.0]], [1.0, 2.0], ForestHyperparams(), RngState(0))
     with pytest.raises(ValueError):
-        predict_regression(forest, [1.0, 2.0])
+        forest.predict_batch([[1.0, 2.0]])
 
 
 def test_mean_of_two_manual_trees():
     forest = Forest(kind="regressor", n_features=1, unordered=(False,),
                     trees=(TreeNode(value=2.0), TreeNode(value=4.0)),
                     raw_importance=np.zeros(1))
-    assert predict_regression(forest, [0.0]) == 3.0
+    assert forest.predict_batch([[0.0]])[0] == 3.0
 
 
 def test_mean_of_two_manual_classifier_leaves():
     forest = Forest(kind="classifier", n_features=1, unordered=(False,),
                     trees=(TreeNode(value=0.2), TreeNode(value=0.6)),
                     raw_importance=np.zeros(1))
-    assert predict_feasible_prob(forest, [0.0]) == pytest.approx(0.4)
+    assert forest.predict_batch([[0.0]])[0] == pytest.approx(0.4)
 
 
 def test_single_class_training_yields_constant_classifier():
     X = [[float(i)] for i in range(6)]
     forest = fit_classifier(X, [True] * 6, ForestHyperparams(), RngState(2))
     for xi in X:
-        assert predict_feasible_prob(forest, xi) == 1.0
+        assert forest.predict_batch([xi])[0] == 1.0
 
 
 def test_separable_data_reaches_full_training_recall():
@@ -79,7 +77,7 @@ def test_separable_data_reaches_full_training_recall():
     tp = sum(1 for p, t in zip(predicted, labels) if p and t)
     fn = sum(1 for p, t in zip(predicted, labels) if not p and t)
     assert tp / (tp + fn) == 1.0
-    assert predict_feasible_prob(forest, [0.0]) >= 0.5  # deep inside feasible side
+    assert forest.predict_batch([[0.0]])[0] >= 0.5  # deep inside feasible side
 
 
 def test_feasible_heavy_class_weight_raises_recall(toy_scenario, toy_truth):
@@ -133,7 +131,7 @@ def test_categorical_features_split_on_level_equality():
     assert not root.is_leaf
     assert root.unordered
     for xi, yi in zip(X, y):
-        assert predict_regression(forest, xi) == yi
+        assert forest.predict_batch([xi])[0] == yi
 
 
 # --- feature importance -------------------------------------------------------

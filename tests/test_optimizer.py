@@ -228,6 +228,48 @@ def test_disabling_the_filter_skips_the_classifier(toy_scenario_doc):
     assert all(r.feasible for r in result.archive.front())
 
 
+LOOP_CALLS = ("candidate_pool", "predict_pareto", "select_batch", "fit_surrogates")
+
+
+def count_loop_calls(monkeypatch):
+    """Wrap the loop's dse.optimizer functions with call counters."""
+    import dse.optimizer as optimizer
+
+    counts = dict.fromkeys(LOOP_CALLS, 0)
+    for name in LOOP_CALLS:
+        def counted(*args, _name=name, _original=getattr(optimizer, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    return counts
+
+
+def test_loop_pools_and_predicts_once_per_batch(toy_scenario_doc, monkeypatch):
+    counts = count_loop_calls(monkeypatch)
+    result = run(scenario_with(toy_scenario_doc, optimization_iterations=3, seed=4))
+    assert result.meta["iterations_run"] == 3
+    assert counts == {"candidate_pool": 3, "predict_pareto": 3, "select_batch": 3,
+                      "fit_surrogates": 4}
+
+
+def test_loop_stops_at_an_empty_prediction(toy_scenario_doc, monkeypatch):
+    import dse.optimizer as optimizer
+
+    original, calls = optimizer.predict_pareto, []
+
+    def second_is_empty(*args):
+        calls.append(args)
+        return [] if len(calls) == 2 else original(*args)
+
+    monkeypatch.setattr(optimizer, "predict_pareto", second_is_empty)
+    counts = count_loop_calls(monkeypatch)
+    result = run(scenario_with(toy_scenario_doc, optimization_iterations=3, seed=4))
+    assert result.meta["iterations_run"] == 1
+    assert counts == {"candidate_pool": 2, "predict_pareto": 2, "select_batch": 1,
+                      "fit_surrogates": 2}
+
+
 # --- mono-objective ----------------------------------------------------------------
 
 def record(value, feasible=True, key=None, tag=-1):

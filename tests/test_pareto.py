@@ -16,6 +16,7 @@ from dse import (
     pareto_front,
     reference_front,
 )
+from dse.pareto import feasible_front, feasible_hvi
 from oracles import pairwise_front
 
 
@@ -100,6 +101,15 @@ def test_all_infeasible_gives_empty_front():
 def test_single_feasible_record_is_the_front():
     records = [rec((9, 9), feasible=True, key=("a",)), rec((0, 0), feasible=False, key=("b",))]
     assert constrained_front(records) == [records[0]]
+
+
+def test_feasible_front_matches_pairwise_oracle_on_the_feasible_subset():
+    gen = np.random.default_rng(105)
+    pts = [tuple(row) for row in gen.integers(0, 6, size=(60, 2)).astype(float)]
+    feasible = (gen.random(60) < 0.6).tolist()
+    keep = [i for i, ok in enumerate(feasible) if ok]
+    oracle = {keep[j] for j in pairwise_front([pts[i] for i in keep])}
+    assert feasible_front(pts, feasible) == sorted(oracle)
 
 
 def test_toy_front_matches_exhaustive_oracle(toy_truth):
@@ -194,6 +204,15 @@ def test_hvi_treats_zero_stddev_as_unscaled(caplog):
 def test_hvi_requires_non_empty_fronts():
     with pytest.raises(ValueError):
         hvi([], [(0.0, 0.0)], (1.0, 1.0))
+
+
+def test_feasible_hvi_scores_the_feasible_front_and_inf_without_one():
+    points = [(1.0, 1.0), (0.0, 0.0), (3.0, 3.0)]
+    reference = [(0.5, 0.5)]
+    # the infeasible (0, 0) must not count; (3, 3) is dominated by (1, 1)
+    assert feasible_hvi(points, [True, False, True], reference, (1.0, 1.0)) == \
+        hvi([(1.0, 1.0)], reference, (1.0, 1.0))
+    assert feasible_hvi(points, [False] * 3, reference, (1.0, 1.0)) == float("inf")
 
 
 def test_objective_stddevs_population_convention():
