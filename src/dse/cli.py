@@ -116,7 +116,13 @@ def read_points_csv(path: Path, objectives: Sequence[str]
         missing = [o for o in objectives if o not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path} has no column {missing[0]!r}")
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            if None in row.values():
+                # csv.DictReader fills the cells a short row lacks with None
+                raise ValidationError(f"{path} line {reader.line_num}: "
+                                      "row has fewer cells than the header")
+            rows.append(row)
     points = [tuple(float(row[o]) for o in objectives) for row in rows]
     return points, [row.get("feasible", "true") == "true" for row in rows]
 

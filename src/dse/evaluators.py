@@ -23,8 +23,10 @@ from .space import (
     DesignSpace,
     DomainError,
     FeasibleOutput,
+    ValidationError,
     canonical_str,
     enumerate_space,
+    require_number,
 )
 
 
@@ -64,26 +66,28 @@ def parse_evaluator(raw: Any, objectives: tuple[str, ...],
     """Evaluator section of the scenario JSON: either {"builtin": name} or
     {"command": "...", "working_dir": "...", "timeout_seconds": s}."""
     if not isinstance(raw, dict):
-        raise ValueError("evaluator must be an object")
+        raise ValidationError("evaluator must be an object")
     if "builtin" in raw:
-        extra = set(raw) - {"builtin"}
-        if extra:
-            raise ValueError(f"unknown evaluator key {sorted(extra)[0]!r}")
+        allowed = {"builtin"}
+    elif "command" in raw:
+        allowed = {"command", "working_dir", "timeout_seconds"}
+    else:
+        raise ValidationError("evaluator needs either a 'builtin' name or a 'command'")
+    extra = set(raw) - allowed
+    if extra:
+        raise ValidationError(f"evaluator: unknown key {sorted(extra)[0]!r}")
+    if "builtin" in raw:
         return EvaluatorSpec("builtin", name=str(raw["builtin"]),
                              objectives=objectives, feasibility=feasibility)
-    if "command" in raw:
-        extra = set(raw) - {"command", "working_dir", "timeout_seconds"}
-        if extra:
-            raise ValueError(f"unknown evaluator key {sorted(extra)[0]!r}")
-        return EvaluatorSpec(
-            "subprocess",
-            command=str(raw["command"]),
-            working_dir=raw.get("working_dir"),
-            timeout_seconds=float(raw.get("timeout_seconds", 300.0)),
-            objectives=objectives,
-            feasibility=feasibility,
-        )
-    raise ValueError("evaluator needs either a 'builtin' name or a 'command'")
+    return EvaluatorSpec(
+        "subprocess",
+        command=str(raw["command"]),
+        working_dir=raw.get("working_dir"),
+        timeout_seconds=require_number(raw.get("timeout_seconds", 300.0),
+                                       "evaluator.timeout_seconds"),
+        objectives=objectives,
+        feasibility=feasibility,
+    )
 
 
 def evaluator_to_json(spec: EvaluatorSpec) -> dict:

@@ -5,6 +5,10 @@ forest acts as the feasibility filter. Trees are grown on bootstrap resamples
 with per-node feature subsampling. Ordered features split on thresholds
 (midpoints between consecutive distinct values); features flagged unordered
 (categorical level indices) split on level equality, never on thresholds.
+Both kinds grow by one criterion, the weight-averaged variance of the
+targets in the two children: on the classifier's class-weighted 0/1 labels
+that variance is half the weighted Gini impurity, so it picks the splits
+Gini would (Breiman et al., Classification and Regression Trees, 1984).
 
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
 RngState(seed ^ t, stream), so each tree is a pure function of the training
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import RngState
-from .space import require_bool, require_int
+from .space import ValidationError, require_bool, require_int, require_number
 
 
 class FitError(ValueError):
@@ -70,15 +74,15 @@ class ForestHyperparams:
 
 def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
     """Hyperparameters from the scenario JSON ``surrogate`` section."""
+    where = "surrogate.classifier" if classifier else "surrogate.regressor"
     if not isinstance(raw, dict):
-        raise ValueError("surrogate entries must be objects")
+        raise ValidationError(f"{where} must be an object")
     allowed = {"n_estimators", "max_depth", "max_features", "bootstrap", "min_samples_split"}
     if classifier:
         allowed = allowed | {"class_weight"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ValueError(f"unknown surrogate key {sorted(unknown)[0]!r}")
-    where = "surrogate.classifier" if classifier else "surrogate.regressor"
+        raise ValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
     kwargs: dict = {}
     for key in ("n_estimators", "min_samples_split"):
         if key in raw:
@@ -87,14 +91,15 @@ def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
         kwargs["max_depth"] = require_int(raw["max_depth"], f"{where}.max_depth")
     if "max_features" in raw:
         mf = raw["max_features"]
-        kwargs["max_features"] = mf if mf == "auto" else float(mf)
+        kwargs["max_features"] = mf if mf == "auto" else require_number(mf, f"{where}.max_features")
     if "bootstrap" in raw:
         kwargs["bootstrap"] = require_bool(raw["bootstrap"], f"{where}.bootstrap")
     if "class_weight" in raw:
         cw = raw["class_weight"]
         if not isinstance(cw, dict) or set(cw) != {"true", "false"}:
-            raise ValueError('class_weight must be {"true": w, "false": w}')
-        kwargs["class_weight"] = (float(cw["true"]), float(cw["false"]))
+            raise ValidationError(f'{where}.class_weight must be {{"true": w, "false": w}}')
+        kwargs["class_weight"] = tuple(require_number(cw[k], f"{where}.class_weight.{k}")
+                                       for k in ("true", "false"))
     return ForestHyperparams(**kwargs)
 
 
@@ -136,68 +141,66 @@ class TreeNode:
         return self.left is None
 
 
-def _variance_impurity(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
-    m = y.mean()
-    return float(np.mean(y * y) - m * m)
+def _variance(w, wy, wyy):
+    """Weighted variance of the targets from the sums of w, w*y and w*y*y.
 
-
-def _gini_impurity(w_pos: float, w_total: float) -> float:
-    if w_total <= 0.0:
-        return 0.0
-    p = w_pos / w_total
-    return 1.0 - (p * p + (1.0 - p) * (1.0 - p))
+    ``** 2`` multiplies for arrays but calls libm ``pow`` for numpy scalars,
+    and the two can differ in the last bit: the threshold scan's parent term
+    passes scalars, every other caller arrays, which keeps trees reproducible.
+    """
+    mean = wy / w
+    return wyy / w - mean ** 2
 
 
 class _TreeBuilder:
-    """Grows one tree; collects per-feature impurity decreases on the way."""
+    """Grows one tree; collects per-feature impurity decreases on the way.
 
-    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gen, classifier: bool):
-        self.X = X
-        self.y = y
-        self.w = w  # sample weights; None for regression
+    Every split minimizes one criterion, the weight-averaged variance of the
+    targets in the two children. Node impurity, leaf value and every split
+    gain come from sums over one 3 x n matrix with rows w, w*y and w*y*y.
+    Regression samples weigh 1.0. The classifier fits its 0/1 labels with
+    class weights; for such labels the weighted variance p(1 - p) is half
+    the weighted Gini impurity 2p(1 - p), so both criteria pick the same
+    splits, and the leaf mean is the weighted feasible fraction.
+    """
+
+    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gen, k: int):
+        self.XT = np.ascontiguousarray(X.T)  # one row per feature
+        wy = w * y
+        self.M = np.stack([w, wy, wy * y])
         self.unordered = unordered
         self.hp = hp
         self.gen = gen
-        self.classifier = classifier
-        self.k = hp.resolve_max_features(X.shape[1], classifier)
-        self.importance = np.zeros(X.shape[1])
-        self.root_weight = float(w.sum()) if classifier else float(len(y))
+        self.k = k
+        self.importance = np.zeros(len(self.XT))
+        self.root_weight = float(w.sum())
 
     def build(self) -> TreeNode:
         # explicit stack: pathological trees can be as deep as the sample count
         root = TreeNode()
-        stack = [(root, np.arange(len(self.y)), 0)]
+        stack = [(root, np.arange(self.M.shape[1]), 0)]
         while stack:
             node, idx, depth = stack.pop()
             self._grow(node, idx, depth, stack)
         return root
 
-    def _node_stats(self, idx) -> tuple[float, float, float]:
-        """(impurity, node weight, leaf value) of the samples at a node."""
-        y = self.y[idx]
-        if self.classifier:
-            w = self.w[idx]
-            total = float(w.sum())
-            pos = float(w[y > 0.5].sum())
-            return _gini_impurity(pos, total), total, pos / total if total > 0 else 0.5
-        m = y.mean()
-        return float(np.mean(y * y) - m * m), float(len(idx)), float(m)
-
     def _grow(self, node: TreeNode, idx, depth, stack) -> None:
-        impurity, weight, value = self._node_stats(idx)
+        # take and compress copy to contiguous rows, whose sums run in
+        # numpy's pairwise order (M[:, idx] would sum column-strided)
+        S = self.M.take(idx, axis=1)
+        sums = S.sum(axis=1, keepdims=True)
+        impurity = _variance(*sums)[0]
         stop = (
             len(idx) < max(2, self.hp.min_samples_split)
             or impurity <= 0.0
             or (self.hp.max_depth is not None and depth >= self.hp.max_depth)
         )
-        split = None if stop else self._best_split(idx)
+        split = None if stop else self._best_split(idx, S, impurity)
         if split is None:
-            node.value = value
+            node.value = float(sums[1, 0] / sums[0, 0])
             return
         gain, feature, test_value, left_mask = split
-        self.importance[feature] += (weight / self.root_weight) * gain
+        self.importance[feature] += (sums[0, 0] / self.root_weight) * gain
         node.feature = feature
         node.threshold = test_value
         node.unordered = self.unordered[feature]
@@ -206,18 +209,16 @@ class _TreeBuilder:
         stack.append((node.right, idx[~left_mask], depth + 1))
         stack.append((node.left, idx[left_mask], depth + 1))
 
-    def _best_split(self, idx):
-        d = self.X.shape[1]
-        chosen = np.sort(self.gen.permutation(d)[: self.k])
+    def _best_split(self, idx, S, impurity):
+        chosen = np.sort(self.gen.permutation(len(self.XT))[: self.k])
+        node_X = self.XT.take(idx, axis=1)
         best = None  # (gain, feature, test_value, left_mask)
-        y = self.y[idx]
-        w = self.w[idx] if self.classifier else None
         for f in chosen:
-            values = self.X[idx, f]
+            values = node_X[f]
             if self.unordered[f]:
-                candidate = self._best_level_split(values, y, w)
+                candidate = self._best_level_split(values, S, impurity)
             else:
-                candidate = self._best_threshold_split(values, y, w)
+                candidate = self._best_threshold_split(values, S)
             if candidate is None:
                 continue
             gain, test_value, left_mask = candidate
@@ -227,50 +228,24 @@ class _TreeBuilder:
             return None
         return best
 
-    def _split_score(self, y_sorted, w_sorted, boundaries):
-        """Impurity decrease of every candidate boundary, vectorized.
-
-        ``boundaries[i]`` = number of samples routed left; the score is the
-        parent impurity minus the weighted mean child impurity.
-        """
-        n = len(y_sorted)
-        if self.classifier:
-            cw = np.cumsum(w_sorted)
-            cwp = np.cumsum(w_sorted * y_sorted)
-            total_w, total_p = cw[-1], cwp[-1]
-            wl = cw[boundaries - 1]
-            pl = cwp[boundaries - 1]
-            wr = total_w - wl
-            pr = total_p - pl
-            gini_l = 1.0 - ((pl / wl) ** 2 + ((wl - pl) / wl) ** 2)
-            gini_r = 1.0 - ((pr / wr) ** 2 + ((wr - pr) / wr) ** 2)
-            parent = _gini_impurity(total_p, total_w)
-            return parent - (wl * gini_l + wr * gini_r) / total_w
-        s1 = np.cumsum(y_sorted)
-        s2 = np.cumsum(y_sorted * y_sorted)
-        nl = boundaries.astype(float)
-        nr = n - nl
-        sl1, sl2 = s1[boundaries - 1], s2[boundaries - 1]
-        var_l = np.maximum(sl2 / nl - (sl1 / nl) ** 2, 0.0)
-        var_r = np.maximum((s2[-1] - sl2) / nr - ((s1[-1] - sl1) / nr) ** 2, 0.0)
-        parent = np.maximum(s2[-1] / n - (s1[-1] / n) ** 2, 0.0)
-        return parent - (nl * var_l + nr * var_r) / n
-
-    def _best_threshold_split(self, values, y, w):
-        order = np.argsort(values, kind="stable")
+    def _best_threshold_split(self, values, S):
+        """Best midpoint threshold, scored for every boundary between
+        consecutive distinct values from one cumulative sum."""
+        order = values.argsort(kind="stable")
         sv = values[order]
-        distinct = np.nonzero(sv[:-1] < sv[1:])[0]
-        if distinct.size == 0:
+        last_left = np.nonzero(sv[:-1] < sv[1:])[0]
+        if last_left.size == 0:
             return None
-        boundaries = distinct + 1
-        gains = self._split_score(y[order], w[order] if w is not None else None, boundaries)
-        best_i = int(np.argmax(gains))
+        C = S.take(order, axis=1).cumsum(axis=1)
+        left = C[:, last_left]
+        right = C[:, -1:] - left
+        parent = np.maximum(_variance(*C[:, -1]), 0.0)
+        child = (left[0] * np.maximum(_variance(*left), 0.0)
+                 + right[0] * np.maximum(_variance(*right), 0.0))
+        gains = parent - child / C[0, -1]
         # ties between equal gains resolve to the lowest threshold
-        for i in range(best_i):
-            if gains[i] >= gains[best_i] - 1e-15:
-                best_i = i
-                break
-        cut = boundaries[best_i]
+        best_i = int(np.argmax(gains >= gains.max() - 1e-15))
+        cut = last_left[best_i] + 1
         threshold = 0.5 * (sv[cut - 1] + sv[cut])
         if threshold >= sv[cut]:
             # adjacent floats: the midpoint rounded up; fall back to the
@@ -278,39 +253,21 @@ class _TreeBuilder:
             threshold = sv[cut - 1]
         return float(gains[best_i]), float(threshold), values <= threshold
 
-    def _best_level_split(self, values, y, w):
+    def _best_level_split(self, values, S, impurity):
+        """Best one-level-versus-rest split, from masked sums per level."""
         levels = np.unique(values)
         if levels.size < 2:
             return None
-        best = None
-        for level in levels:
-            mask = values == level
-            gain = self._two_group_gain(mask, y, w)
-            if gain is None:
-                continue
-            if best is None or gain > best[0] + 1e-15:
-                best = (gain, float(level), mask)
-        return best
-
-    def _two_group_gain(self, left_mask, y, w):
-        n_l = int(left_mask.sum())
-        if n_l == 0 or n_l == len(y):
-            return None
-        if self.classifier:
-            wl = float(w[left_mask].sum())
-            wr = float(w[~left_mask].sum())
-            pl = float(w[left_mask & (y > 0.5)].sum())
-            pr = float(w[~left_mask & (y > 0.5)].sum())
-            total = wl + wr
-            parent = _gini_impurity(pl + pr, total)
-            child = (wl * _gini_impurity(pl, wl) + wr * _gini_impurity(pr, wr)) / total
-            return parent - child
-        parent = _variance_impurity(y)
-        child = (
-            n_l * _variance_impurity(y[left_mask])
-            + (len(y) - n_l) * _variance_impurity(y[~left_mask])
-        ) / len(y)
-        return parent - child
+        masks = [values == level for level in levels]
+        left = np.stack([S.compress(m, axis=1).sum(axis=1) for m in masks], axis=1)
+        right = np.stack([S.compress(~m, axis=1).sum(axis=1) for m in masks], axis=1)
+        child = left[0] * _variance(*left) + right[0] * _variance(*right)
+        gains = impurity - child / (left[0] + right[0])
+        best = 0
+        for i in range(1, levels.size):
+            if gains[i] > gains[best] + 1e-15:
+                best = i
+        return gains[best], float(levels[best]), masks[best]
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +328,7 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
     if len(unordered) != d:
         raise FitError("unordered mask length does not match feature count")
 
+    k = hp.resolve_max_features(d, classifier)
     trees = []
     importances = []
     for t in range(hp.n_estimators):
@@ -380,16 +338,14 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
         else:
             sample = np.arange(n)
         Xs, ys = X[sample], y[sample]
-        ws = None
         if classifier:
             pos = ys > 0.5
-            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-            ws = np.empty(n)
-            if n_pos:
-                ws[pos] = hp.class_weight[0] / n_pos
-            if n_neg:
-                ws[~pos] = hp.class_weight[1] / n_neg
-        builder = _TreeBuilder(Xs, ys, ws, unordered, hp, gen, classifier)
+            n_pos = int(pos.sum())
+            ws = np.where(pos, hp.class_weight[0] / max(n_pos, 1),
+                          hp.class_weight[1] / max(n - n_pos, 1))
+        else:
+            ws = np.ones(n)
+        builder = _TreeBuilder(Xs, ys, ws, unordered, hp, gen, k)
         trees.append(builder.build())
         importances.append(builder.importance)
     return Forest(
@@ -412,11 +368,12 @@ def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
                    unordered: Sequence[bool] | None = None) -> Forest:
     """Fit a binary feasibility classifier.
 
-    Splits minimize class-weighted Gini impurity; each sample of class c
-    weighs class_weight[c] / (count of c in the tree's bootstrap sample), so
-    per-tree class mass matches the configured weights. Leaves store the
-    weighted feasible-class probability; a single-class training set yields
-    a constant classifier.
+    Splits minimize class-weighted Gini impurity, as a regression tree on
+    the 0/1 labels: their weighted variance is half the Gini impurity. Each
+    sample of class c weighs class_weight[c] / (count of c in the tree's
+    bootstrap sample), so per-tree class mass matches the configured weights.
+    Leaves store the weighted feasible-class probability (the weighted label
+    mean); a single-class training set yields a constant classifier.
     """
     labels = np.asarray([1.0 if bool(v) else 0.0 for v in np.asarray(labels).ravel()])
     return _fit(X, labels, hp, rng, unordered, classifier=True)

@@ -349,6 +349,13 @@ def require_bool(value: Any, field: str) -> bool:
     return value
 
 
+def require_number(value: Any, field: str) -> float:
+    """A JSON number (booleans excluded), else a ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_prior(raw: Any, kind: str, n_levels: int, where: str) -> Prior:
     if raw is None:
         return UNIFORM_PRIOR
@@ -364,7 +371,7 @@ def _parse_prior(raw: Any, kind: str, n_levels: int, where: str) -> Prior:
         return Prior(raw, a, b)
     if isinstance(raw, list):
         if kind == CATEGORICAL:
-            probs = tuple(float(p) for p in raw)
+            probs = tuple(require_number(p, f"{where}.prior") for p in raw)
             total = math.fsum(probs)
             if any(p < 0 for p in probs):
                 raise ValidationError(f"{where}: prior probabilities must be >= 0")
@@ -375,7 +382,7 @@ def _parse_prior(raw: Any, kind: str, n_levels: int, where: str) -> Prior:
             return Prior("categorical", probs=probs)
         if len(raw) != 2:
             raise ValidationError(f"{where}: Beta prior must be a two-element [alpha, beta] list")
-        a, b = float(raw[0]), float(raw[1])
+        a, b = (require_number(v, f"{where}.prior") for v in raw)
         if not (a > 0 and b > 0):
             raise ValidationError(f"{where}: Beta prior requires alpha > 0 and beta > 0")
         return Prior("beta", a, b)
@@ -496,7 +503,8 @@ def parse_scenario(json_text: str) -> Scenario:
         output_dir=str(doc.get("output_dir", "dse_output")),
         use_feasibility_filter=require_bool(doc.get("use_feasibility_filter", True),
                                             "use_feasibility_filter"),
-        feasibility_threshold=float(doc.get("feasibility_threshold", 0.5)),
+        feasibility_threshold=require_number(doc.get("feasibility_threshold", 0.5),
+                                             "feasibility_threshold"),
     )
 
 

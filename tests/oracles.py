@@ -1,10 +1,11 @@
 """Independent oracles the tests check the library against.
 
 These deliberately take different routes than the implementation: the front
-oracle is a full O(n^2) pairwise dominance matrix, and the Beta CDF comes
+oracle is a full O(n^2) pairwise dominance matrix, the Beta CDF comes
 from numerically integrating the density (piecewise Gauss-Legendre, with a
 change of variable taming the endpoint singularities) instead of any closed
-form.
+form, and tree splits are scored one candidate at a time with plain loops
+over two-pass variance and class-weighted Gini, not from cumulative sums.
 """
 
 from __future__ import annotations
@@ -96,3 +97,44 @@ def beta_cdf_numeric(xs, alpha: float, beta: float):
         vals, inverse = np.unique(1.0 - arr[high], return_inverse=True)
         out[high] = (1.0 - _lower_cdf(vals, beta, alpha))[inverse]
     return out if np.ndim(xs) else float(out[0])
+
+
+def weighted_variance(y, w) -> float:
+    """Two-pass weighted variance of the targets."""
+    total = sum(w)
+    mean = sum(wi * yi for yi, wi in zip(y, w)) / total
+    return sum(wi * (yi - mean) ** 2 for yi, wi in zip(y, w)) / total
+
+
+def weighted_gini(labels, w) -> float:
+    """Gini impurity of boolean labels under sample weights."""
+    total = sum(w)
+    p = sum(wi for yi, wi in zip(labels, w) if yi) / total
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+def split_decrease(y, w, left, impurity) -> float:
+    """Parent impurity minus the weight-averaged impurity of the two children
+    that the boolean ``left`` mask separates."""
+    child = 0.0
+    for side in (True, False):
+        part = [i for i in range(len(y)) if left[i] == side]
+        w_part = [w[i] for i in part]
+        child += sum(w_part) * impurity([y[i] for i in part], w_part)
+    return impurity(y, w) - child / sum(w)
+
+
+def candidate_splits(X, unordered):
+    """Left-branch masks of every candidate split of a node: midpoints between
+    consecutive distinct values for ordered features, one level versus the
+    rest for unordered ones."""
+    for f in range(len(X[0])):
+        column = [row[f] for row in X]
+        levels = sorted(set(column))
+        if unordered[f]:
+            masks = [[v == level for v in column] for level in levels]
+        else:
+            masks = [[v <= 0.5 * (a + b) for v in column] for a, b in zip(levels, levels[1:])]
+        for left in masks:
+            if any(left) and not all(left):
+                yield left

@@ -165,6 +165,18 @@ def test_scenario_error_is_single_machine_line(tmp_path, capsys):
     ('evaluations_per_optimization_iteration="20"', "evaluations_per_optimization_iteration"),
     ("pareto_prediction_samples=true", "pareto_prediction_samples"),
     ("seed=true", "seed"),
+    ("surrogate.regressor.max_features=true", "surrogate.regressor.max_features"),
+    ('surrogate.classifier.max_features="0.5"', "surrogate.classifier.max_features"),
+    ('surrogate.classifier.class_weight={"true": "0.75", "false": 0.25}',
+     "surrogate.classifier.class_weight.true"),
+    ('feasibility_threshold="0.5"', "feasibility_threshold"),
+    ('input_parameters.B.prior=[2, "5"]', "input_parameters.B.prior"),
+    ('input_parameters.S.prior=["0.5", 0.5]', "input_parameters.S.prior"),
+    ('evaluator={"command": "true", "timeout_seconds": "60"}', "evaluator.timeout_seconds"),
+    ("surrogate.regressor=5", "surrogate.regressor"),
+    ("surrogate.classifier.depth=3", "surrogate.classifier"),
+    ("evaluator=[1]", "evaluator"),
+    ('evaluator={"builtin": "toy_fpga", "timeout_seconds": 5}', "evaluator"),
 ])
 def test_scalar_fields_must_have_their_json_type(override, field):
     with pytest.raises(ValidationError, match=field):
@@ -291,3 +303,16 @@ def test_reference_front_without_feasible_rows_fails_alike(tmp_path, run_dir, ca
     assert run_cli(*args, "--reference-front", reference) == 1
     err = capsys.readouterr().err
     assert err == "error: ReferenceFrontError: reference front file has no feasible rows\n"
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_short_csv_row_fails_with_file_and_line(tmp_path, run_dir, capsys, command):
+    reference = tmp_path / "ref.csv"
+    reference.write_text("cycles,logic,feasible\n10.0,2.0,true\n12.0\n")
+    if command == "run":
+        args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
+    else:
+        args = ["report", run_dir, "--output", tmp_path / "report.csv"]
+    assert run_cli(*args, "--reference-front", reference) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValidationError: {reference} line 3: row has fewer cells than the header\n"

@@ -12,6 +12,8 @@ from dse import (
 from dse.forest import FitError, Forest, TreeNode, classifier_grid
 from dse.space import encode_matrix
 
+from oracles import candidate_splits, split_decrease, weighted_gini, weighted_variance
+
 PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
                               bootstrap=False, min_samples_split=2)
 
@@ -132,6 +134,44 @@ def test_categorical_features_split_on_level_equality():
     assert root.unordered
     for xi, yi in zip(X, y):
         assert forest.predict_batch([xi])[0] == yi
+
+
+@pytest.mark.parametrize("kind", ["regressor", "classifier"])
+def test_root_split_reaches_the_brute_force_maximum(kind):
+    # regressors minimize variance; classifiers class-weighted Gini, with
+    # each sample of class c weighing class_weight[c] / (count of c)
+    hp = ForestHyperparams(n_estimators=1, max_depth=1, max_features=1.0, bootstrap=False)
+    gen = np.random.default_rng(21 if kind == "regressor" else 22)
+    for case in range(300):
+        n, d = int(gen.integers(2, 25)), int(gen.integers(1, 4))
+        unordered = [bool(gen.random() < 0.4) for _ in range(d)]
+        X = np.column_stack([
+            gen.integers(0, int(gen.integers(2, 5)), n) if u or gen.random() < 0.5
+            else np.round(gen.random(n), 2)
+            for u in unordered
+        ]).astype(float)
+        if kind == "regressor":
+            y = np.round(gen.normal(size=n), int(gen.integers(0, 3))).tolist()
+            w = [1.0] * n
+            forest = fit_regressor(X, y, hp, RngState(case), unordered)
+            impurity = weighted_variance
+        else:
+            y = (gen.random(n) < gen.random()).tolist()
+            n_pos = sum(y)
+            w = [hp.class_weight[0] / n_pos if yi else hp.class_weight[1] / (n - n_pos)
+                 for yi in y]
+            forest = fit_classifier(X, y, hp, RngState(case), unordered)
+            impurity = weighted_gini
+        rows = X.tolist()
+        best = max((split_decrease(y, w, left, impurity)
+                    for left in candidate_splits(rows, unordered)), default=0.0)
+        root = forest.trees[0]
+        if root.is_leaf:
+            assert best <= 1e-12, case
+            continue
+        column = [row[root.feature] for row in rows]
+        left = [v == root.threshold if root.unordered else v <= root.threshold for v in column]
+        assert split_decrease(y, w, left, impurity) >= best - 1e-12, case
 
 
 # --- feature importance -------------------------------------------------------
