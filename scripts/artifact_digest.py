@@ -13,7 +13,16 @@ Runs `dse run` in-process, with `dse` imported from this checkout, over:
 It prints the sha256 of samples.csv, pareto.csv, hvi_trace.csv and
 feature_importance.csv for every run, then one combined digest over those
 lines. Two checkouts that print the same combined digest produce
-byte-identical artifacts on this set. Usage: python3 scripts/artifact_digest.py
+byte-identical artifacts on this set.
+
+Artifacts can stay equal while trees change, so it then prints one forest
+digest: the sha256 over the preorder structure (feature, threshold,
+unordered flag, leaf value, all floats in hex) and the raw importances of
+forests fitted on a fixed set of seeded datasets. The set mixes real,
+integer-valued, categorical and duplicated columns, and fits regressors and
+classifiers under max_features "auto" (k = d and k < d) and 0.5.
+
+Usage: python3 scripts/artifact_digest.py
 """
 
 import contextlib
@@ -28,7 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from dse import brute_force_front, evaluators, parse_scenario  # noqa: E402
+import numpy as np  # noqa: E402
+
+from dse import (  # noqa: E402
+    ForestHyperparams, RngState, brute_force_front, evaluators, fit_classifier, fit_regressor,
+    parse_scenario,
+)
 from dse.cli import main as dse_main, records_to_csv  # noqa: E402
 
 import zdt  # noqa: E402
@@ -69,6 +83,52 @@ def run_set(tmp: Path):
                 "--seed", str(seed), "--reference-front", str(zdt_ref), *zdt_eval]
 
 
+def forest_fits():
+    """Forests fitted on the fixed seeded datasets of the forest digest."""
+    for case in range(40):
+        gen = np.random.default_rng(case)
+        n, d = int(gen.integers(20, 300)), int(gen.integers(2, 9))
+        columns, unordered = [gen.random(n)], [False]
+        for _ in range(d - 1):
+            kind = int(gen.integers(0, 4))
+            if kind == 0:
+                columns.append(gen.random(n))
+            elif kind == 1:
+                columns.append(gen.integers(1, 65, n).astype(float))
+            elif kind == 2:  # categorical level index
+                columns.append(gen.integers(0, 3, n).astype(float))
+            else:  # duplicate of the previous column
+                columns.append(columns[-1].copy())
+            unordered.append(kind == 2 or (kind == 3 and unordered[-1]))
+        X = np.column_stack(columns)
+        y = X @ gen.normal(size=d) + gen.normal(size=n)
+        labels = y > np.median(y)
+        for max_features in ("auto", 0.5):
+            hp = ForestHyperparams(n_estimators=5, max_features=max_features)
+            yield fit_regressor(X, y, hp, RngState(case, 1), unordered)
+            yield fit_classifier(X, labels, hp, RngState(case, 2), unordered)
+
+
+def forest_digest() -> tuple[str, int]:
+    """sha256 over every tree's preorder structure and the raw importances."""
+    h = hashlib.sha256()
+    count = 0
+    for forest in forest_fits():
+        count += 1
+        for tree in forest.trees:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node.is_leaf:
+                    h.update(f"L {float(node.value).hex()}\n".encode())
+                else:
+                    h.update(f"N {node.feature} {float(node.threshold).hex()} "
+                             f"{int(node.unordered)}\n".encode())
+                    stack += [node.right, node.left]
+        h.update(" ".join(float(v).hex() for v in forest.raw_importance).encode() + b"\n")
+    return h.hexdigest(), count
+
+
 def main() -> int:
     evaluators.BUILTIN_EVALUATORS[ZDT_BUILTIN] = zdt.evaluate
     lines = []
@@ -88,6 +148,8 @@ def main() -> int:
                 print(lines[-1], flush=True)
     combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(f"{combined}  combined ({len(lines)} files)")
+    forests, count = forest_digest()
+    print(f"{forests}  forests ({count} fits)")
     return 0
 
 

@@ -110,21 +110,34 @@ class ReferenceFrontError(ValueError):
 def read_points_csv(path: Path, objectives: Sequence[str]
                     ) -> tuple[list[tuple[float, ...]], list[bool]]:
     """Objective vectors and feasibility flags of a records CSV; a file with
-    no ``feasible`` column counts every row as feasible."""
+    no ``feasible`` column counts every row as feasible. Every objective
+    cell must hold a finite number."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [o for o in objectives if o not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path} has no column {missing[0]!r}")
-        rows = []
+        points, feasible = [], []
         for row in reader:
+            where = f"{path} line {reader.line_num}"
             if None in row.values():
                 # csv.DictReader fills the cells a short row lacks with None
-                raise ValidationError(f"{path} line {reader.line_num}: "
-                                      "row has fewer cells than the header")
-            rows.append(row)
-    points = [tuple(float(row[o]) for o in objectives) for row in rows]
-    return points, [row.get("feasible", "true") == "true" for row in rows]
+                raise ValidationError(f"{where}: row has fewer cells than the header")
+            points.append(tuple(_finite_cell(row[o], f"{where}, column {o!r}")
+                                for o in objectives))
+            feasible.append(row.get("feasible", "true") == "true")
+    return points, feasible
+
+
+def _finite_cell(cell: str, where: str) -> float:
+    # NaN and inf pass float() but break dominance and the hypervolume
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: {cell!r} is not a finite number")
+    return value
 
 
 def read_front_csv(path: Path, objectives: Sequence[str]) -> list[tuple[float, ...]]:

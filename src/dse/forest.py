@@ -145,8 +145,8 @@ def _variance(w, wy, wyy):
     """Weighted variance of the targets from the sums of w, w*y and w*y*y.
 
     ``** 2`` multiplies for arrays but calls libm ``pow`` for numpy scalars,
-    and the two can differ in the last bit: the threshold scan's parent term
-    passes scalars, every other caller arrays, which keeps trees reproducible.
+    and the two can differ in the last bit: the threshold scan's parent terms
+    pass scalars, every other caller arrays, which keeps trees reproducible.
     """
     mean = wy / w
     return wyy / w - mean ** 2
@@ -162,6 +162,20 @@ class _TreeBuilder:
     class weights; for such labels the weighted variance p(1 - p) is half
     the weighted Gini impurity 2p(1 - p), so both criteria pick the same
     splits, and the leaf mean is the weighted feasible fraction.
+
+    A node scores all f of its chosen ordered features in one pass: one
+    stable argsort of the f x n node columns, one gather of the sums matrix
+    into a 3 x f x n stack, one cumulative sum along the samples, and the
+    gain of every cut of every feature at once; cuts between equal values
+    score -inf. The cumulative sum runs sequentially along each row, so the
+    floats are those of a scan of one feature at a time. Each feature's
+    parent term, the variance of its cumulative totals, stays scalar
+    arithmetic: ``** 2`` is libm ``pow`` on scalars but a multiply on arrays,
+    and the two differ in the last bit on about 0.1 % of values.
+    Categorical features are scored level by level. The winner is the
+    first feature, in ascending order, that no later one beats by more than
+    1e-15. When every feature is chosen (regressors under "auto") the
+    feature draw is skipped: it could not change the tree.
     """
 
     def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gen, k: int):
@@ -169,6 +183,9 @@ class _TreeBuilder:
         wy = w * y
         self.M = np.stack([w, wy, wy * y])
         self.unordered = unordered
+        self.ordered_features = np.flatnonzero(np.logical_not(unordered))
+        self.categorical_features = [f for f, u in enumerate(unordered) if u]
+        self.rows = np.arange(len(unordered))[:, None]
         self.hp = hp
         self.gen = gen
         self.k = k
@@ -210,64 +227,77 @@ class _TreeBuilder:
         stack.append((node.left, idx[left_mask], depth + 1))
 
     def _best_split(self, idx, S, impurity):
-        chosen = np.sort(self.gen.permutation(len(self.XT))[: self.k])
-        node_X = self.XT.take(idx, axis=1)
-        best = None  # (gain, feature, test_value, left_mask)
-        for f in chosen:
-            values = node_X[f]
-            if self.unordered[f]:
-                candidate = self._best_level_split(values, S, impurity)
-            else:
-                candidate = self._best_threshold_split(values, S)
-            if candidate is None:
-                continue
-            gain, test_value, left_mask = candidate
-            if best is None or gain > best[0] + 1e-15:
-                best = (gain, int(f), test_value, left_mask)
-        if best is None or best[0] <= 0.0:
+        d = len(self.XT)
+        if self.k < d:
+            chosen = sorted(self.gen.permutation(d)[: self.k].tolist())
+            ordered = np.array([f for f in chosen if not self.unordered[f]], dtype=np.intp)
+            categorical = [f for f in chosen if self.unordered[f]]
+        else:  # every feature is chosen, so a draw could not change the tree
+            ordered, categorical = self.ordered_features, self.categorical_features
+        # (feature, gain, row of the best cut) or (feature, gain, level, left mask)
+        candidates = []
+        if ordered.size:
+            X = self.XT[ordered[:, None], idx]
+            order = X.argsort(axis=1, kind="stable")
+            rows = self.rows[: ordered.size]
+            sv = X[rows, order]
+            boundary = sv[:, :-1] < sv[:, 1:]
+            if boundary.any():
+                C = S[:, order].cumsum(axis=2)
+                left = C[:, :, :-1]
+                total = C[:, :, -1:]
+                right = total - left
+                parent = [[max(_variance(*t), 0.0)] for t in total[:, :, 0].T.tolist()]
+                child = (left[0] * np.maximum(_variance(*left), 0.0)
+                         + right[0] * np.maximum(_variance(*right), 0.0))
+                gains = np.where(boundary, np.asarray(parent) - child / total[0], -np.inf)
+                # ties between equal gains resolve to the lowest threshold
+                best_i = (gains >= gains.max(axis=1, keepdims=True) - 1e-15).argmax(axis=1)
+                best_gains = gains[rows[:, 0], best_i].tolist()
+                candidates = [(f, gain, r) for r, (f, gain) in
+                              enumerate(zip(ordered.tolist(), best_gains)) if gain != -np.inf]
+        for f in categorical:
+            level_split = self._best_level_split(self.XT[f].take(idx), S, impurity)
+            if level_split is not None:
+                candidates.append((f, *level_split))
+        if categorical and ordered.size:
+            candidates.sort(key=lambda c: c[0])
+        best = None
+        for c in candidates:
+            if best is None or c[1] > best[1] + 1e-15:
+                best = c
+        if best is None or best[1] <= 0.0:
             return None
-        return best
-
-    def _best_threshold_split(self, values, S):
-        """Best midpoint threshold, scored for every boundary between
-        consecutive distinct values from one cumulative sum."""
-        order = values.argsort(kind="stable")
-        sv = values[order]
-        last_left = np.nonzero(sv[:-1] < sv[1:])[0]
-        if last_left.size == 0:
-            return None
-        C = S.take(order, axis=1).cumsum(axis=1)
-        left = C[:, last_left]
-        right = C[:, -1:] - left
-        parent = np.maximum(_variance(*C[:, -1]), 0.0)
-        child = (left[0] * np.maximum(_variance(*left), 0.0)
-                 + right[0] * np.maximum(_variance(*right), 0.0))
-        gains = parent - child / C[0, -1]
-        # ties between equal gains resolve to the lowest threshold
-        best_i = int(np.argmax(gains >= gains.max() - 1e-15))
-        cut = last_left[best_i] + 1
-        threshold = 0.5 * (sv[cut - 1] + sv[cut])
-        if threshold >= sv[cut]:
+        if self.unordered[best[0]]:
+            feature, gain, level, left_mask = best
+            return gain, feature, level, left_mask
+        feature, gain, r = best
+        lo, hi = sv[r, best_i[r]], sv[r, best_i[r] + 1]
+        threshold = 0.5 * (lo + hi)
+        if threshold >= hi:
             # adjacent floats: the midpoint rounded up; fall back to the
             # lower value so both children stay non-empty
-            threshold = sv[cut - 1]
-        return float(gains[best_i]), float(threshold), values <= threshold
+            threshold = lo
+        return gain, feature, float(threshold), X[r] <= threshold
 
     def _best_level_split(self, values, S, impurity):
         """Best one-level-versus-rest split, from masked sums per level."""
-        levels = np.unique(values)
-        if levels.size < 2:
+        levels = sorted(set(values.tolist()))
+        if len(levels) < 2:
             return None
         masks = [values == level for level in levels]
-        left = np.stack([S.compress(m, axis=1).sum(axis=1) for m in masks], axis=1)
-        right = np.stack([S.compress(~m, axis=1).sum(axis=1) for m in masks], axis=1)
+        left = np.empty((3, len(levels)))
+        right = np.empty((3, len(levels)))
+        for i, m in enumerate(masks):
+            left[:, i] = S.compress(m, axis=1).sum(axis=1)
+            right[:, i] = S.compress(~m, axis=1).sum(axis=1)
         child = left[0] * _variance(*left) + right[0] * _variance(*right)
-        gains = impurity - child / (left[0] + right[0])
+        gains = (impurity - child / (left[0] + right[0])).tolist()
         best = 0
-        for i in range(1, levels.size):
+        for i in range(1, len(levels)):
             if gains[i] > gains[best] + 1e-15:
                 best = i
-        return gains[best], float(levels[best]), masks[best]
+        return gains[best], levels[best], masks[best]
 
 
 @dataclass(frozen=True, eq=False)

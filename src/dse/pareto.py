@@ -66,6 +66,13 @@ def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
     Duplicate objective vectors are all retained (they may correspond to
     distinct configurations). Empty input yields an empty front; NaN input
     is rejected, since a NaN point is never dominated.
+
+    The front is peeled one member at a time. A dominator precedes its
+    victim lexicographically, so the lexicographically first remaining
+    point is on the front; it is kept with its exact duplicates, and every
+    remaining point that is >= it in every objective is dropped. That costs
+    O(n * |front| * p) for n points of p objectives, and O(n^2 * p) when
+    every point is on the front.
     """
     n = len(points)
     if n == 0:
@@ -75,21 +82,22 @@ def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
         raise ValueError("points must share a common objective count")
     if np.isnan(P).any():
         raise ValueError("objective vectors must not contain NaN")
-    # a dominator always precedes its victim lexicographically, so a single
-    # sweep against the kept set suffices
-    order = np.lexsort(P.T[::-1])
-    kept = np.empty_like(P)
-    kept_idx: list[int] = []
-    for i in order:
-        row = P[i]
-        if kept_idx:
-            K = kept[: len(kept_idx)]
-            dominated = np.any(np.all(K <= row, axis=1) & np.any(K < row, axis=1))
-            if dominated:
-                continue
-        kept[len(kept_idx)] = row
-        kept_idx.append(int(i))
-    return sorted(kept_idx)
+    rest = np.lexsort(P.T[::-1])
+    # one contiguous array per objective: a reduction across the short row
+    # axis of an n x p array costs several times more than p column passes
+    columns = list(P[rest].T.copy())
+    front: list[int] = []
+    while rest.size:
+        covered = columns[0] >= columns[0][0]
+        same = columns[0] == columns[0][0]
+        for c in columns[1:]:
+            covered &= c >= c[0]
+            same &= c == c[0]
+        front.extend(rest[same].tolist())
+        keep = ~covered
+        rest = rest[keep]
+        columns = [c[keep] for c in columns]
+    return sorted(front)
 
 
 def feasible_front(points: Sequence[ObjectiveVector], feasible: Sequence[bool]) -> list[int]:

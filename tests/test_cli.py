@@ -316,3 +316,20 @@ def test_short_csv_row_fails_with_file_and_line(tmp_path, run_dir, capsys, comma
     assert run_cli(*args, "--reference-front", reference) == 1
     err = capsys.readouterr().err
     assert err == f"error: ValidationError: {reference} line 3: row has fewer cells than the header\n"
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_non_finite_reference_cell_fails_with_file_line_and_column(
+        tmp_path, run_dir, capsys, command, cell):
+    reference = tmp_path / "ref.csv"
+    reference.write_text(f"cycles,logic,feasible\n10.0,{cell},true\n12.0,3.0,true\n")
+    if command == "run":
+        args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
+    else:
+        args = ["report", run_dir, "--output", tmp_path / "report.csv"]
+    assert run_cli(*args, "--reference-front", reference) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: ValidationError: {reference} line 2, column 'logic': "
+                   f"{cell!r} is not a finite number\n")
+    assert not (tmp_path / "out").exists()

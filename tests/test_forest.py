@@ -136,6 +136,41 @@ def test_categorical_features_split_on_level_equality():
         assert forest.predict_batch([xi])[0] == yi
 
 
+FITS = {"regressor": fit_regressor,
+        "classifier": lambda X, y, *args: fit_classifier(X, [v > 0.5 for v in y], *args)}
+
+
+@pytest.mark.parametrize("kind", FITS)
+def test_identical_columns_tie_to_the_lower_feature(kind):
+    X = [[float(i), float(i)] for i in range(8)]
+    y = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    root = FITS[kind](X, y, PURE_TREE, RngState(14)).trees[0]
+    assert (root.feature, root.threshold) == (0, 2.5)
+
+
+@pytest.mark.parametrize("kind", FITS)
+@pytest.mark.parametrize("categorical_first", [False, True])
+def test_threshold_and_level_split_tie_to_the_lower_feature(kind, categorical_first):
+    # an ordered 0/1 column and a 2-level categorical column, same partition
+    bits = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+    y = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0]
+    X = [[b, b] for b in bits]
+    unordered = [categorical_first, not categorical_first]
+    root = FITS[kind](X, y, PURE_TREE, RngState(15), unordered).trees[0]
+    assert root.feature == 0
+    assert root.unordered == categorical_first
+
+
+@pytest.mark.parametrize("kind", FITS)
+def test_level_split_when_no_ordered_feature_varies(kind):
+    X = [[5.0, float(i % 3), 2.0] for i in range(9)]
+    y = [1.0 if i % 3 == 1 else 0.0 for i in range(9)]
+    forest = FITS[kind](X, y, PURE_TREE, RngState(16), [False, True, False])
+    root = forest.trees[0]
+    assert (root.feature, root.threshold, root.unordered) == (1, 1.0, True)
+    assert forest.predict_batch(X).tolist() == y
+
+
 @pytest.mark.parametrize("kind", ["regressor", "classifier"])
 def test_root_split_reaches_the_brute_force_maximum(kind):
     # regressors minimize variance; classifiers class-weighted Gini, with

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -76,10 +77,24 @@ def test_front_keeps_duplicates():
     assert pareto_front([(1, 1), (1, 1), (2, 2)]) == [0, 1]
 
 
-def test_front_matches_pairwise_oracle_on_random_points():
-    gen = np.random.default_rng(101)
-    pts = gen.random((1000, 2)).tolist()
-    assert set(pareto_front(pts)) == pairwise_front(pts)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["real", "integer", "anti-correlated"])
+def test_front_matches_pairwise_oracle_on_random_points(p, kind):
+    gen = np.random.default_rng(99 + p)
+    if kind == "real":
+        pts = gen.random((1000, p))
+    elif kind == "integer":  # many ties and exact duplicates
+        pts = gen.integers(0, 6, size=(1000, p)).astype(float)
+    else:  # all on the front: integer points with coordinate sum 20, for p = 1 copies of one
+        grid = [v for v in itertools.product(range(21), repeat=p) if sum(v) == 20]
+        if p == 1:
+            grid *= 300
+        pts = np.asarray(grid, dtype=float)[gen.permutation(len(grid))]
+    pts = pts.tolist()
+    front = pareto_front(pts)
+    assert front == sorted(pairwise_front(pts))
+    if kind == "anti-correlated":
+        assert len(front) == len(pts)
 
 
 def test_every_excluded_point_is_dominated():
