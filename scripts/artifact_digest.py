@@ -11,9 +11,12 @@ Runs `dse run` in-process, with `dse` imported from this checkout, over:
   in-process perfbench/zdt.py objective and a 2001-point zdt reference front.
 
 It prints the sha256 of samples.csv, pareto.csv, hvi_trace.csv and
-feature_importance.csv for every run, then one combined digest over those
-lines. Two checkouts that print the same combined digest produce
-byte-identical artifacts on this set.
+feature_importance.csv for every run, then one digest per run family
+(toy_fpga/ref, toy_fpga/nofilter, toy_fpga/cycles, toy_linear, mixed_pool,
+mixed_fit) and one combined digest over all those per-file lines. Two
+checkouts that print the same combined digest produce byte-identical
+artifacts on this set; equal family lines show which families a change
+left alone.
 
 Artifacts can stay equal while trees change, so it then prints one forest
 digest: the sha256 over the preorder structure (feature, threshold,
@@ -129,9 +132,13 @@ def forest_digest() -> tuple[str, int]:
     return h.hexdigest(), count
 
 
+def _digest_lines(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 def main() -> int:
     evaluators.BUILTIN_EVALUATORS[ZDT_BUILTIN] = zdt.evaluate
-    lines = []
+    lines, families = [], {}
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         for label, scenario, args in run_set(tmp):
@@ -145,9 +152,11 @@ def main() -> int:
             for artifact in ARTIFACTS:
                 digest = hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
                 lines.append(f"{digest}  {label}/{artifact}")
+                families.setdefault(label.rsplit("/", 1)[0], []).append(lines[-1])
                 print(lines[-1], flush=True)
-    combined = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
-    print(f"{combined}  combined ({len(lines)} files)")
+    for family, family_lines in families.items():
+        print(f"{_digest_lines(family_lines)}  {family} ({len(family_lines)} files)")
+    print(f"{_digest_lines(lines)}  combined ({len(lines)} files)")
     forests, count = forest_digest()
     print(f"{forests}  forests ({count} fits)")
     return 0

@@ -42,7 +42,8 @@ from .space import (
     Scenario,
     ValidationError,
     canonical_str,
-    parse_scenario,
+    decode_scenario,
+    scenario_from_doc,
 )
 
 
@@ -169,10 +170,7 @@ def _apply_override(doc: dict, dotted_key: str, raw_value: str) -> None:
 
 
 def load_scenario(path: str, overrides: Sequence[str] = (), seed: int | None = None) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
-    if not overrides and seed is None:
-        return parse_scenario(text)
-    doc = json.loads(text)
+    doc = decode_scenario(Path(path).read_text(encoding="utf-8"))
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
@@ -180,7 +178,7 @@ def load_scenario(path: str, overrides: Sequence[str] = (), seed: int | None = N
         _apply_override(doc, key.strip(), value.strip())
     if seed is not None:
         doc["seed"] = seed
-    return parse_scenario(json.dumps(doc))
+    return scenario_from_doc(doc)
 
 
 def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,

@@ -27,6 +27,7 @@ from .space import (
     canonical_str,
     enumerate_space,
     require_number,
+    require_str,
 )
 
 
@@ -77,17 +78,22 @@ def parse_evaluator(raw: Any, objectives: tuple[str, ...],
     if extra:
         raise ValidationError(f"evaluator: unknown key {sorted(extra)[0]!r}")
     if "builtin" in raw:
-        return EvaluatorSpec("builtin", name=str(raw["builtin"]),
-                             objectives=objectives, feasibility=feasibility)
-    return EvaluatorSpec(
-        "subprocess",
-        command=str(raw["command"]),
-        working_dir=raw.get("working_dir"),
-        timeout_seconds=require_number(raw.get("timeout_seconds", 300.0),
-                                       "evaluator.timeout_seconds"),
-        objectives=objectives,
-        feasibility=feasibility,
-    )
+        kwargs = {"mode": "builtin", "name": require_str(raw["builtin"], "evaluator.builtin")}
+    else:
+        working_dir = raw.get("working_dir")
+        if working_dir is not None:
+            require_str(working_dir, "evaluator.working_dir")
+        kwargs = {
+            "mode": "subprocess",
+            "command": require_str(raw["command"], "evaluator.command"),
+            "working_dir": working_dir,
+            "timeout_seconds": require_number(raw.get("timeout_seconds", 300.0),
+                                              "evaluator.timeout_seconds"),
+        }
+    try:
+        return EvaluatorSpec(**kwargs, objectives=objectives, feasibility=feasibility)
+    except ValueError as e:
+        raise ValidationError(f"evaluator: {e}") from e
 
 
 def evaluator_to_json(spec: EvaluatorSpec) -> dict:
@@ -273,13 +279,12 @@ def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
     return _parse_response(spec, space, batch, proc.stdout, iteration_tag)
 
 
-def brute_force_front(space: DesignSpace, spec: EvaluatorSpec,
-                      cap: int | None = None):
+def brute_force_front(space: DesignSpace, spec: EvaluatorSpec):
     """Evaluate the whole (finite) space; the ground-truth oracle.
 
     Returns (front_records, all_records). Raises EnumerationError when the
     space has real parameters or exceeds the enumeration cap.
     """
-    configs = list(enumerate_space(space) if cap is None else enumerate_space(space, cap))
+    configs = list(enumerate_space(space))
     records = evaluate_batch(spec, space, configs, iteration_tag=-1)
     return constrained_front(records), records

@@ -100,7 +100,10 @@ def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
             raise ValidationError(f'{where}.class_weight must be {{"true": w, "false": w}}')
         kwargs["class_weight"] = tuple(require_number(cw[k], f"{where}.class_weight.{k}")
                                        for k in ("true", "false"))
-    return ForestHyperparams(**kwargs)
+    try:
+        return ForestHyperparams(**kwargs)
+    except ValueError as e:
+        raise ValidationError(f"{where}: {e}") from e
 
 
 def hyperparams_to_json(hp: ForestHyperparams, classifier: bool) -> dict:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Any
 
+import numpy as np
+
 from .rng import RngState
 from .space import (
     CATEGORICAL,
@@ -122,21 +124,6 @@ def sample_parameter(param: Parameter, rng: RngState) -> Any:
     return _snap_ordinal(lo + u * (hi - lo), param.values)
 
 
-def sample_uniform(param: Parameter, rng: RngState) -> Any:
-    """Prior-free draw, uniform over the parameter's domain."""
-    gen = rng.generator
-    if param.kind == REAL:
-        return param.lower + gen.random() * (param.upper - param.lower)
-    if param.kind == INTEGER:
-        return int(gen.integers(param.lower, param.upper + 1))
-    return param.values[int(gen.integers(0, len(param.values)))]
-
-
-def sample_configuration(space: DesignSpace, rng: RngState, uniform: bool = False) -> Configuration:
-    draw = sample_uniform if uniform else sample_parameter
-    return Configuration(tuple(draw(p, rng) for p in space.parameters))
-
-
 def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = False,
                     taken: AbstractSet[Configuration] = frozenset(),
                     limit: int | None = None) -> list[Configuration]:
@@ -153,18 +140,28 @@ def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = F
     finite = card is not None and card <= ENUMERATION_CAP
     if finite and not taken and n >= card:
         return list(enumerate_space(space))
-    seen = set(taken)
+    seen = {c.values for c in taken}
     out: list[Configuration] = []
     attempts = 0
     limit = 100 * n if limit is None else limit
     while len(out) < n and attempts < limit:
-        attempts += 1
-        cfg = sample_configuration(space, rng, uniform)
-        if cfg not in seen:
-            seen.add(cfg)
-            out.append(cfg)
+        k = min(n - len(out), limit - attempts)  # a block never overshoots n
+        attempts += k
+        if uniform:  # one numpy call per parameter column
+            gen = rng.generator
+            columns = [(p.lower + gen.random(k) * (p.upper - p.lower) if p.kind == REAL
+                        else gen.integers(p.lower, p.upper + 1, size=k) if p.kind == INTEGER
+                        else np.array(p.values, dtype=object)[gen.integers(0, len(p.values), size=k)]
+                        ).tolist() for p in space.parameters]
+            rows = zip(*columns)
+        else:  # value by value in row-major order: the warm-up and batch-fill stream
+            rows = [tuple(sample_parameter(p, rng) for p in space.parameters) for _ in range(k)]
+        for values in rows:
+            if values not in seen:
+                seen.add(values)
+                out.append(Configuration(values))
     if len(out) < n and finite:
-        remaining = [c for c in enumerate_space(space) if c not in seen]
+        remaining = [c for c in enumerate_space(space) if c.values not in seen]
         order = rng.generator.permutation(len(remaining))
         out.extend(remaining[int(i)] for i in order[: n - len(out)])
     return out

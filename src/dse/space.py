@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 REAL = "real"
 INTEGER = "integer"
 ORDINAL = "ordinal"
@@ -171,25 +173,30 @@ class Parameter:
             return tuple(range(int(self.lower), int(self.upper) + 1))
         return self.values
 
-    def contains(self, value: Any) -> bool:
-        if self.kind == REAL:
-            return isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and self.lower <= value <= self.upper
-        if self.kind == INTEGER:
-            return isinstance(value, int) and not isinstance(value, bool) \
-                and self.lower <= value <= self.upper
-        if self.kind == ORDINAL:
-            return any(value == v for v in self.values)
-        return value in self.values
-
-    def encode_value(self, value: Any) -> float:
-        """Numeric feature for the forests: the value itself, or the level
-        index for categorical parameters."""
-        if not self.contains(value):
-            raise DomainError(f"{self.name}: value {value!r} outside domain")
-        if self.kind == CATEGORICAL:
-            return float(self.values.index(value))
-        return float(value)
+    def encode_column(self, values: Sequence[Any]) -> np.ndarray:
+        """Forest features of a column of values: the values, or level indices
+        for a categorical parameter. The first value outside the domain raises
+        a DomainError: a boolean, a NaN or an out-of-bounds number for a real,
+        also a non-int for an integer, or a value equal to no ordinal value or
+        level (looked up by hash, which agrees with ``==`` on numbers and strings)."""
+        if self.kind in (REAL, INTEGER):
+            numeric = (int, float) if self.kind == REAL else int
+            wrong = {t for t in set(map(type, values)) if t is bool or not issubclass(t, numeric)}
+            col = np.array([math.nan if type(v) in wrong else v for v in values] if wrong else values,
+                           dtype=float)
+            bad = ~((col >= self.lower) & (col <= self.upper))  # wrong types and NaN fail too
+        else:
+            codes = {v: float(i if self.kind == CATEGORICAL else v) for i, v in enumerate(self.values)}
+            found = []
+            try:
+                found.extend(map(codes.get, values))
+            except TypeError:  # an unhashable value; extend kept the ones before it
+                found.append(None)
+            col = np.array(found, dtype=float)
+            bad = np.isnan(col)  # codes.get gave None, now NaN, outside the domain
+        if bad.any():
+            raise DomainError(f"{self.name}: value {values[int(bad.argmax())]!r} outside domain")
+        return col
 
 
 @dataclass(frozen=True)
@@ -233,29 +240,24 @@ class DesignSpace:
         return total
 
     def validate(self, config: Configuration) -> None:
-        if len(config.values) != len(self.parameters):
-            raise DomainError("configuration length does not match parameter count")
-        for p, v in zip(self.parameters, config.values):
-            if not p.contains(v):
-                raise DomainError(f"{p.name}: value {v!r} outside domain")
+        encode(self, config)
 
 
 def encode(space: DesignSpace, config: Configuration) -> list[float]:
-    """Numeric feature vector for a configuration, one entry per parameter.
+    """Numeric feature vector of one configuration (see :func:`encode_matrix`)."""
+    return encode_matrix(space, [config])[0].tolist()
 
-    Real/integer/ordinal values map to themselves; categorical values map to
-    their level index (positions flagged by ``space.unordered_mask`` so tree
-    splits use equality tests instead of thresholds).
-    """
-    if len(config.values) != len(space.parameters):
+
+def encode_matrix(space: DesignSpace, configs: Sequence[Configuration]) -> np.ndarray:
+    """One row per configuration and one column per parameter, encoded by
+    :meth:`Parameter.encode_column` (categoricals as level indices)."""
+    rows = [c.values for c in configs]
+    if set(map(len, rows)) - {len(space.parameters)}:
         raise DomainError("configuration length does not match parameter count")
-    return [p.encode_value(v) for p, v in zip(space.parameters, config.values)]
-
-
-def encode_matrix(space: DesignSpace, configs: Sequence[Configuration]):
-    import numpy as np
-
-    return np.asarray([encode(space, c) for c in configs], dtype=float)
+    X = np.empty((len(rows), len(space.parameters)))
+    for j, (p, col) in enumerate(zip(space.parameters, zip(*rows))):
+        X[:, j] = p.encode_column(col)
+    return X
 
 
 def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[Configuration]:
@@ -349,6 +351,13 @@ def require_bool(value: Any, field: str) -> bool:
     return value
 
 
+def require_str(value: Any, field: str) -> str:
+    """A JSON string, else a ValidationError naming the field."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def require_number(value: Any, field: str) -> float:
     """A JSON number (booleans excluded), else a ValidationError naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -428,22 +437,33 @@ def _parse_parameter(name: str, raw: Any) -> Parameter:
     return Parameter(name, kind, values=levels, prior=prior)
 
 
-def parse_scenario(json_text: str) -> Scenario:
-    """Parse and validate a scenario JSON document.
-
-    Optional fields take the documented defaults; every parameter without a
-    prior gets the uniform one. Malformed JSON is reported with its line and
-    column; structural violations name the offending field.
-    """
-    from .evaluators import EvaluatorSpec, parse_evaluator
-    from .forest import ForestHyperparams, parse_hyperparams
-
+def decode_scenario(json_text: str) -> dict:
+    """The JSON object of a scenario document; malformed JSON is reported
+    with its line and column."""
     try:
         doc = json.loads(json_text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"scenario JSON parse error at line {e.lineno} column {e.colno}: {e.msg}")
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
+    return doc
+
+
+def parse_scenario(json_text: str) -> Scenario:
+    """Parse and validate a scenario JSON document (see :func:`scenario_from_doc`)."""
+    return scenario_from_doc(decode_scenario(json_text))
+
+
+def scenario_from_doc(doc: dict) -> Scenario:
+    """Validate a decoded scenario document.
+
+    Optional fields take the documented defaults; every parameter without a
+    prior gets the uniform one. Structural violations name the offending
+    field.
+    """
+    from .evaluators import EvaluatorSpec, parse_evaluator
+    from .forest import ForestHyperparams, parse_hyperparams
+
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ValidationError(f"unknown scenario field {sorted(unknown)[0]!r}")
@@ -466,7 +486,9 @@ def parse_scenario(json_text: str) -> Scenario:
         fo = doc["feasible_output"]
         if not isinstance(fo, dict) or "name" not in fo:
             raise ValidationError("feasible_output must be an object with a 'name'")
-        feasibility = FeasibleOutput(str(fo["name"]), str(fo.get("true_value", "true")))
+        feasibility = FeasibleOutput(
+            require_str(fo["name"], "feasible_output.name"),
+            require_str(fo.get("true_value", "true"), "feasible_output.true_value"))
         if feasibility.name in set(objectives) | set(space.names):
             raise ValidationError("feasible_output.name clashes with another column name")
 
@@ -485,7 +507,7 @@ def parse_scenario(json_text: str) -> Scenario:
     evaluator = parse_evaluator(doc["evaluator"], tuple(objectives), feasibility)
 
     return Scenario(
-        application_name=str(doc["application_name"]),
+        application_name=require_str(doc["application_name"], "application_name"),
         objectives=tuple(objectives),
         space=space,
         evaluator=evaluator,
@@ -500,7 +522,7 @@ def parse_scenario(json_text: str) -> Scenario:
         regressor_hp=regressor_hp,
         classifier_hp=classifier_hp,
         seed=require_int(doc.get("seed", 0), "seed"),
-        output_dir=str(doc.get("output_dir", "dse_output")),
+        output_dir=require_str(doc.get("output_dir", "dse_output"), "output_dir"),
         use_feasibility_filter=require_bool(doc.get("use_feasibility_filter", True),
                                             "use_feasibility_filter"),
         feasibility_threshold=require_number(doc.get("feasibility_threshold", 0.5),

@@ -177,10 +177,51 @@ def test_scenario_error_is_single_machine_line(tmp_path, capsys):
     ("surrogate.classifier.depth=3", "surrogate.classifier"),
     ("evaluator=[1]", "evaluator"),
     ('evaluator={"builtin": "toy_fpga", "timeout_seconds": 5}', "evaluator"),
+    ("application_name=5", "application_name"),
+    ("output_dir=5", "output_dir"),
+    ('feasible_output={"name": 5}', "feasible_output.name"),
+    ('feasible_output={"name": "feasible", "true_value": true}', "feasible_output.true_value"),
+    ('evaluator={"builtin": 5}', "evaluator.builtin"),
+    ('evaluator={"command": ["python3", "child.py"]}', "evaluator.command"),
+    ('evaluator={"command": "true", "working_dir": 5}', "evaluator.working_dir"),
 ])
 def test_scalar_fields_must_have_their_json_type(override, field):
     with pytest.raises(ValidationError, match=field):
         load_scenario(TOY, [override])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("surrogate.regressor.n_estimators=0", "surrogate.regressor: n_estimators must be >= 1"),
+    ("surrogate.classifier.max_depth=0", "surrogate.classifier: max_depth must be >= 1"),
+    ("surrogate.regressor.max_features=1.5", "surrogate.regressor: max_features fraction"),
+    ('surrogate.regressor.max_features="sqrt"', "surrogate.regressor.max_features must be a number"),
+    ('surrogate.classifier.class_weight={"true": 0.9, "false": 0.2}',
+     "surrogate.classifier: class weights must sum to 1"),
+    ('evaluator={"command": "true", "timeout_seconds": 0}',
+     "evaluator: evaluator timeout must be positive"),
+    ('evaluator={"builtin": "nope"}', "evaluator: unknown builtin evaluator 'nope'"),
+])
+def test_out_of_range_fields_fail_with_their_section_named(override, message, capsys):
+    assert run_cli("run", TOY, "--set", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a":}', "scenario JSON parse error at line 1 column 6: Expecting value"),
+    ("[1, 2]", "scenario document must be a JSON object"),
+])
+def test_scenario_file_is_decoded_the_same_with_or_without_overrides(tmp_path, capsys, text,
+                                                                     message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    lines = []
+    for extra in ([], ["--seed", 3], ["--set", "seed=3"]):
+        assert run_cli("run", bad, *extra) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == f"error: ValidationError: {message}\n"
+    assert lines[1] == lines[2] == lines[0]
 
 
 def test_evaluator_failure_persists_partial_archive(tmp_path, capsys):

@@ -222,3 +222,64 @@ def test_sampled_values_lie_in_domain(space, seed):
     for _ in range(20):
         cfg = Configuration(tuple(sample_parameter(p, rng) for p in space.parameters))
         space.validate(cfg)  # raises DomainError on any violation
+
+
+# --- the prior stream and the uniform pool ------------------------------------
+
+MIXED = DesignSpace((
+    Parameter("x", "real", lower=-2.0, upper=3.0, prior=Prior("gaussian", 3.0, 3.0)),
+    Parameter("n", "integer", lower=1, upper=6, prior=Prior("decay", 0.5, 1.5)),
+    Parameter("o", "ordinal", values=(1, 2.5, 8, 20), prior=Prior("exponential", 1.5, 0.5)),
+    Parameter("c", "categorical", values=("a", "b", "c"),
+              prior=Prior("categorical", probs=(0.5, 0.3, 0.2))),
+))
+
+
+def sequential_distinct(space, n, rng, taken=(), limit=None):
+    """Oracle: the distinct configurations that one sample_parameter call per
+    value draws in row-major order, not in ``taken``, stopping at n or after
+    ``limit`` configurations (default 100*n); a finite space then continues
+    with a random order of its unused configurations."""
+    seen, out = set(taken), []
+    for _ in range(100 * n if limit is None else limit):
+        if len(out) == n:
+            break
+        cfg = Configuration(tuple(sample_parameter(p, rng) for p in space.parameters))
+        if cfg not in seen:
+            seen.add(cfg)
+            out.append(cfg)
+    if len(out) < n and space.cardinality() is not None:
+        remaining = [c for c in enumerate_space(space) if c not in seen]
+        out += [remaining[i] for i in rng.generator.permutation(len(remaining))[: n - len(out)]]
+    return out
+
+
+@pytest.mark.parametrize("name, n", [("mixed", 40), ("toy_fpga", 100), ("toy_fpga", 200),
+                                     ("only_a", 3)])
+def test_warmup_and_batch_fill_follow_the_sequential_prior_stream(toy_scenario, name, n):
+    from dse.optimizer import select_batch
+
+    space = {"mixed": MIXED, "toy_fpga": toy_scenario.space, "only_a": ONLY_A}[name]
+    assert warmup_sample(space, n, RngState(11, 1)) == sequential_distinct(space, n, RngState(11, 1))
+
+    archive = set(warmup_sample(space, min(n, 2), RngState(12)))
+    predicted = list(archive) + sequential_distinct(space, 1, RngState(13), taken=archive)
+    m = n - len(archive) + 1
+    expected = predicted[-1:] + sequential_distinct(space, m - 1, RngState(14),
+                                                    taken=archive | set(predicted), limit=100 * m)
+    assert select_batch(predicted, m, space, archive, RngState(14)) == expected
+
+
+def test_uniform_pool_is_uniform_per_parameter_kind():
+    from dse.optimizer import candidate_pool
+
+    pool = candidate_pool(MIXED, 20_000, RngState(21, 3))
+    assert len(set(pool)) == len(pool) == 20_000
+    columns = list(zip(*(c.values for c in pool)))
+    x = np.array(columns[0])
+    assert stats.kstest(x, stats.uniform(loc=-2.0, scale=5.0).cdf).pvalue > 0.001
+    for param, col in zip(MIXED.parameters[1:], columns[1:]):
+        domain = param.domain_values()
+        counts = [col.count(v) for v in domain]
+        assert sum(counts) == len(col)  # every value lies in the domain
+        assert stats.chisquare(counts).pvalue > 0.001, param.name

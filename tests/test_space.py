@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from dse import (
     parse_scenario,
     serialize_scenario,
 )
+from dse.space import encode_matrix
 
 MINIMAL = {
     "application_name": "demo",
@@ -115,6 +117,39 @@ def test_encode_rejects_out_of_domain():
     with pytest.raises(DomainError):
         encode(s.space, Configuration((2, "true")))
 
+    space = DesignSpace((
+        Parameter("n", "integer", lower=1, upper=4),
+        Parameter("x", "real", lower=0.0, upper=1.0),
+        Parameter("v", "categorical", values=("1", "b")),
+    ))
+    assert encode(space, Configuration((4, 1, "b"))) == [4.0, 1.0, 1.0]
+    for values, shown in [
+        ((True, 0.5, "b"), "n: value True"),  # a boolean is not an integer
+        ((2, False, "b"), "x: value False"),  # nor a real
+        ((2, float("nan"), "b"), "x: value nan"),
+        ((5, 0.5, "b"), "n: value 5"),
+        ((2.0, 0.5, "b"), "n: value 2.0"),  # an integer column takes ints only
+        ((2, 0.5, "c"), "v: value 'c'"),  # unknown level
+        ((2, 0.5, 1), "v: value 1"),  # not the level "1"
+        ((2, 0.5, ["b"]), "v: value ['b']"),  # unhashable
+    ]:
+        with pytest.raises(DomainError, match=f"^{re.escape(shown)} outside domain$"):
+            encode(space, Configuration(values))
+    with pytest.raises(DomainError, match="length"):
+        encode(space, Configuration((2, 0.5)))
+
+
+def test_encode_matrix_names_the_first_bad_value_of_a_column():
+    from dse import DomainError
+
+    space = DesignSpace((Parameter("a", "ordinal", values=(1, 5, 8)),))
+    configs = [Configuration((v,)) for v in (5, 8.0, True, 1)]
+    assert encode_matrix(space, configs).tolist() == [[5.0], [8.0], [1.0], [1.0]]
+    configs += [Configuration((v,)) for v in (2, "5", 9)]
+    with pytest.raises(DomainError, match="^a: value 2 outside domain$"):
+        encode_matrix(space, configs)
+    assert encode_matrix(space, []).shape == (0, 1)
+
 
 def test_unordered_mask_flags_categoricals():
     s = make_scenario()
@@ -204,6 +239,10 @@ def test_encode_is_injective_on_finite_spaces(space):
     configs = list(enumerate_space(space, cap=2000)) if (space.cardinality() or 0) <= 2000 else []
     vectors = {tuple(encode(space, c)) for c in configs}
     assert len(vectors) == len(configs) == (space.cardinality() or 0)
+    # the per-value reference: the value itself, or the level index
+    reference = [[float(p.values.index(v)) if p.kind == "categorical" else float(v)
+                  for p, v in zip(space.parameters, c.values)] for c in configs]
+    assert encode_matrix(space, configs).tolist() == reference
 
 
 @given(finite_spaces())
