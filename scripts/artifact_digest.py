@@ -18,12 +18,14 @@ checkouts that print the same combined digest produce byte-identical
 artifacts on this set; equal family lines show which families a change
 left alone.
 
-Artifacts can stay equal while trees change, so it then prints one forest
-digest: the sha256 over the preorder structure (feature, threshold,
+Artifacts can stay equal while trees change, so it then prints forest
+digests: the sha256 over the preorder structure (feature, threshold,
 unordered flag, leaf value, all floats in hex) and the raw importances of
-forests fitted on a fixed set of seeded datasets. The set mixes real,
-integer-valued, categorical and duplicated columns, and fits regressors and
-classifiers under max_features "auto" (k = d and k < d) and 0.5.
+forests fitted on a fixed set of seeded datasets, one line per forest kind
+(forests/regressor, forests/classifier) and one over all fits (forests).
+The set mixes real, integer-valued, categorical and duplicated columns, and
+fits regressors and classifiers under max_features "auto" (k = d and k < d)
+and 0.5.
 
 Usage: python3 scripts/artifact_digest.py
 """
@@ -112,24 +114,27 @@ def forest_fits():
             yield fit_classifier(X, labels, hp, RngState(case, 2), unordered)
 
 
-def forest_digest() -> tuple[str, int]:
-    """sha256 over every tree's preorder structure and the raw importances."""
-    h = hashlib.sha256()
-    count = 0
+def forest_digests() -> dict[str, tuple[str, int]]:
+    """sha256 and fit count over every tree's preorder structure and the raw
+    importances, per forest kind and (key "") over all fits in fit order."""
+    hashes, counts = {}, {}
     for forest in forest_fits():
-        count += 1
+        lines = []
         for tree in forest.trees:
             stack = [tree]
             while stack:
                 node = stack.pop()
                 if node.is_leaf:
-                    h.update(f"L {float(node.value).hex()}\n".encode())
+                    lines.append(f"L {float(node.value).hex()}\n")
                 else:
-                    h.update(f"N {node.feature} {float(node.threshold).hex()} "
-                             f"{int(node.unordered)}\n".encode())
+                    lines.append(f"N {node.feature} {float(node.threshold).hex()} "
+                                 f"{int(node.unordered)}\n")
                     stack += [node.right, node.left]
-        h.update(" ".join(float(v).hex() for v in forest.raw_importance).encode() + b"\n")
-    return h.hexdigest(), count
+        lines.append(" ".join(float(v).hex() for v in forest.raw_importance) + "\n")
+        for key in ("", forest.kind):
+            hashes.setdefault(key, hashlib.sha256()).update("".join(lines).encode())
+            counts[key] = counts.get(key, 0) + 1
+    return {key: (h.hexdigest(), counts[key]) for key, h in hashes.items()}
 
 
 def _digest_lines(lines: list[str]) -> str:
@@ -157,8 +162,10 @@ def main() -> int:
     for family, family_lines in families.items():
         print(f"{_digest_lines(family_lines)}  {family} ({len(family_lines)} files)")
     print(f"{_digest_lines(lines)}  combined ({len(lines)} files)")
-    forests, count = forest_digest()
-    print(f"{forests}  forests ({count} fits)")
+    forests = forest_digests()
+    for kind in ("regressor", "classifier"):
+        print(f"{forests[kind][0]}  forests/{kind} ({forests[kind][1]} fits)")
+    print(f"{forests[''][0]}  forests ({forests[''][1]} fits)")
     return 0
 
 

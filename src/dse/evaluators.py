@@ -265,10 +265,11 @@ def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
             cwd=spec.working_dir,
         )
     except subprocess.TimeoutExpired as e:
-        raise EvaluationError(
-            f"evaluator timed out after {spec.timeout_seconds}s",
-            (e.stdout or "") + (e.stderr or ""),
-        )
+        # on POSIX the output captured before the timeout is bytes, even with text=True
+        output = [out.decode(errors="replace") if isinstance(out, bytes) else out
+                  for out in (e.stdout, e.stderr) if out]
+        raise EvaluationError(f"evaluator timed out after {spec.timeout_seconds}s",
+                              "".join(output))
     except OSError as e:
         raise EvaluationError(f"failed to launch evaluator: {e}")
     if proc.returncode != 0:

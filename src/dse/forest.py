@@ -10,6 +10,15 @@ targets in the two children: on the classifier's class-weighted 0/1 labels
 that variance is half the weighted Gini impurity, so it picks the splits
 Gini would (Breiman et al., Classification and Regression Trees, 1984).
 
+The trees of one fit grow together, in passes that each score a batch of
+open nodes in one vectorized sweep: level by level, every open node of every
+tree at once, when each node considers every feature (regressors under
+"auto"); otherwise the next depth-first node of each tree, so that each
+node's feature draw comes from its tree's generator in depth-first order.
+Level-wise growth follows LightGBM (Ke et al., NeurIPS 2017); the splits
+are exact, and every sum is taken in the order a node-by-node depth-first
+builder takes it, so the trees do not depend on the batch.
+
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
 RngState(seed ^ t, stream), so each tree is a pure function of the training
 data, the seed, the stream and t.
@@ -147,160 +156,323 @@ class TreeNode:
 def _variance(w, wy, wyy):
     """Weighted variance of the targets from the sums of w, w*y and w*y*y.
 
-    ``** 2`` multiplies for arrays but calls libm ``pow`` for numpy scalars,
-    and the two can differ in the last bit: the threshold scan's parent terms
-    pass scalars, every other caller arrays, which keeps trees reproducible.
+    ``** 2`` multiplies for float arrays but calls libm ``pow`` for Python
+    floats and object arrays, and the two can differ in the last bit: the
+    threshold scan's parent terms pass object arrays, every other caller
+    float arrays, which keeps trees reproducible.
     """
     mean = wy / w
     return wyy / w - mean ** 2
 
 
+# cells in one padded chunk of lanes or segments: bounds the memory of a pass
+_CELLS = 1 << 12
+
+
+def _chunks(widths):
+    """Index arrays (or one slice) that cover ``widths``, each chunk padded
+    to its widest member and at most _CELLS cells large."""
+    width = int(widths.max())
+    if width * len(widths) <= _CELLS:
+        yield slice(None), width
+        return
+    by_width = np.argsort(-widths, kind="stable")
+    done = 0
+    while done < len(widths):
+        width = int(widths[by_width[done]])
+        chunk = by_width[done:done + max(1, _CELLS // width)]
+        done += len(chunk)
+        yield chunk, width
+
+
+def _pairwise_sums(S, starts, lengths):
+    """``S[:, s:s + n].sum(axis=1)`` of every segment (s, n), one column each.
+
+    numpy sums a contiguous row pairwise: up to 7 terms in sequence; up to
+    128 in eight interleaved partial sums joined as a tree, then the last
+    n % 8 terms in sequence; a longer row as the sum of two halves whose
+    first length is a multiple of 8; and the result is added to 0.0 (which
+    only turns -0.0 into 0.0, so adding it to the halves too changes
+    nothing). This reproduces those bits for every segment at once.
+    ``np.add.reduceat`` sums each segment in sequence instead and changes
+    the last bits.
+    """
+    big = lengths > 128
+    if not big.any():
+        return _short_sums(S, starts, lengths) + 0.0
+    small = np.logical_not(big)
+    n, s = lengths[big], starts[big]
+    half = n // 2 // 8 * 8
+    # one call sums every part: the short segments and both halves of each long one
+    parts = _pairwise_sums(S, np.concatenate([starts[small], s, s + half]),
+                           np.concatenate([lengths[small], half, n - half]))
+    out = np.empty((len(S), len(lengths)))
+    out[:, small] = parts[:, :small.sum()]
+    out[:, big] = parts[:, small.sum():-len(n)] + parts[:, -len(n):]
+    return out + 0.0
+
+
+def _short_sums(S, starts, lengths):
+    """_pairwise_sums of segments of at most 128 columns, before the 0.0."""
+    out = np.empty((len(S), len(lengths)))
+    for chunk, width in _chunks(np.maximum(lengths // 8 * 8, 8)):
+        n, s = lengths[chunk], starts[chunk]
+        blocks = n // 8
+        # partial sum j adds the terms j, j + 8, ... of the whole blocks
+        r = S.take(s[:, None] + np.arange(width), axis=1, mode="clip")
+        r = r.reshape(len(S), len(n), width // 8, 8)
+        r = r.cumsum(axis=2, out=r)[:, np.arange(len(n)), np.maximum(blocks - 1, 0)]
+        for _ in range(3):
+            r = r[..., 0::2] + r[..., 1::2]
+        # then the rest in sequence, after the partial sums (or 0.0)
+        seq = S.take((s + 8 * blocks)[:, None] + np.arange(-1, 7), axis=1, mode="clip")
+        seq[..., 0] = np.where(blocks > 0, r[..., 0], 0.0)
+        out[:, chunk] = seq.cumsum(axis=2)[:, np.arange(len(n)), n % 8]
+    return out
+
+
 class _TreeBuilder:
-    """Grows one tree; collects per-feature impurity decreases on the way.
+    """Grows the trees of one fit together; collects each tree's per-feature
+    impurity decreases.
 
     Every split minimizes one criterion, the weight-averaged variance of the
     targets in the two children. Node impurity, leaf value and every split
-    gain come from sums over one 3 x n matrix with rows w, w*y and w*y*y.
-    Regression samples weigh 1.0. The classifier fits its 0/1 labels with
-    class weights; for such labels the weighted variance p(1 - p) is half
-    the weighted Gini impurity 2p(1 - p), so both criteria pick the same
-    splits, and the leaf mean is the weighted feasible fraction.
+    gain come from sums over one 3 x (trees * n) matrix with rows w, w*y and
+    w*y*y, one block of n columns per tree's (bootstrap) sample. Regression
+    samples weigh 1.0. The classifier fits its 0/1 labels with class
+    weights; for such labels the weighted variance p(1 - p) is half the
+    weighted Gini impurity 2p(1 - p), so both criteria pick the same splits,
+    and the leaf mean is the weighted feasible fraction.
 
-    A node scores all f of its chosen ordered features in one pass: one
-    stable argsort of the f x n node columns, one gather of the sums matrix
-    into a 3 x f x n stack, one cumulative sum along the samples, and the
-    gain of every cut of every feature at once; cuts between equal values
-    score -inf. The cumulative sum runs sequentially along each row, so the
-    floats are those of a scan of one feature at a time. Each feature's
-    parent term, the variance of its cumulative totals, stays scalar
-    arithmetic: ``** 2`` is libm ``pow`` on scalars but a multiply on arrays,
-    and the two differ in the last bit on about 0.1 % of values.
-    Categorical features are scored level by level. The winner is the
-    first feature, in ascending order, that no later one beats by more than
-    1e-15. When every feature is chosen (regressors under "auto") the
-    feature draw is skipped: it could not change the tree.
+    Open nodes wait on one stack per tree, and growth runs in passes over
+    batches of them. When every node chooses every feature (k == d:
+    regressors under "auto") no feature is drawn, and a pass takes every
+    open node of every tree: the trees grow level by level, one depth per
+    pass. Otherwise (the classifier) each node draws its k features from its
+    tree's generator, and a pass takes the next node of each tree in
+    depth-first order: every tree draws from its own generator in the order
+    of a depth-first builder, so it grows the same tree. Both are the one
+    pass below; only the batch differs.
+
+    A pass scores every chosen (feature, node) pair, a lane, at once.
+    Ordered lanes: one stable argsort of each lane's values, one gather of
+    the sums matrix into a 3 x lanes x width stack (lanes of similar size
+    share a chunk of at most _CELLS cells, padded to its widest lane), one
+    cumulative sum along the last axis, and the gain of every cut of every
+    lane in one expression; cuts between equal values or past a lane's end
+    score -inf. A cumulative sum runs in sequence along each row, so its
+    floats are those of a scan of one node and one feature. Each lane's
+    parent term, the variance of its cumulative totals, is computed on
+    Python floats: ``** 2`` there is libm ``pow``, which differs from an
+    array multiply in the last bit on about 0.1 % of values. Categorical
+    features score each level against the rest from the sums of both sides.
+    Node and level sums are numpy's pairwise sums of the rows in sample
+    order (``_pairwise_sums``). Ties: within a lane the lowest threshold
+    within 1e-15 of its best gain wins; across levels, and then across
+    features in ascending order, a later candidate must win by more than
+    1e-15. Importances are summed in depth-first preorder once the trees
+    are grown, so no float depends on the batch.
     """
 
-    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gen, k: int):
+    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int):
+        # X, y and w hold one block of n samples per tree, in tree order
         self.XT = np.ascontiguousarray(X.T)  # one row per feature
         wy = w * y
         self.M = np.stack([w, wy, wy * y])
-        self.unordered = unordered
-        self.ordered_features = np.flatnonzero(np.logical_not(unordered))
-        self.categorical_features = [f for f, u in enumerate(unordered) if u]
-        self.rows = np.arange(len(unordered))[:, None]
+        self.unordered = np.asarray(unordered, dtype=bool)
+        self.levels = {f: np.array(sorted(set(self.XT[f].tolist())))
+                       for f in np.flatnonzero(self.unordered).tolist()}
         self.hp = hp
-        self.gen = gen
+        self.gens = gens
         self.k = k
-        self.importance = np.zeros(len(self.XT))
-        self.root_weight = float(w.sum())
+        self.n = len(y) // len(gens)
+        self.root_weight = w.reshape(len(gens), self.n).sum(axis=1)
+        self.importance = np.zeros((len(gens), len(self.XT)))
 
-    def build(self) -> TreeNode:
-        # explicit stack: pathological trees can be as deep as the sample count
-        root = TreeNode()
-        stack = [(root, np.arange(self.M.shape[1]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            self._grow(node, idx, depth, stack)
-        return root
+    def build(self) -> list[TreeNode]:
+        count = len(self.gens)
+        roots = [TreeNode() for _ in range(count)]
+        stacks = [[] for _ in range(count)]
+        self._open(roots, range(count), np.arange(count * self.n), np.full(count, self.n),
+                   np.zeros(count, dtype=np.intp), stacks)
+        shares = {}  # split node -> its weighted impurity decrease
+        while any(stacks):
+            if self.k < len(self.XT):
+                batch = [stack.pop() for stack in stacks if stack]
+            else:
+                batch = [entry for stack in stacks for entry in stack]
+                stacks = [[] for _ in stacks]
+            self._split(batch, shares, stacks)
+        for t, root in enumerate(roots):
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if not node.is_leaf:
+                    self.importance[t, node.feature] += shares[node]
+                    stack += (node.right, node.left)
+        return roots
 
-    def _grow(self, node: TreeNode, idx, depth, stack) -> None:
-        # take and compress copy to contiguous rows, whose sums run in
-        # numpy's pairwise order (M[:, idx] would sum column-strided)
-        S = self.M.take(idx, axis=1)
-        sums = S.sum(axis=1, keepdims=True)
-        impurity = _variance(*sums)[0]
-        stop = (
-            len(idx) < max(2, self.hp.min_samples_split)
-            or impurity <= 0.0
-            or (self.hp.max_depth is not None and depth >= self.hp.max_depth)
-        )
-        split = None if stop else self._best_split(idx, S, impurity)
-        if split is None:
-            node.value = float(sums[1, 0] / sums[0, 0])
-            return
-        gain, feature, test_value, left_mask = split
-        self.importance[feature] += (sums[0, 0] / self.root_weight) * gain
-        node.feature = feature
-        node.threshold = test_value
-        node.unordered = self.unordered[feature]
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.right, idx[~left_mask], depth + 1))
-        stack.append((node.left, idx[left_mask], depth + 1))
+    def _open(self, nodes, trees, rows, sizes, depths, stacks):
+        """Closes each new node whose ``sizes`` rows (consecutive in
+        ``rows``) cannot be split as a leaf, and pushes the others onto their
+        tree's stack, in order."""
+        starts = np.cumsum(sizes) - sizes
+        sums = _pairwise_sums(self.M.take(rows, axis=1), starts, sizes)
+        grow = (sizes >= max(2, self.hp.min_samples_split)) & ~(_variance(*sums) <= 0.0)
+        if self.hp.max_depth is not None:
+            grow &= depths < self.hp.max_depth
+        values = (sums[1] / sums[0]).tolist()
+        for node, t, start, end, depth, g, v, s in zip(
+                nodes, trees, starts.tolist(), (starts + sizes).tolist(), depths.tolist(),
+                grow.tolist(), values, sums.T.tolist()):
+            if g:
+                stacks[t].append((node, t, rows[start:end], depth, s))
+            else:
+                node.value = v
 
-    def _best_split(self, idx, S, impurity):
+    def _split(self, batch, shares, stacks):
+        """Splits each (node, tree, rows, depth, sums) of ``batch`` at its best
+        cut, or closes it as a leaf; opens the children, right before left."""
+        nodes, trees, idxs, depths, sums = zip(*batch)
+        sizes = np.array([len(idx) for idx in idxs])
+        rows = np.concatenate(idxs)
+        sums = np.array(sums).T
+        gain, feature, threshold = self._best_splits(trees, rows, sizes, sums)
+        split = gain > 0.0
+        # the rows of every split node, right child then left child
+        keep = np.repeat(split, sizes)
+        rows = rows[keep]
+        column = np.repeat(feature[split], sizes[split])
+        value = self.XT[column, rows]
+        test = np.repeat(threshold[split], sizes[split])
+        side = np.repeat(2 * np.arange(split.sum()), sizes[split])
+        side += np.where(self.unordered[column], value == test, value <= test)
+        rows = rows[side.argsort(kind="stable")]
+        share = (sums[0] / self.root_weight[np.array(trees)] * gain).tolist()
+        values = (sums[1] / sums[0]).tolist()
+        children, child_trees, child_depths = [], [], []
+        for j, (node, t, depth, f, test) in enumerate(zip(nodes, trees, depths, feature.tolist(),
+                                                          threshold.tolist())):
+            if not split[j]:
+                node.value = values[j]
+                continue
+            node.feature = f
+            node.threshold = test
+            node.unordered = bool(self.unordered[f])
+            node.left = TreeNode()
+            node.right = TreeNode()
+            shares[node] = share[j]
+            children += (node.right, node.left)
+            child_trees += (t, t)
+            child_depths += (depth + 1, depth + 1)
+        if children:
+            self._open(children, child_trees, rows, np.bincount(side, minlength=len(children)),
+                       np.array(child_depths), stacks)
+
+    def _best_splits(self, trees, rows, sizes, sums):
+        """(gain, feature, threshold) arrays of the best split of each node
+        whose rows, grouped by node in ascending order, are ``rows``; the
+        gain is -inf where no chosen feature separates the node's rows."""
         d = len(self.XT)
         if self.k < d:
-            chosen = sorted(self.gen.permutation(d)[: self.k].tolist())
-            ordered = np.array([f for f in chosen if not self.unordered[f]], dtype=np.intp)
-            categorical = [f for f in chosen if self.unordered[f]]
+            chosen = np.zeros((d, len(sizes)), dtype=bool)
+            for j, t in enumerate(trees):
+                chosen[self.gens[t].permutation(d)[: self.k], j] = True
         else:  # every feature is chosen, so a draw could not change the tree
-            ordered, categorical = self.ordered_features, self.categorical_features
-        # (feature, gain, row of the best cut) or (feature, gain, level, left mask)
-        candidates = []
-        if ordered.size:
-            X = self.XT[ordered[:, None], idx]
-            order = X.argsort(axis=1, kind="stable")
-            rows = self.rows[: ordered.size]
-            sv = X[rows, order]
-            boundary = sv[:, :-1] < sv[:, 1:]
-            if boundary.any():
-                C = S[:, order].cumsum(axis=2)
-                left = C[:, :, :-1]
-                total = C[:, :, -1:]
-                right = total - left
-                parent = [[max(_variance(*t), 0.0)] for t in total[:, :, 0].T.tolist()]
-                child = (left[0] * np.maximum(_variance(*left), 0.0)
-                         + right[0] * np.maximum(_variance(*right), 0.0))
-                gains = np.where(boundary, np.asarray(parent) - child / total[0], -np.inf)
-                # ties between equal gains resolve to the lowest threshold
-                best_i = (gains >= gains.max(axis=1, keepdims=True) - 1e-15).argmax(axis=1)
-                best_gains = gains[rows[:, 0], best_i].tolist()
-                candidates = [(f, gain, r) for r, (f, gain) in
-                              enumerate(zip(ordered.tolist(), best_gains)) if gain != -np.inf]
-        for f in categorical:
-            level_split = self._best_level_split(self.XT[f].take(idx), S, impurity)
-            if level_split is not None:
-                candidates.append((f, *level_split))
-        if categorical and ordered.size:
-            candidates.sort(key=lambda c: c[0])
-        best = None
-        for c in candidates:
-            if best is None or c[1] > best[1] + 1e-15:
-                best = c
-        if best is None or best[1] <= 0.0:
-            return None
-        if self.unordered[best[0]]:
-            feature, gain, level, left_mask = best
-            return gain, feature, level, left_mask
-        feature, gain, r = best
-        lo, hi = sv[r, best_i[r]], sv[r, best_i[r] + 1]
-        threshold = 0.5 * (lo + hi)
-        if threshold >= hi:
-            # adjacent floats: the midpoint rounded up; fall back to the
-            # lower value so both children stay non-empty
-            threshold = lo
-        return gain, feature, float(threshold), X[r] <= threshold
+            chosen = np.ones((d, len(sizes)), dtype=bool)
+        S = self.M.take(rows, axis=1)
+        starts = np.cumsum(sizes) - sizes
+        # gain and threshold of the best cut of every chosen (feature, node)
+        gains = np.full((d, len(sizes)), -np.inf)
+        tests = np.zeros((d, len(sizes)))
+        lanes = np.nonzero(chosen & np.logical_not(self.unordered)[:, None])
+        if lanes[0].size:
+            gains[lanes], tests[lanes] = self._score_thresholds(*lanes, rows, S, sizes, starts)
+        categorical = np.flatnonzero(chosen.any(axis=1) & self.unordered).tolist()
+        if categorical:
+            self._score_levels(categorical, chosen, rows, S, sizes, _variance(*sums), gains, tests)
+        gain = gains[0]
+        feature = np.zeros(len(sizes), dtype=np.intp)
+        for f in range(1, d):
+            win = gains[f] > gain + 1e-15
+            gain = np.where(win, gains[f], gain)
+            feature[win] = f
+        return gain, feature, tests[feature, np.arange(len(sizes))]
 
-    def _best_level_split(self, values, S, impurity):
-        """Best one-level-versus-rest split, from masked sums per level."""
-        levels = sorted(set(values.tolist()))
-        if len(levels) < 2:
-            return None
-        masks = [values == level for level in levels]
-        left = np.empty((3, len(levels)))
-        right = np.empty((3, len(levels)))
-        for i, m in enumerate(masks):
-            left[:, i] = S.compress(m, axis=1).sum(axis=1)
-            right[:, i] = S.compress(~m, axis=1).sum(axis=1)
-        child = left[0] * _variance(*left) + right[0] * _variance(*right)
-        gains = (impurity - child / (left[0] + right[0])).tolist()
-        best = 0
-        for i in range(1, len(levels)):
-            if gains[i] > gains[best] + 1e-15:
-                best = i
-        return gains[best], levels[best], masks[best]
+    def _score_thresholds(self, features, nodes, rows, S, sizes, starts):
+        """(gain, threshold) arrays of the best threshold cut of each (ordered
+        feature, node) lane, scanned in chunks of lanes of similar size."""
+        n = sizes[nodes]
+        gain = np.empty(len(nodes))
+        threshold = np.empty(len(nodes))
+        for chunk, width in _chunks(n):
+            gain[chunk], threshold[chunk] = self._scan(
+                features[chunk], n[chunk, None], starts[nodes[chunk], None], width, rows, S)
+        return gain, threshold
+
+    def _scan(self, features, m, starts, width, rows, S):
+        """(gain, threshold) of the best cut of each lane of m rows, padded to
+        ``width``: feature ``features[i]`` over ``rows[starts[i]:][:m[i]]``."""
+        cut = np.arange(width)
+        at = starts + np.minimum(cut, m - 1)
+        # padding sorts last as +inf; stable order keeps ties in row order
+        sv = np.where(cut < m, self.XT[features[:, None], rows[at]], np.inf)
+        order = sv.argsort(axis=1, kind="stable")
+        sv = np.take_along_axis(sv, order, axis=1)
+        boundary = (sv[:, :-1] < sv[:, 1:]) & (cut[1:] < m)
+        C = S.take(np.take_along_axis(at, order, axis=1), axis=1)
+        del at, order
+        C = C.cumsum(axis=2, out=C)
+        lane = np.arange(len(features))
+        total = C[:, lane, m[:, 0] - 1]
+        parent = np.maximum(_variance(*total.astype(object)).astype(float), 0.0)
+        left = C[:, :, :-1]
+        right = total[:, :, None] - left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            child = (left[0] * np.maximum(_variance(*left), 0.0)
+                     + right[0] * np.maximum(_variance(*right), 0.0))
+            g = np.where(boundary, parent[:, None] - child / total[0][:, None], -np.inf)
+        # ties between equal gains resolve to the lowest threshold
+        best = (g >= g.max(axis=1, keepdims=True) - 1e-15).argmax(axis=1)
+        lo, hi = sv[lane, best], sv[lane, best + 1]
+        mid = 0.5 * (lo + hi)
+        # adjacent floats: the midpoint rounded up; fall back to the lower
+        # value so both children stay non-empty
+        return g[lane, best], np.where(mid >= hi, lo, mid)
+
+    def _score_levels(self, features, chosen, rows, S, sizes, impurity, gains, tests):
+        """Writes into ``gains`` and ``tests`` the best one-level-versus-rest
+        split of each categorical feature at each node that chose it, from
+        the sums of every (level, node) and of its complement."""
+        columns, lengths, scored = [], [], []
+        for f in features:
+            nodes = np.flatnonzero(chosen[f])
+            at = np.flatnonzero(np.repeat(chosen[f], sizes))  # those nodes' rows
+            n = sizes[nodes]
+            match = self.XT[f].take(rows[at]) == self.levels[f][:, None]
+            count = np.add.reduceat(match, np.cumsum(n) - n, axis=1, dtype=np.intp)
+            columns += [at[np.nonzero(match)[1]], at[np.nonzero(np.logical_not(match))[1]]]
+            lengths += [count.ravel(), (n - count).ravel()]
+            scored.append((f, nodes, count))
+        lengths = np.concatenate(lengths)
+        sums = _pairwise_sums(S.take(np.concatenate(columns), axis=1),
+                              np.cumsum(lengths) - lengths, lengths)
+        done = 0
+        for f, nodes, count in scored:
+            left = sums[:, done:done + count.size].reshape(3, *count.shape)
+            right = sums[:, done + count.size:done + 2 * count.size].reshape(3, *count.shape)
+            done += 2 * count.size
+            with np.errstate(divide="ignore", invalid="ignore"):
+                child = left[0] * _variance(*left) + right[0] * _variance(*right)
+                g = impurity[nodes] - child / (left[0] + right[0])
+            present = count > 0
+            g = np.where(present & (present.sum(axis=0) >= 2), g, -np.inf)
+            best, level = g[0], np.zeros(len(nodes), dtype=np.intp)
+            for i in range(1, len(g)):
+                win = g[i] > best + 1e-15
+                best = np.where(win, g[i], best)
+                level[win] = i
+            gains[f, nodes], tests[f, nodes] = best, self.levels[f][level]
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,31 +534,28 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
         raise FitError("unordered mask length does not match feature count")
 
     k = hp.resolve_max_features(d, classifier)
-    trees = []
-    importances = []
+    gens, samples, weights = [], [], []
     for t in range(hp.n_estimators):
         gen = RngState(rng.seed ^ t, rng.stream_id).generator
-        if hp.bootstrap:
-            sample = gen.integers(0, n, size=n)
-        else:
-            sample = np.arange(n)
-        Xs, ys = X[sample], y[sample]
+        sample = gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
         if classifier:
-            pos = ys > 0.5
+            pos = y[sample] > 0.5
             n_pos = int(pos.sum())
-            ws = np.where(pos, hp.class_weight[0] / max(n_pos, 1),
-                          hp.class_weight[1] / max(n - n_pos, 1))
+            weights.append(np.where(pos, hp.class_weight[0] / max(n_pos, 1),
+                                    hp.class_weight[1] / max(n - n_pos, 1)))
         else:
-            ws = np.ones(n)
-        builder = _TreeBuilder(Xs, ys, ws, unordered, hp, gen, k)
-        trees.append(builder.build())
-        importances.append(builder.importance)
+            weights.append(np.ones(n))
+        gens.append(gen)
+        samples.append(sample)
+    sample = np.concatenate(samples)
+    builder = _TreeBuilder(X[sample], y[sample], np.concatenate(weights), unordered, hp, gens, k)
+    trees = builder.build()
     return Forest(
         kind="classifier" if classifier else "regressor",
         n_features=d,
         unordered=unordered,
         trees=tuple(trees),
-        raw_importance=np.mean(importances, axis=0),
+        raw_importance=np.mean(builder.importance, axis=0),
     )
 
 

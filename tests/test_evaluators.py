@@ -205,6 +205,17 @@ def test_nonzero_exit_carries_child_output(tmp_path):
     assert "boom" in err.value.raw_output
 
 
+@pytest.mark.parametrize("printed", ["T,P,S,B\n", ""])
+def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed):
+    body = f"import sys, time; sys.stdout.write({printed!r}); sys.stdout.flush(); time.sleep(30)"
+    space = small_space()
+    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "hang.py", body),
+                         objectives=("cost",), feasibility=FEA, timeout_seconds=0.5)
+    with pytest.raises(EvaluationError, match="timed out after 0.5s") as err:
+        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+    assert err.value.raw_output == printed
+
+
 def test_unparseable_objective_is_a_protocol_error(tmp_path):
     body = textwrap.dedent("""\
         import csv, sys

@@ -9,7 +9,7 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, Forest, TreeNode, classifier_grid
+from dse.forest import FitError, Forest, TreeNode, _pairwise_sums, classifier_grid
 from dse.space import encode_matrix
 
 from oracles import candidate_splits, split_decrease, weighted_gini, weighted_variance
@@ -171,33 +171,36 @@ def test_level_split_when_no_ordered_feature_varies(kind):
     assert forest.predict_batch(X).tolist() == y
 
 
+def _oracle_case(kind, gen, hp):
+    """A random mixed data set, its targets and sample weights, the fitted
+    forest and the impurity the brute-force oracle scores splits with. With
+    bootstrap off and every feature chosen, a fit draws nothing at random."""
+    n, d = int(gen.integers(2, 25)), int(gen.integers(1, 4))
+    unordered = [bool(gen.random() < 0.4) for _ in range(d)]
+    X = np.column_stack([
+        gen.integers(0, int(gen.integers(2, 5)), n) if u or gen.random() < 0.5
+        else np.round(gen.random(n), 2)
+        for u in unordered
+    ]).astype(float)
+    if kind == "regressor":
+        y = np.round(gen.normal(size=n), int(gen.integers(0, 3))).tolist()
+        forest = fit_regressor(X, y, hp, RngState(0), unordered)
+        return X.tolist(), unordered, y, [1.0] * n, forest, weighted_variance
+    # each sample of class c weighs class_weight[c] / (count of c)
+    y = (gen.random(n) < gen.random()).tolist()
+    n_pos = sum(y)
+    w = [hp.class_weight[0] / n_pos if yi else hp.class_weight[1] / (n - n_pos) for yi in y]
+    forest = fit_classifier(X, y, hp, RngState(0), unordered)
+    return X.tolist(), unordered, y, w, forest, weighted_gini
+
+
 @pytest.mark.parametrize("kind", ["regressor", "classifier"])
 def test_root_split_reaches_the_brute_force_maximum(kind):
-    # regressors minimize variance; classifiers class-weighted Gini, with
-    # each sample of class c weighing class_weight[c] / (count of c)
+    # regressors minimize variance; classifiers class-weighted Gini
     hp = ForestHyperparams(n_estimators=1, max_depth=1, max_features=1.0, bootstrap=False)
     gen = np.random.default_rng(21 if kind == "regressor" else 22)
     for case in range(300):
-        n, d = int(gen.integers(2, 25)), int(gen.integers(1, 4))
-        unordered = [bool(gen.random() < 0.4) for _ in range(d)]
-        X = np.column_stack([
-            gen.integers(0, int(gen.integers(2, 5)), n) if u or gen.random() < 0.5
-            else np.round(gen.random(n), 2)
-            for u in unordered
-        ]).astype(float)
-        if kind == "regressor":
-            y = np.round(gen.normal(size=n), int(gen.integers(0, 3))).tolist()
-            w = [1.0] * n
-            forest = fit_regressor(X, y, hp, RngState(case), unordered)
-            impurity = weighted_variance
-        else:
-            y = (gen.random(n) < gen.random()).tolist()
-            n_pos = sum(y)
-            w = [hp.class_weight[0] / n_pos if yi else hp.class_weight[1] / (n - n_pos)
-                 for yi in y]
-            forest = fit_classifier(X, y, hp, RngState(case), unordered)
-            impurity = weighted_gini
-        rows = X.tolist()
+        rows, unordered, y, w, forest, impurity = _oracle_case(kind, gen, hp)
         best = max((split_decrease(y, w, left, impurity)
                     for left in candidate_splits(rows, unordered)), default=0.0)
         root = forest.trees[0]
@@ -207,6 +210,50 @@ def test_root_split_reaches_the_brute_force_maximum(kind):
         column = [row[root.feature] for row in rows]
         left = [v == root.threshold if root.unordered else v <= root.threshold for v in column]
         assert split_decrease(y, w, left, impurity) >= best - 1e-12, case
+
+
+@pytest.mark.parametrize("kind", ["regressor", "classifier"])
+@pytest.mark.parametrize("max_depth", [None, 3])
+@pytest.mark.parametrize("min_samples_split", [2, 4])
+def test_every_node_split_reaches_the_brute_force_maximum(kind, max_depth, min_samples_split):
+    hp = ForestHyperparams(n_estimators=2, max_depth=max_depth, max_features=1.0,
+                           bootstrap=False, min_samples_split=min_samples_split)
+    gen = np.random.default_rng([23, max_depth or 0, min_samples_split, kind == "regressor"])
+    for case in range(25):
+        rows, unordered, y, w, forest, impurity = _oracle_case(kind, gen, hp)
+        for tree in forest.trees:
+            stack = [(tree, list(range(len(rows))), 0)]
+            while stack:
+                node, idx, depth = stack.pop()
+                assert max_depth is None or depth <= max_depth, case
+                ys, ws = [y[i] for i in idx], [w[i] for i in idx]
+                best = max((split_decrease(ys, ws, left, impurity)
+                            for left in candidate_splits([rows[i] for i in idx], unordered)),
+                           default=0.0)
+                if node.is_leaf:
+                    mean = sum(wi * yi for wi, yi in zip(ws, ys)) / sum(ws)
+                    assert node.value == pytest.approx(mean, rel=1e-12, abs=1e-12), case
+                    if len(idx) >= min_samples_split and (max_depth is None or depth < max_depth):
+                        assert best <= 1e-12, case  # a leaf only where no split gains
+                    continue
+                assert len(idx) >= min_samples_split, case
+                column = [rows[i][node.feature] for i in idx]
+                left = [v == node.threshold if node.unordered else v <= node.threshold
+                        for v in column]
+                assert split_decrease(ys, ws, left, impurity) >= best - 1e-12, case
+                stack.append((node.left, [i for i, go in zip(idx, left) if go], depth + 1))
+                stack.append((node.right, [i for i, go in zip(idx, left) if not go], depth + 1))
+
+
+def test_pairwise_sums_match_numpy_sums_bit_for_bit():
+    # node and level sums must keep the bits of a per-node numpy sum
+    gen = np.random.default_rng(31)
+    S = gen.normal(size=(3, 3000)) * 10.0 ** gen.integers(-8, 9, size=(3, 3000))
+    S[1, :400] = -0.0
+    lengths = np.concatenate([gen.integers(0, 20, 200), gen.integers(0, 600, 100)])
+    starts = gen.integers(0, 3000 - lengths)
+    want = np.stack([S[:, s:s + n].copy().sum(axis=1) for s, n in zip(starts, lengths)], axis=1)
+    assert _pairwise_sums(S, starts, lengths).tobytes() == want.tobytes()
 
 
 # --- feature importance -------------------------------------------------------
@@ -280,11 +327,28 @@ def test_classifier_grid_has_81_documented_combos(toy_scenario, toy_truth):
 
 # --- determinism ------------------------------------------------------------------
 
-def test_identical_seed_gives_identical_forest():
+def _preorder(tree):
+    """(feature, threshold, unordered) of every internal node and the value of
+    every leaf, in depth-first preorder."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node.value)
+        else:
+            out.append((node.feature, node.threshold, node.unordered))
+            stack += [node.right, node.left]
+    return out
+
+
+@pytest.mark.parametrize("kind", FITS)
+def test_identical_seed_gives_identical_forest(kind):
     gen = np.random.default_rng(13)
-    X = gen.random((50, 2))
-    y = gen.random(50)
-    a = fit_regressor(X, y, ForestHyperparams(), RngState(99, 1))
-    b = fit_regressor(X, y, ForestHyperparams(), RngState(99, 1))
-    assert np.array_equal(a.predict_batch(X), b.predict_batch(X))
+    X = np.column_stack([gen.random(60), gen.integers(0, 3, 60), gen.integers(1, 9, 60),
+                         gen.random(60)]).astype(float)
+    y = X[:, 0] + (X[:, 1] == 1) + gen.random(60)
+    unordered = [False, True, False, False]
+    a = FITS[kind](X, y / y.max(), ForestHyperparams(), RngState(99, 1), unordered)
+    b = FITS[kind](X, y / y.max(), ForestHyperparams(), RngState(99, 1), unordered)
+    assert [_preorder(t) for t in a.trees] == [_preorder(t) for t in b.trees]
     assert np.array_equal(a.raw_importance, b.raw_importance)
