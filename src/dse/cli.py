@@ -279,6 +279,25 @@ def cmd_brute_force(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+class ReportError(ValueError):
+    """Run directories that cannot be reported on together."""
+
+
+def _run_objectives(run_dir: Path) -> tuple[str, ...]:
+    """The objective names recorded in a run directory's run_meta.json."""
+    meta_path = run_dir / "run_meta.json"
+    if not meta_path.exists():
+        raise ReportError(f"{run_dir} has no run_meta.json")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ReportError(f"{meta_path}: not valid JSON: {e}") from e
+    objectives = meta.get("objectives") if isinstance(meta, dict) else None
+    if not (isinstance(objectives, list) and all(isinstance(o, str) for o in objectives)):
+        raise ReportError(f"{meta_path}: no list of objective names under 'objectives'")
+    return tuple(objectives)
+
+
 def cmd_report(args) -> int:
     """Per-run HVI of each run's feasible front, their mean and, for two or
     more runs, the 80 % confidence half-width.
@@ -289,22 +308,12 @@ def cmd_report(args) -> int:
     with no feasible sample scores ``inf``.
     """
     run_dirs = [Path(d) for d in args.run_dir]
-    metas = []
-    for d in run_dirs:
-        meta_path = d / "run_meta.json"
-        if not meta_path.exists():
-            print(f"error: ReportError: {d} has no run_meta.json", file=sys.stderr)
-            return 1
-        metas.append(json.loads(meta_path.read_text(encoding="utf-8")))
-    objective_sets = {tuple(m["objectives"]) for m in metas}
+    objective_sets = {_run_objectives(d) for d in run_dirs}
     if len(objective_sets) != 1:
-        print("error: ReportError: runs disagree on objective sets", file=sys.stderr)
-        return 1
+        raise ReportError("runs disagree on objective sets")
     objectives = list(objective_sets.pop())
     if len(objectives) != 2:
-        print("error: ReportError: the hypervolume report needs exactly two objectives",
-              file=sys.stderr)
-        return 1
+        raise ReportError("the hypervolume report needs exactly two objectives")
 
     per_run = [read_points_csv(d / "samples.csv", objectives) for d in run_dirs]
     all_points = [p for points, _ in per_run for p in points]
@@ -315,8 +324,7 @@ def cmd_report(args) -> int:
         all_feasible = [ok for _, feasible in per_run for ok in feasible]
         reference = [all_points[i] for i in feasible_front(all_points, all_feasible)]
         if not reference:
-            print("error: ReportError: no feasible record in any run", file=sys.stderr)
-            return 1
+            raise ReportError("no feasible record in any run")
         sigma = objective_stddevs(all_points)
     values = [(str(d), feasible_hvi(points, feasible, reference, sigma))
               for d, (points, feasible) in zip(run_dirs, per_run)]

@@ -16,8 +16,8 @@ tree at once, when each node considers every feature (regressors under
 "auto"); otherwise the next depth-first node of each tree, so that each
 node's feature draw comes from its tree's generator in depth-first order.
 Level-wise growth follows LightGBM (Ke et al., NeurIPS 2017); the splits
-are exact, and every sum is taken in the order a node-by-node depth-first
-builder takes it, so the trees do not depend on the batch.
+are exact, and every sum covers one node's rows, so the trees do not depend
+on the batch.
 
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
 RngState(seed ^ t, stream), so each tree is a pure function of the training
@@ -154,18 +154,29 @@ class TreeNode:
 
 
 def _variance(w, wy, wyy):
-    """Weighted variance of the targets from the sums of w, w*y and w*y*y.
-
-    ``** 2`` multiplies for float arrays but calls libm ``pow`` for Python
-    floats and object arrays, and the two can differ in the last bit: the
-    threshold scan's parent terms pass object arrays, every other caller
-    float arrays, which keeps trees reproducible.
-    """
+    """Weighted variance of the targets from the sums of w, w*y and w*y*y."""
     mean = wy / w
     return wyy / w - mean ** 2
 
 
-# cells in one padded chunk of lanes or segments: bounds the memory of a pass
+def _gain(total, left):
+    """Weighted variance decrease of splitting each node with sums ``total``
+    (3 x nodes) into each ``left`` part (3 x nodes x parts) and the rest,
+    which is taken as total minus left."""
+    right = total[..., None] - left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        child = (left[0] * np.maximum(_variance(*left), 0.0)
+                 + right[0] * np.maximum(_variance(*right), 0.0))
+        return _variance(*total)[..., None] - child / total[0][..., None]
+
+
+def _first_best(g, axis):
+    """Index of the first candidate along ``axis`` within 1e-15 of the best
+    gain: the one tie rule for cuts, levels and features."""
+    return (g >= g.max(axis=axis, keepdims=True) - 1e-15).argmax(axis=axis)
+
+
+# cells in one padded chunk of lanes: bounds the memory of a pass
 _CELLS = 1 << 12
 
 
@@ -185,55 +196,9 @@ def _chunks(widths):
         yield chunk, width
 
 
-def _pairwise_sums(S, starts, lengths):
-    """``S[:, s:s + n].sum(axis=1)`` of every segment (s, n), one column each.
-
-    numpy sums a contiguous row pairwise: up to 7 terms in sequence; up to
-    128 in eight interleaved partial sums joined as a tree, then the last
-    n % 8 terms in sequence; a longer row as the sum of two halves whose
-    first length is a multiple of 8; and the result is added to 0.0 (which
-    only turns -0.0 into 0.0, so adding it to the halves too changes
-    nothing). This reproduces those bits for every segment at once.
-    ``np.add.reduceat`` sums each segment in sequence instead and changes
-    the last bits.
-    """
-    big = lengths > 128
-    if not big.any():
-        return _short_sums(S, starts, lengths) + 0.0
-    small = np.logical_not(big)
-    n, s = lengths[big], starts[big]
-    half = n // 2 // 8 * 8
-    # one call sums every part: the short segments and both halves of each long one
-    parts = _pairwise_sums(S, np.concatenate([starts[small], s, s + half]),
-                           np.concatenate([lengths[small], half, n - half]))
-    out = np.empty((len(S), len(lengths)))
-    out[:, small] = parts[:, :small.sum()]
-    out[:, big] = parts[:, small.sum():-len(n)] + parts[:, -len(n):]
-    return out + 0.0
-
-
-def _short_sums(S, starts, lengths):
-    """_pairwise_sums of segments of at most 128 columns, before the 0.0."""
-    out = np.empty((len(S), len(lengths)))
-    for chunk, width in _chunks(np.maximum(lengths // 8 * 8, 8)):
-        n, s = lengths[chunk], starts[chunk]
-        blocks = n // 8
-        # partial sum j adds the terms j, j + 8, ... of the whole blocks
-        r = S.take(s[:, None] + np.arange(width), axis=1, mode="clip")
-        r = r.reshape(len(S), len(n), width // 8, 8)
-        r = r.cumsum(axis=2, out=r)[:, np.arange(len(n)), np.maximum(blocks - 1, 0)]
-        for _ in range(3):
-            r = r[..., 0::2] + r[..., 1::2]
-        # then the rest in sequence, after the partial sums (or 0.0)
-        seq = S.take((s + 8 * blocks)[:, None] + np.arange(-1, 7), axis=1, mode="clip")
-        seq[..., 0] = np.where(blocks > 0, r[..., 0], 0.0)
-        out[:, chunk] = seq.cumsum(axis=2)[:, np.arange(len(n)), n % 8]
-    return out
-
-
 class _TreeBuilder:
-    """Grows the trees of one fit together; collects each tree's per-feature
-    impurity decreases.
+    """Grows the trees of one fit together; adds each split's impurity
+    decrease to its tree's importance of the split feature.
 
     Every split minimizes one criterion, the weight-averaged variance of the
     targets in the two children. Node impurity, leaf value and every split
@@ -250,9 +215,8 @@ class _TreeBuilder:
     open node of every tree: the trees grow level by level, one depth per
     pass. Otherwise (the classifier) each node draws its k features from its
     tree's generator, and a pass takes the next node of each tree in
-    depth-first order: every tree draws from its own generator in the order
-    of a depth-first builder, so it grows the same tree. Both are the one
-    pass below; only the batch differs.
+    depth-first order, so every tree draws from its own generator in
+    depth-first order. Both are the one pass below; only the batch differs.
 
     A pass scores every chosen (feature, node) pair, a lane, at once.
     Ordered lanes: one stable argsort of each lane's values, one gather of
@@ -260,18 +224,14 @@ class _TreeBuilder:
     share a chunk of at most _CELLS cells, padded to its widest lane), one
     cumulative sum along the last axis, and the gain of every cut of every
     lane in one expression; cuts between equal values or past a lane's end
-    score -inf. A cumulative sum runs in sequence along each row, so its
-    floats are those of a scan of one node and one feature. Each lane's
-    parent term, the variance of its cumulative totals, is computed on
-    Python floats: ``** 2`` there is libm ``pow``, which differs from an
-    array multiply in the last bit on about 0.1 % of values. Categorical
-    features score each level against the rest from the sums of both sides.
-    Node and level sums are numpy's pairwise sums of the rows in sample
-    order (``_pairwise_sums``). Ties: within a lane the lowest threshold
-    within 1e-15 of its best gain wins; across levels, and then across
-    features in ascending order, a later candidate must win by more than
-    1e-15. Importances are summed in depth-first preorder once the trees
-    are grown, so no float depends on the batch.
+    score -inf. Categorical features score each level against the rest
+    from the sums of every (node, level). Node and level sums are taken in
+    sequence over a node's rows in sample order (``np.bincount``), and the
+    right side of every cut is the node's sums minus the left side's. Every
+    sum covers one node's rows only, so a tree does not depend on the trees
+    it grows with. Ties, among the cuts of a lane, the levels of a feature
+    and the features of a node alike, go to the first candidate within
+    1e-15 of the best gain.
     """
 
     def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int):
@@ -280,7 +240,8 @@ class _TreeBuilder:
         wy = w * y
         self.M = np.stack([w, wy, wy * y])
         self.unordered = np.asarray(unordered, dtype=bool)
-        self.levels = {f: np.array(sorted(set(self.XT[f].tolist())))
+        # each categorical feature's sorted levels and every sample's level index
+        self.levels = {f: np.unique(self.XT[f], return_inverse=True)
                        for f in np.flatnonzero(self.unordered).tolist()}
         self.hp = hp
         self.gens = gens
@@ -295,29 +256,27 @@ class _TreeBuilder:
         stacks = [[] for _ in range(count)]
         self._open(roots, range(count), np.arange(count * self.n), np.full(count, self.n),
                    np.zeros(count, dtype=np.intp), stacks)
-        shares = {}  # split node -> its weighted impurity decrease
         while any(stacks):
             if self.k < len(self.XT):
                 batch = [stack.pop() for stack in stacks if stack]
             else:
                 batch = [entry for stack in stacks for entry in stack]
                 stacks = [[] for _ in stacks]
-            self._split(batch, shares, stacks)
-        for t, root in enumerate(roots):
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if not node.is_leaf:
-                    self.importance[t, node.feature] += shares[node]
-                    stack += (node.right, node.left)
+            self._split(batch, stacks)
         return roots
+
+    def _sums(self, rows, segment, count):
+        """3 x count sums of the moments of ``rows`` by ``segment`` label,
+        each taken in sequence in row order."""
+        return np.stack([np.bincount(segment, weights=m, minlength=count)
+                         for m in self.M.take(rows, axis=1)])
 
     def _open(self, nodes, trees, rows, sizes, depths, stacks):
         """Closes each new node whose ``sizes`` rows (consecutive in
         ``rows``) cannot be split as a leaf, and pushes the others onto their
         tree's stack, in order."""
         starts = np.cumsum(sizes) - sizes
-        sums = _pairwise_sums(self.M.take(rows, axis=1), starts, sizes)
+        sums = self._sums(rows, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
         grow = (sizes >= max(2, self.hp.min_samples_split)) & ~(_variance(*sums) <= 0.0)
         if self.hp.max_depth is not None:
             grow &= depths < self.hp.max_depth
@@ -330,15 +289,18 @@ class _TreeBuilder:
             else:
                 node.value = v
 
-    def _split(self, batch, shares, stacks):
+    def _split(self, batch, stacks):
         """Splits each (node, tree, rows, depth, sums) of ``batch`` at its best
         cut, or closes it as a leaf; opens the children, right before left."""
         nodes, trees, idxs, depths, sums = zip(*batch)
+        trees = np.array(trees)
         sizes = np.array([len(idx) for idx in idxs])
         rows = np.concatenate(idxs)
         sums = np.array(sums).T
         gain, feature, threshold = self._best_splits(trees, rows, sizes, sums)
         split = gain > 0.0
+        np.add.at(self.importance, (trees[split], feature[split]),
+                  (sums[0] / self.root_weight[trees] * gain)[split])
         # the rows of every split node, right child then left child
         keep = np.repeat(split, sizes)
         rows = rows[keep]
@@ -348,11 +310,10 @@ class _TreeBuilder:
         side = np.repeat(2 * np.arange(split.sum()), sizes[split])
         side += np.where(self.unordered[column], value == test, value <= test)
         rows = rows[side.argsort(kind="stable")]
-        share = (sums[0] / self.root_weight[np.array(trees)] * gain).tolist()
         values = (sums[1] / sums[0]).tolist()
         children, child_trees, child_depths = [], [], []
-        for j, (node, t, depth, f, test) in enumerate(zip(nodes, trees, depths, feature.tolist(),
-                                                          threshold.tolist())):
+        for j, (node, t, depth, f, test) in enumerate(zip(nodes, trees.tolist(), depths,
+                                                          feature.tolist(), threshold.tolist())):
             if not split[j]:
                 node.value = values[j]
                 continue
@@ -361,7 +322,6 @@ class _TreeBuilder:
             node.unordered = bool(self.unordered[f])
             node.left = TreeNode()
             node.right = TreeNode()
-            shares[node] = share[j]
             children += (node.right, node.left)
             child_trees += (t, t)
             child_depths += (depth + 1, depth + 1)
@@ -380,39 +340,36 @@ class _TreeBuilder:
                 chosen[self.gens[t].permutation(d)[: self.k], j] = True
         else:  # every feature is chosen, so a draw could not change the tree
             chosen = np.ones((d, len(sizes)), dtype=bool)
-        S = self.M.take(rows, axis=1)
-        starts = np.cumsum(sizes) - sizes
         # gain and threshold of the best cut of every chosen (feature, node)
         gains = np.full((d, len(sizes)), -np.inf)
         tests = np.zeros((d, len(sizes)))
         lanes = np.nonzero(chosen & np.logical_not(self.unordered)[:, None])
         if lanes[0].size:
-            gains[lanes], tests[lanes] = self._score_thresholds(*lanes, rows, S, sizes, starts)
-        categorical = np.flatnonzero(chosen.any(axis=1) & self.unordered).tolist()
-        if categorical:
-            self._score_levels(categorical, chosen, rows, S, sizes, _variance(*sums), gains, tests)
-        gain = gains[0]
-        feature = np.zeros(len(sizes), dtype=np.intp)
-        for f in range(1, d):
-            win = gains[f] > gain + 1e-15
-            gain = np.where(win, gains[f], gain)
-            feature[win] = f
-        return gain, feature, tests[feature, np.arange(len(sizes))]
+            gains[lanes], tests[lanes] = self._score_thresholds(*lanes, rows, sizes, sums)
+        self._score_levels(chosen, rows, sizes, sums, gains, tests)
+        feature = _first_best(gains, axis=0)
+        node = np.arange(len(sizes))
+        return gains[feature, node], feature, tests[feature, node]
 
-    def _score_thresholds(self, features, nodes, rows, S, sizes, starts):
+    def _score_thresholds(self, features, nodes, rows, sizes, sums):
         """(gain, threshold) arrays of the best threshold cut of each (ordered
         feature, node) lane, scanned in chunks of lanes of similar size."""
+        S = self.M.take(rows, axis=1)
+        starts = np.cumsum(sizes) - sizes
         n = sizes[nodes]
         gain = np.empty(len(nodes))
         threshold = np.empty(len(nodes))
         for chunk, width in _chunks(n):
+            lanes = nodes[chunk]
             gain[chunk], threshold[chunk] = self._scan(
-                features[chunk], n[chunk, None], starts[nodes[chunk], None], width, rows, S)
+                features[chunk], n[chunk, None], starts[lanes, None], sums[:, lanes], width,
+                rows, S)
         return gain, threshold
 
-    def _scan(self, features, m, starts, width, rows, S):
-        """(gain, threshold) of the best cut of each lane of m rows, padded to
-        ``width``: feature ``features[i]`` over ``rows[starts[i]:][:m[i]]``."""
+    def _scan(self, features, m, starts, total, width, rows, S):
+        """(gain, threshold) of the best cut of each lane of m rows with sums
+        ``total``, padded to ``width``: feature ``features[i]`` over
+        ``rows[starts[i]:][:m[i]]``."""
         cut = np.arange(width)
         at = starts + np.minimum(cut, m - 1)
         # padding sorts last as +inf; stable order keeps ties in row order
@@ -420,59 +377,35 @@ class _TreeBuilder:
         order = sv.argsort(axis=1, kind="stable")
         sv = np.take_along_axis(sv, order, axis=1)
         boundary = (sv[:, :-1] < sv[:, 1:]) & (cut[1:] < m)
-        C = S.take(np.take_along_axis(at, order, axis=1), axis=1)
+        left = S.take(np.take_along_axis(at, order, axis=1)[:, :-1], axis=1)
         del at, order
-        C = C.cumsum(axis=2, out=C)
+        g = np.where(boundary, _gain(total, left.cumsum(axis=2, out=left)), -np.inf)
+        best = _first_best(g, axis=1)
         lane = np.arange(len(features))
-        total = C[:, lane, m[:, 0] - 1]
-        parent = np.maximum(_variance(*total.astype(object)).astype(float), 0.0)
-        left = C[:, :, :-1]
-        right = total[:, :, None] - left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            child = (left[0] * np.maximum(_variance(*left), 0.0)
-                     + right[0] * np.maximum(_variance(*right), 0.0))
-            g = np.where(boundary, parent[:, None] - child / total[0][:, None], -np.inf)
-        # ties between equal gains resolve to the lowest threshold
-        best = (g >= g.max(axis=1, keepdims=True) - 1e-15).argmax(axis=1)
         lo, hi = sv[lane, best], sv[lane, best + 1]
         mid = 0.5 * (lo + hi)
         # adjacent floats: the midpoint rounded up; fall back to the lower
         # value so both children stay non-empty
         return g[lane, best], np.where(mid >= hi, lo, mid)
 
-    def _score_levels(self, features, chosen, rows, S, sizes, impurity, gains, tests):
+    def _score_levels(self, chosen, rows, sizes, sums, gains, tests):
         """Writes into ``gains`` and ``tests`` the best one-level-versus-rest
         split of each categorical feature at each node that chose it, from
-        the sums of every (level, node) and of its complement."""
-        columns, lengths, scored = [], [], []
-        for f in features:
+        the sums of every (node, level)."""
+        count = len(sizes)
+        node = np.repeat(np.arange(count), sizes)
+        for f, (levels, index) in self.levels.items():
             nodes = np.flatnonzero(chosen[f])
-            at = np.flatnonzero(np.repeat(chosen[f], sizes))  # those nodes' rows
-            n = sizes[nodes]
-            match = self.XT[f].take(rows[at]) == self.levels[f][:, None]
-            count = np.add.reduceat(match, np.cumsum(n) - n, axis=1, dtype=np.intp)
-            columns += [at[np.nonzero(match)[1]], at[np.nonzero(np.logical_not(match))[1]]]
-            lengths += [count.ravel(), (n - count).ravel()]
-            scored.append((f, nodes, count))
-        lengths = np.concatenate(lengths)
-        sums = _pairwise_sums(S.take(np.concatenate(columns), axis=1),
-                              np.cumsum(lengths) - lengths, lengths)
-        done = 0
-        for f, nodes, count in scored:
-            left = sums[:, done:done + count.size].reshape(3, *count.shape)
-            right = sums[:, done + count.size:done + 2 * count.size].reshape(3, *count.shape)
-            done += 2 * count.size
-            with np.errstate(divide="ignore", invalid="ignore"):
-                child = left[0] * _variance(*left) + right[0] * _variance(*right)
-                g = impurity[nodes] - child / (left[0] + right[0])
-            present = count > 0
-            g = np.where(present & (present.sum(axis=0) >= 2), g, -np.inf)
-            best, level = g[0], np.zeros(len(nodes), dtype=np.intp)
-            for i in range(1, len(g)):
-                win = g[i] > best + 1e-15
-                best = np.where(win, g[i], best)
-                level[win] = i
-            gains[f, nodes], tests[f, nodes] = best, self.levels[f][level]
+            if not nodes.size:
+                continue
+            left = self._sums(rows, node * len(levels) + index[rows], count * len(levels))
+            left = left.reshape(3, count, len(levels))
+            present = left[0] > 0.0  # every sample weighs more than zero
+            g = np.where(present & (present.sum(axis=1, keepdims=True) >= 2),
+                         _gain(sums, left), -np.inf)[nodes]
+            level = _first_best(g, axis=1)
+            gains[f, nodes] = g[np.arange(len(nodes)), level]
+            tests[f, nodes] = levels[level]
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ import pytest
 
 from dse.cli import load_scenario, main, read_front_csv, read_records_csv
 from dse.pareto import constrained_front, dominates
-from dse.space import ValidationError, parse_scenario
+from dse.space import ValidationError, parse_scenario, serialize_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -190,6 +190,17 @@ def test_scalar_fields_must_have_their_json_type(override, field):
         load_scenario(TOY, [override])
 
 
+def test_overridden_scenario_survives_serialization():
+    scenario = load_scenario(TOY, ["surrogate.classifier.max_depth=6",
+                                   "pareto_prediction_samples=5000",
+                                   "input_parameters.B.prior=[2, 5]"])
+    assert scenario.classifier_hp.max_depth == 6
+    assert scenario.pareto_prediction_samples == 5000
+    prior = next(p.prior for p in scenario.space.parameters if p.name == "B")
+    assert (prior.alpha, prior.beta) == (2.0, 5.0)
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
 @pytest.mark.parametrize("override, message", [
     ("surrogate.regressor.n_estimators=0", "surrogate.regressor: n_estimators must be >= 1"),
     ("surrogate.classifier.max_depth=0", "surrogate.classifier: max_depth must be >= 1"),
@@ -331,6 +342,20 @@ def test_report_rejects_mismatched_objectives(tmp_path, run_dir, capsys):
     assert run_cli("run", LINEAR, "--set", f"output_dir={out}") == 0
     assert run_cli("report", run_dir, out) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{}", "no list of objective names under 'objectives'"),
+    ("[1]", "no list of objective names under 'objectives'"),
+    ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_report_rejects_a_bad_run_meta_naming_the_file(tmp_path, run_dir, capsys, text, problem):
+    bad = tmp_path / "bad_run"
+    bad.mkdir()
+    (bad / "run_meta.json").write_text(text)
+    assert run_cli("report", run_dir, bad, "--output", tmp_path / "report.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ReportError: {bad / 'run_meta.json'}: {problem}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "report"])

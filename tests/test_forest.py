@@ -9,7 +9,7 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, Forest, TreeNode, _pairwise_sums, classifier_grid
+from dse.forest import FitError, Forest, TreeNode, classifier_grid
 from dse.space import encode_matrix
 
 from oracles import candidate_splits, split_decrease, weighted_gini, weighted_variance
@@ -245,17 +245,6 @@ def test_every_node_split_reaches_the_brute_force_maximum(kind, max_depth, min_s
                 stack.append((node.right, [i for i, go in zip(idx, left) if not go], depth + 1))
 
 
-def test_pairwise_sums_match_numpy_sums_bit_for_bit():
-    # node and level sums must keep the bits of a per-node numpy sum
-    gen = np.random.default_rng(31)
-    S = gen.normal(size=(3, 3000)) * 10.0 ** gen.integers(-8, 9, size=(3, 3000))
-    S[1, :400] = -0.0
-    lengths = np.concatenate([gen.integers(0, 20, 200), gen.integers(0, 600, 100)])
-    starts = gen.integers(0, 3000 - lengths)
-    want = np.stack([S[:, s:s + n].copy().sum(axis=1) for s, n in zip(starts, lengths)], axis=1)
-    assert _pairwise_sums(S, starts, lengths).tobytes() == want.tobytes()
-
-
 # --- feature importance -------------------------------------------------------
 
 def test_importance_concentrates_on_driving_feature():
@@ -352,3 +341,24 @@ def test_identical_seed_gives_identical_forest(kind):
     b = FITS[kind](X, y / y.max(), ForestHyperparams(), RngState(99, 1), unordered)
     assert [_preorder(t) for t in a.trees] == [_preorder(t) for t in b.trees]
     assert np.array_equal(a.raw_importance, b.raw_importance)
+
+
+@pytest.mark.parametrize("kind", FITS)
+@pytest.mark.parametrize("max_features", ["auto", 0.5])
+def test_each_tree_grows_as_if_fitted_alone(kind, max_features):
+    # tree t of a fit seeded (seed, stream) is tree 0 of a one-tree fit seeded
+    # (seed ^ t, stream): growing the trees together leaks nothing between them
+    gen = np.random.default_rng(17)
+    X = np.column_stack([gen.random(80), gen.integers(0, 4, 80), gen.integers(1, 9, 80),
+                         gen.random(80)]).astype(float)
+    y = X[:, 0] + (X[:, 1] == 2) + 0.5 * gen.random(80)
+    unordered = [False, True, False, False]
+    hp = ForestHyperparams(n_estimators=6, max_features=max_features, bootstrap=True)
+    alone = ForestHyperparams(n_estimators=1, max_features=max_features, bootstrap=True)
+    forest = FITS[kind](X, y / y.max(), hp, RngState(99, 1), unordered)
+    singles = [FITS[kind](X, y / y.max(), alone, RngState(99 ^ t, 1), unordered)
+               for t in range(hp.n_estimators)]
+    for t, single in enumerate(singles):
+        assert _preorder(forest.trees[t]) == _preorder(single.trees[0]), t
+    assert np.array_equal(forest.raw_importance,
+                          np.mean([single.raw_importance for single in singles], axis=0))
