@@ -13,13 +13,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dse import brute_force_front, hvi, objective_stddevs, parse_scenario, run
+from dse import brute_force_front, constrained_front, hvi, objective_stddevs, parse_scenario, run
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
 
 
 def infeasible_fraction(result) -> float:
-    al = [r for r in result.archive.records if r.iteration_tag >= 0]
+    al = [r for r in result.records if r.iteration_tag >= 0]
     return sum(1 for r in al if not r.feasible) / len(al) if al else 0.0
 
 
@@ -41,11 +41,10 @@ def main() -> int:
         on = run(parse_scenario(json.dumps(doc)))
         doc["use_feasibility_filter"] = False
         off = run(parse_scenario(json.dumps(doc)))
-        pool = [r.objectives for r in on.archive.records] + \
-               [r.objectives for r in off.archive.records]
+        pool = [r.objectives for r in on.records + off.records]
         sigma = objective_stddevs(pool + ref)
-        v_on = hvi([r.objectives for r in on.archive.front()], ref, sigma)
-        v_off = hvi([r.objectives for r in off.archive.front()], ref, sigma)
+        v_on = hvi([r.objectives for r in constrained_front(on.records)], ref, sigma)
+        v_off = hvi([r.objectives for r in constrained_front(off.records)], ref, sigma)
         f_on, f_off = infeasible_fraction(on), infeasible_fraction(off)
         hvi_wins += v_on <= v_off
         frac_wins += f_on < f_off

@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dse import brute_force_front, hvi, objective_stddevs, parse_scenario, run
+from dse import brute_force_front, constrained_front, hvi, objective_stddevs, parse_scenario, run
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
 
@@ -33,17 +33,17 @@ def main() -> int:
           f"{sum(r.feasible for r in all_records)} feasible")
 
     result = run(scenario, reference_front=ref)
-    front = result.archive.front()
-    sigma = objective_stddevs([r.objectives for r in result.archive.records] + ref)
+    front = constrained_front(result.records)
+    sigma = objective_stddevs([r.objectives for r in result.records] + ref)
     gap = hvi([r.objectives for r in front], ref, sigma)
 
-    print(f"evaluated {len(result.archive.records)} configurations over "
+    print(f"evaluated {len(result.records)} configurations over "
           f"{result.meta['iterations_run']} iterations")
     print(f"normalized hvi vs true front: {gap:.4f}")
     print(f"{'config':<28} {'cycles':>9} {'logic':>7}  on true front?")
     truth = {r.objectives for r in true_front}
     for r in sorted(front, key=lambda r: r.objectives):
-        name = ", ".join(f"{k}={v}" for k, v in r.config.as_dict(scenario.space).items())
+        name = ", ".join(f"{k}={v}" for k, v in zip(scenario.space.names, r.config))
         print(f"{name:<28} {r.objectives[0]:>9.0f} {r.objectives[1]:>7.0f}  "
               f"{'yes' if r.objectives in truth else 'no'}")
     print("hvi trace:", " ".join(f"{tag}:{value:.3f}" for tag, value in result.hvi_trace))

@@ -17,7 +17,6 @@ from .forest import (
 )
 from .pareto import (
     EvaluationRecord,
-    ParetoArchive,
     constrained_front,
     dominates,
     hvi,
@@ -29,7 +28,6 @@ from .pareto import (
 from .priors import beta_pdf, sample_beta, sample_parameter, warmup_sample
 from .rng import RngState
 from .space import (
-    Configuration,
     DesignSpace,
     DomainError,
     EnumerationError,
@@ -37,7 +35,7 @@ from .space import (
     Prior,
     Scenario,
     ValidationError,
-    encode,
+    encode_matrix,
     enumerate_space,
     parse_scenario,
     serialize_scenario,
@@ -59,15 +57,15 @@ from .optimizer import (
 )
 
 __all__ = [
-    "Configuration", "DesignSpace", "DomainError", "EnumerationError",
-    "EvaluationError", "EvaluationRecord", "EvaluatorSpec", "Forest",
-    "ForestHyperparams", "ParetoArchive", "Parameter", "Prior", "RngState",
-    "Scenario", "SurrogateBundle", "ValidationError", "beta_pdf",
-    "brute_force_front", "candidate_pool", "constrained_front", "dominates",
-    "encode", "enumerate_space", "evaluate_batch", "feature_importance",
-    "fit_classifier", "fit_regressor", "hvi", "hypervolume_2d",
-    "kfold_recall", "mono_objective_best", "objective_stddevs",
-    "parse_scenario", "pareto_front", "predict_pareto", "reference_front",
-    "run", "sample_beta", "sample_parameter", "select_batch",
-    "serialize_scenario", "toy_fpga", "warmup_sample",
+    "DesignSpace", "DomainError", "EnumerationError", "EvaluationError",
+    "EvaluationRecord", "EvaluatorSpec", "Forest", "ForestHyperparams",
+    "Parameter", "Prior", "RngState", "Scenario", "SurrogateBundle",
+    "ValidationError", "beta_pdf", "brute_force_front", "candidate_pool",
+    "constrained_front", "dominates", "encode_matrix", "enumerate_space",
+    "evaluate_batch", "feature_importance", "fit_classifier",
+    "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
+    "mono_objective_best", "objective_stddevs", "parse_scenario",
+    "pareto_front", "predict_pareto", "reference_front", "run",
+    "sample_beta", "sample_parameter", "select_batch", "serialize_scenario",
+    "toy_fpga", "warmup_sample",
 ]

@@ -29,12 +29,13 @@ from . import __version__
 from .evaluators import EvaluationError, brute_force_front
 from .forest import feature_importance
 from .optimizer import RunResult, mono_objective_best, run
-from .pareto import EvaluationRecord, feasible_front, feasible_hvi, objective_stddevs
+from .pareto import (
+    EvaluationRecord, constrained_front, feasible_front, feasible_hvi, objective_stddevs,
+)
 from .space import (
     CATEGORICAL,
     INTEGER,
     ORDINAL,
-    Configuration,
     DesignSpace,
     DomainError,
     EnumerationError,
@@ -64,7 +65,7 @@ def records_to_csv(space: DesignSpace, objectives: Sequence[str],
     buf = io.StringIO()
     buf.write(",".join(record_columns(space, objectives, with_tag)) + "\n")
     for r in records:
-        cells = [canonical_str(v) for v in r.config.values]
+        cells = [canonical_str(v) for v in r.config]
         cells += [canonical_str(v) for v in r.objectives]
         cells.append(canonical_str(r.feasible))
         if with_tag:
@@ -100,7 +101,7 @@ def read_records_csv(path: Path, space: DesignSpace,
         objs = tuple(float(row[o]) for o in objectives)
         feasible = row["feasible"] == "true"
         tag = int(row["iteration_tag"]) if "iteration_tag" in row and row["iteration_tag"] else -1
-        records.append(EvaluationRecord(Configuration(values), objs, feasible, tag))
+        records.append(EvaluationRecord(values, objs, feasible, tag))
     return records
 
 
@@ -185,12 +186,10 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
                         reference_path: str | None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     space, objectives = scenario.space, scenario.objectives
-    records = result.archive.records
-
     (out_dir / "samples.csv").write_text(
-        records_to_csv(space, objectives, records), encoding="utf-8")
+        records_to_csv(space, objectives, result.records), encoding="utf-8")
     (out_dir / "pareto.csv").write_text(
-        records_to_csv(space, objectives, result.archive.front()), encoding="utf-8")
+        records_to_csv(space, objectives, constrained_front(result.records)), encoding="utf-8")
 
     trace = io.StringIO()
     trace.write("iteration,hvi\n")
@@ -240,17 +239,17 @@ def cmd_run(args) -> int:
         print(f"error: EvaluationError: {e}", file=sys.stderr)
         return 1
     write_run_artifacts(out_dir, scenario, result, args.reference_front)
-    front = result.archive.front()
+    front = constrained_front(result.records)
     if not front:
         print("warning: no feasible point found; pareto.csv is empty", file=sys.stderr)
     if len(scenario.objectives) == 1:
-        best = mono_objective_best(result.archive)
+        best = mono_objective_best(result.records)
         if best is not None:
             print(f"best {scenario.objectives[0]}: {canonical_str(best.objectives[0])} "
-                  f"at {dict(zip(scenario.space.names, best.config.values))}")
+                  f"at {dict(zip(scenario.space.names, best.config))}")
         else:
             print("no feasible point found")
-    print(f"wrote {len(result.archive.records)} samples, front of {len(front)}, "
+    print(f"wrote {len(result.records)} samples, front of {len(front)}, "
           f"to {out_dir}")
     return 0
 

@@ -19,7 +19,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .pareto import EvaluationRecord, constrained_front
 from .space import (
-    Configuration,
     DesignSpace,
     DomainError,
     FeasibleOutput,
@@ -158,16 +157,16 @@ BUILTIN_EVALUATORS: dict[str, Callable[[Mapping[str, Any]], dict[str, Any]]] = {
 # Batch evaluation
 # ---------------------------------------------------------------------------
 
-def _config_key(space: DesignSpace, config: Configuration) -> tuple[str, ...]:
-    return tuple(canonical_str(v) for v in config.values)
+def _config_key(config: tuple) -> tuple[str, ...]:
+    return tuple(canonical_str(v) for v in config)
 
 
-def request_csv(space: DesignSpace, batch: Sequence[Configuration]) -> str:
+def request_csv(space: DesignSpace, batch: Sequence[tuple]) -> str:
     """The CSV document sent to a child evaluator's stdin."""
     buf = io.StringIO()
     buf.write(",".join(space.names) + "\n")
     for config in batch:
-        buf.write(",".join(_config_key(space, config)) + "\n")
+        buf.write(",".join(_config_key(config)) + "\n")
     return buf.getvalue()
 
 
@@ -181,24 +180,24 @@ def _require_finite(spec: EvaluatorSpec, key: tuple[str, ...],
 
 
 def _evaluate_builtin(spec: EvaluatorSpec, space: DesignSpace,
-                      batch: Sequence[Configuration], iteration_tag: int):
+                      batch: Sequence[tuple], iteration_tag: int):
     fn = BUILTIN_EVALUATORS[spec.name]
     records = []
     for config in batch:
-        outputs = fn(config.as_dict(space))
+        outputs = fn(dict(zip(space.names, config)))
         missing = [o for o in spec.objectives if o not in outputs]
         if missing:
             raise EvaluationError(
                 f"builtin {spec.name!r} does not produce objective {missing[0]!r}")
         objectives = tuple(float(outputs[o]) for o in spec.objectives)
-        _require_finite(spec, _config_key(space, config), objectives)
+        _require_finite(spec, _config_key(config), objectives)
         feasible = bool(outputs.get("feasible", True)) if spec.feasibility is not None else True
         records.append(EvaluationRecord(config, objectives, feasible, iteration_tag))
     return records
 
 
 def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
-                    batch: Sequence[Configuration], text: str, iteration_tag: int):
+                    batch: Sequence[tuple], text: str, iteration_tag: int):
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
@@ -223,7 +222,7 @@ def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
 
     records = []
     for config in batch:
-        key = _config_key(space, config)
+        key = _config_key(config)
         row = by_key.get(key)
         if row is None:
             raise EvaluationError(f"evaluator omitted configuration {key}", text)
@@ -241,7 +240,7 @@ def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
 
 
 def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
-                   batch: Sequence[Configuration],
+                   batch: Sequence[tuple],
                    iteration_tag: int = -1) -> list[EvaluationRecord]:
     """Evaluate a batch of configurations, one record per configuration.
 

@@ -237,6 +237,7 @@ class _TreeBuilder:
     def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int):
         # X, y and w hold one block of n samples per tree, in tree order
         self.XT = np.ascontiguousarray(X.T)  # one row per feature
+        self.y = y
         wy = w * y
         self.M = np.stack([w, wy, wy * y])
         self.unordered = np.asarray(unordered, dtype=bool)
@@ -274,10 +275,13 @@ class _TreeBuilder:
     def _open(self, nodes, trees, rows, sizes, depths, stacks):
         """Closes each new node whose ``sizes`` rows (consecutive in
         ``rows``) cannot be split as a leaf, and pushes the others onto their
-        tree's stack, in order."""
+        tree's stack, in order. A node whose targets are all equal is a leaf
+        even where rounding leaves its variance a little above zero."""
         starts = np.cumsum(sizes) - sizes
         sums = self._sums(rows, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
-        grow = (sizes >= max(2, self.hp.min_samples_split)) & ~(_variance(*sums) <= 0.0)
+        y = self.y[rows]
+        grow = ((sizes >= max(2, self.hp.min_samples_split)) & ~(_variance(*sums) <= 0.0)
+                & (np.maximum.reduceat(y, starts) > np.minimum.reduceat(y, starts)))
         if self.hp.max_depth is not None:
             grow &= depths < self.hp.max_depth
         values = (sums[1] / sums[0]).tolist()

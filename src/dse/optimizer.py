@@ -17,10 +17,10 @@ import numpy as np
 
 from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
-from .pareto import EvaluationRecord, ParetoArchive, feasible_hvi, objective_stddevs, pareto_front
+from .pareto import EvaluationRecord, feasible_hvi, objective_stddevs, pareto_front
 from .priors import sample_distinct
 from .rng import RngState
-from .space import Configuration, DesignSpace, Scenario, encode_matrix
+from .space import DesignSpace, Scenario, encode_matrix
 
 # fixed substream tags so artifact bytes do not depend on code path details
 _STREAM_WARMUP = 1
@@ -42,13 +42,13 @@ class SurrogateBundle:
 
 @dataclass
 class RunResult:
-    archive: ParetoArchive
+    records: list[EvaluationRecord]
     bundle: SurrogateBundle
     hvi_trace: list[tuple[int, float]]
     meta: dict
 
 
-def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> list[Configuration]:
+def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> list[tuple]:
     """The candidate set a prediction pass ranks: the full enumeration when
     the space fits in s points, else s distinct uniform samples (priors play
     no role here; their influence ends with warm-up and batch fill)."""
@@ -80,9 +80,9 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
     )
 
 
-def predict_pareto(bundle: SurrogateBundle, pool: list[Configuration],
-                   exclude: set[Configuration]) -> list[Configuration]:
-    """Configurations whose predicted objectives form the front of the pool.
+def predict_pareto(bundle: SurrogateBundle, pool: list[tuple],
+                   exclude: set[tuple]) -> list[tuple]:
+    """The candidates whose predicted objectives form the front of the pool.
 
     Already-evaluated configurations are dropped first, then candidates the
     classifier predicts infeasible; the front is computed over what remains.
@@ -102,19 +102,19 @@ def predict_pareto(bundle: SurrogateBundle, pool: list[Configuration],
     return [candidates[i] for i in idx]
 
 
-def select_batch(predicted: list[Configuration], m: int, space: DesignSpace,
-                 archive_configs: set[Configuration], rng: RngState) -> list[Configuration]:
+def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
+                 evaluated: set[tuple], rng: RngState) -> list[tuple]:
     """Pick at most m configurations to evaluate next.
 
     More predictions than the budget: a uniform random m-subset. Fewer: all
     of them plus fresh prior-drawn samples, distinct from each other and from
-    the archive (the exploration half of the epsilon-greedy trade-off). On a
-    finite space that is almost exhausted the batch may come back short or
-    empty; empty means the search is done.
+    the ``evaluated`` configurations (the exploration half of the
+    epsilon-greedy trade-off). On a finite space that is almost exhausted the
+    batch may come back short or empty; empty means the search is done.
     """
     if m < 1:
         raise ValueError("batch budget must be >= 1")
-    fresh = [c for c in predicted if c not in archive_configs]
+    fresh = [c for c in predicted if c not in evaluated]
     if len(fresh) > m:
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
@@ -122,14 +122,14 @@ def select_batch(predicted: list[Configuration], m: int, space: DesignSpace,
     if len(fresh) == m:
         return fresh
     return fresh + sample_distinct(space, m - len(fresh), rng,
-                                   taken=set(fresh) | archive_configs, limit=100 * m)
+                                   taken=set(fresh) | evaluated, limit=100 * m)
 
 
-def mono_objective_best(archive: ParetoArchive) -> EvaluationRecord | None:
+def mono_objective_best(records: list[EvaluationRecord]) -> EvaluationRecord | None:
     """Feasible record with the minimal (single) objective; ties go to the
     earliest evaluation. None when nothing feasible was found."""
     best = None
-    for r in archive.records:
+    for r in records:
         if len(r.objectives) != 1:
             raise ValueError("mono_objective_best requires single-objective records")
         if r.feasible and (best is None or r.objectives[0] < best.objectives[0]):
@@ -161,14 +161,14 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     spec = scenario.evaluator
 
     warm = warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
-    archive = ParetoArchive()
+    records: list[EvaluationRecord] = []
     i = 0
     try:
-        archive.extend(evaluate_batch(spec, space, warm, iteration_tag=-1))
+        records += evaluate_batch(spec, space, warm, iteration_tag=-1)
         fit_rng = root.substream(_STREAM_FIT)
-        bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(0))
+        bundle = fit_surrogates(space, records, scenario, fit_rng.substream(0))
         while i < scenario.optimization_iterations:
-            evaluated = archive.configurations()
+            evaluated = {r.config for r in records}
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
                                   root.substream(_STREAM_POOL).substream(i))
             predicted = predict_pareto(bundle, pool, evaluated)
@@ -178,26 +178,25 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                                  evaluated, root.substream(_STREAM_BATCH).substream(i))
             if not batch:
                 break
-            archive.extend(evaluate_batch(spec, space, batch, iteration_tag=i))
+            records += evaluate_batch(spec, space, batch, iteration_tag=i)
             i += 1
-            bundle = fit_surrogates(space, archive.records, scenario, fit_rng.substream(i))
+            bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i))
     except EvaluationError as e:
-        e.partial_records = list(archive.records)
+        e.partial_records = records
         raise
 
     meta: dict = {
         "iterations_run": i,
-        "evaluations": len(archive.records),
+        "evaluations": len(records),
         "duration_seconds": time.perf_counter() - t0,
     }
     hvi_trace: list[tuple[int, float]] = []
     if reference_front is not None:
         ref = [tuple(map(float, p)) for p in reference_front]
-        records = archive.records
         sigma = objective_stddevs([r.objectives for r in records] + ref)
         meta["hvi_stddevs"] = dict(zip(scenario.objectives, sigma.tolist()))
         for tag in sorted({r.iteration_tag for r in records}):
             upto = [r for r in records if r.iteration_tag <= tag]
             hvi_trace.append((tag, feasible_hvi([r.objectives for r in upto],
                                                 [r.feasible for r in upto], ref, sigma)))
-    return RunResult(archive=archive, bundle=bundle, hvi_trace=hvi_trace, meta=meta)
+    return RunResult(records=records, bundle=bundle, hvi_trace=hvi_trace, meta=meta)

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-from .space import Configuration
 
 log = logging.getLogger(__name__)
 
@@ -24,32 +22,17 @@ ObjectiveVector = Sequence[float]
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One evaluated configuration: objectives plus the feasibility flag.
+    """One evaluated configuration (its values in canonical parameter order):
+    objectives plus the feasibility flag.
 
     ``iteration_tag`` is -1 for warm-up samples and the loop index for
     samples evaluated during active learning.
     """
 
-    config: Configuration
+    config: tuple
     objectives: tuple[float, ...]
     feasible: bool
     iteration_tag: int = -1
-
-
-@dataclass
-class ParetoArchive:
-    """Every record seen so far plus the current constrained front."""
-
-    records: list[EvaluationRecord] = field(default_factory=list)
-
-    def configurations(self) -> set[Configuration]:
-        return {r.config for r in self.records}
-
-    def front(self) -> list[EvaluationRecord]:
-        return constrained_front(self.records)
-
-    def extend(self, new_records: Iterable[EvaluationRecord]) -> None:
-        self.records.extend(new_records)
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -109,8 +92,8 @@ def feasible_front(points: Sequence[ObjectiveVector], feasible: Sequence[bool]) 
 def constrained_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
     """Non-dominated subset of the feasible records.
 
-    Infeasible records never enter the front but stay in the archive: they
-    still teach the feasibility classifier where the boundary runs.
+    Infeasible records never enter the front but stay in a run's records:
+    they still teach the feasibility classifier where the boundary runs.
     """
     idx = feasible_front([r.objectives for r in records], [r.feasible for r in records])
     return [records[i] for i in idx]

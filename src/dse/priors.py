@@ -20,7 +20,6 @@ from .space import (
     INTEGER,
     REAL,
     ENUMERATION_CAP,
-    Configuration,
     DesignSpace,
     Parameter,
     enumerate_space,
@@ -125,8 +124,8 @@ def sample_parameter(param: Parameter, rng: RngState) -> Any:
 
 
 def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = False,
-                    taken: AbstractSet[Configuration] = frozenset(),
-                    limit: int | None = None) -> list[Configuration]:
+                    taken: AbstractSet[tuple] = frozenset(),
+                    limit: int | None = None) -> list[tuple]:
     """Up to n distinct configurations, none of them in ``taken``.
 
     With nothing taken, a finite space that n covers comes back whole, in
@@ -140,8 +139,8 @@ def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = F
     finite = card is not None and card <= ENUMERATION_CAP
     if finite and not taken and n >= card:
         return list(enumerate_space(space))
-    seen = {c.values for c in taken}
-    out: list[Configuration] = []
+    seen = set(taken)
+    out: list[tuple] = []
     attempts = 0
     limit = 100 * n if limit is None else limit
     while len(out) < n and attempts < limit:
@@ -159,15 +158,15 @@ def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = F
         for values in rows:
             if values not in seen:
                 seen.add(values)
-                out.append(Configuration(values))
+                out.append(values)
     if len(out) < n and finite:
-        remaining = [c for c in enumerate_space(space) if c.values not in seen]
+        remaining = [c for c in enumerate_space(space) if c not in seen]
         order = rng.generator.permutation(len(remaining))
         out.extend(remaining[int(i)] for i in order[: n - len(out)])
     return out
 
 
-def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[Configuration]:
+def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[tuple]:
     """The design-of-experiments phase: min(n, cardinality) distinct
     configurations drawn from the per-parameter priors."""
     if n < 1:

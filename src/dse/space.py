@@ -1,10 +1,11 @@
 """Typed design spaces: parameters, priors, scenarios, and feature encoding.
 
 A design space is an ordered list of typed parameters (real, integer,
-ordinal, categorical). The parameter order is canonical: configurations,
-feature vectors, CSV columns and enumeration order all follow it. Scenarios
-bundle a space with objectives, budgets, surrogate hyperparameters and an
-evaluator, and are read from / written to a JSON setup file.
+ordinal, categorical). The parameter order is canonical: configurations
+(plain tuples of values), feature vectors, CSV columns and enumeration order
+all follow it. Scenarios bundle a space with objectives, budgets, surrogate
+hyperparameters and an evaluator, and are read from / written to a JSON
+setup file.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ BETA_SHAPES = {
 }
 
 ENUMERATION_CAP = 10_000_000
+
+# characters the CSV protocol and artifacts cannot carry in a name or level
+CSV_RESERVED = ',"\r\n'
 
 
 class ValidationError(ValueError):
@@ -136,7 +140,7 @@ class Parameter:
             for lv in self.values:
                 if not isinstance(lv, str):
                     raise ValidationError(f"{self.name}: categorical levels must be strings")
-                if any(ch in lv for ch in ",\n\r\""):
+                if any(ch in lv for ch in CSV_RESERVED):
                     raise ValidationError(
                         f"{self.name}: level {lv!r} contains a character reserved by the CSV protocol"
                     )
@@ -200,16 +204,6 @@ class Parameter:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """One point of the design space: a value per parameter in canonical order."""
-
-    values: tuple
-
-    def as_dict(self, space: "DesignSpace") -> dict[str, Any]:
-        return dict(zip(space.names, self.values))
-
-
-@dataclass(frozen=True)
 class DesignSpace:
     parameters: tuple[Parameter, ...]
 
@@ -239,38 +233,27 @@ class DesignSpace:
             total *= size
         return total
 
-    def validate(self, config: Configuration) -> None:
-        encode(self, config)
 
-
-def encode(space: DesignSpace, config: Configuration) -> list[float]:
-    """Numeric feature vector of one configuration (see :func:`encode_matrix`)."""
-    return encode_matrix(space, [config])[0].tolist()
-
-
-def encode_matrix(space: DesignSpace, configs: Sequence[Configuration]) -> np.ndarray:
+def encode_matrix(space: DesignSpace, configs: Sequence[tuple]) -> np.ndarray:
     """One row per configuration and one column per parameter, encoded by
     :meth:`Parameter.encode_column` (categoricals as level indices)."""
-    rows = [c.values for c in configs]
-    if set(map(len, rows)) - {len(space.parameters)}:
+    if set(map(len, configs)) - {len(space.parameters)}:
         raise DomainError("configuration length does not match parameter count")
-    X = np.empty((len(rows), len(space.parameters)))
-    for j, (p, col) in enumerate(zip(space.parameters, zip(*rows))):
+    X = np.empty((len(configs), len(space.parameters)))
+    for j, (p, col) in enumerate(zip(space.parameters, zip(*configs))):
         X[:, j] = p.encode_column(col)
     return X
 
 
-def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[Configuration]:
-    """Yield every configuration exactly once, lexicographically in canonical
+def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[tuple]:
+    """Every configuration exactly once, lexicographically in canonical
     parameter order. Requires a finite space no larger than ``cap``."""
     card = space.cardinality()
     if card is None:
         raise EnumerationError("space with real parameters cannot be enumerated")
     if card > cap:
         raise EnumerationError(f"cardinality {card} exceeds enumeration cap {cap}")
-    domains = [p.domain_values() for p in space.parameters]
-    for combo in itertools.product(*domains):
-        yield Configuration(combo)
+    return itertools.product(*(p.domain_values() for p in space.parameters))
 
 
 # ---------------------------------------------------------------------------
@@ -365,41 +348,42 @@ def require_number(value: Any, field: str) -> float:
     return float(value)
 
 
-def _parse_prior(raw: Any, kind: str, n_levels: int, where: str) -> Prior:
+def _require_column_name(name: str, field: str) -> None:
+    """A parameter or objective name that can head its own CSV column, else a
+    ValidationError naming the field. Records CSVs add the two columns
+    ``feasible`` and ``iteration_tag`` after the parameters and objectives."""
+    if name in ("feasible", "iteration_tag"):
+        raise ValidationError(f"{field}: name {name!r} is reserved for a records CSV column")
+    if any(ch in name for ch in CSV_RESERVED):
+        raise ValidationError(
+            f"{field}: name {name!r} contains a character reserved by the CSV protocol")
+
+
+def _parse_prior(raw: Any, kind: str, where: str) -> Prior:
+    """The prior of a JSON parameter entry. JSON types are checked here and
+    value rules by ``Prior`` (and ``Parameter``), whose messages get ``where``."""
     if raw is None:
         return UNIFORM_PRIOR
     if isinstance(raw, str):
         if raw not in BETA_SHAPES:
             raise ValidationError(f"{where}: unknown prior shape {raw!r}")
+        return Prior(raw, *BETA_SHAPES[raw])
+    if not isinstance(raw, list):
+        raise ValidationError(f"{where}: unrecognized prior {raw!r}")
+    if kind != CATEGORICAL and len(raw) != 2:
+        raise ValidationError(f"{where}: Beta prior must be a two-element [alpha, beta] list")
+    numbers = tuple(require_number(v, f"{where}.prior") for v in raw)
+    try:
         if kind == CATEGORICAL:
-            # "uniform" reads naturally as equal level probabilities
-            if raw == "uniform":
-                return UNIFORM_PRIOR
-            raise ValidationError(f"{where}: categorical parameters take probability priors")
-        a, b = BETA_SHAPES[raw]
-        return Prior(raw, a, b)
-    if isinstance(raw, list):
-        if kind == CATEGORICAL:
-            probs = tuple(require_number(p, f"{where}.prior") for p in raw)
-            total = math.fsum(probs)
-            if any(p < 0 for p in probs):
-                raise ValidationError(f"{where}: prior probabilities must be >= 0")
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"{where}: probabilities sum to {total:g}")
-            if len(probs) != n_levels:
-                raise ValidationError(f"{where}: prior lists {len(probs)} probabilities for {n_levels} levels")
-            return Prior("categorical", probs=probs)
-        if len(raw) != 2:
-            raise ValidationError(f"{where}: Beta prior must be a two-element [alpha, beta] list")
-        a, b = (require_number(v, f"{where}.prior") for v in raw)
-        if not (a > 0 and b > 0):
-            raise ValidationError(f"{where}: Beta prior requires alpha > 0 and beta > 0")
-        return Prior("beta", a, b)
-    raise ValidationError(f"{where}: unrecognized prior {raw!r}")
+            return Prior("categorical", probs=numbers)
+        return Prior("beta", *numbers)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from None
 
 
 def _parse_parameter(name: str, raw: Any) -> Parameter:
     where = f"input_parameters.{name}"
+    _require_column_name(name, where)
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: expected an object")
     unknown = set(raw) - _PARAM_KEYS
@@ -411,30 +395,29 @@ def _parse_parameter(name: str, raw: Any) -> Parameter:
     values = raw.get("values")
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{where}: 'values' must be a non-empty list")
+    prior = _parse_prior(raw.get("prior"), kind, where)
 
     if kind in (REAL, INTEGER):
         if len(values) != 2:
             raise ValidationError(f"{where}: {kind} takes a [lower, upper] pair")
-        lo, hi = values
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
             raise ValidationError(f"{where}: bounds must be numbers")
         if kind == INTEGER and not all(isinstance(v, int) for v in values):
             raise ValidationError(f"{where}: integer bounds must be integers")
-        prior = _parse_prior(raw.get("prior"), kind, 0, where)
-        return Parameter(name, kind, lower=float(lo) if kind == REAL else int(lo),
-                         upper=float(hi) if kind == REAL else int(hi), prior=prior)
-    if kind == ORDINAL:
+        cast = float if kind == REAL else int
+        domain = {"lower": cast(values[0]), "upper": cast(values[1])}
+    elif kind == ORDINAL:
         # ordinal lists may arrive unsorted; canonical order is ascending
         try:
-            vals = tuple(sorted(values))
+            domain = {"values": tuple(sorted(values))}
         except TypeError:
             raise ValidationError(f"{where}: ordinal values must be mutually comparable numbers")
-        prior = _parse_prior(raw.get("prior"), kind, 0, where)
-        return Parameter(name, kind, values=vals, prior=prior)
-    # categorical: canonicalize levels to strings, keep declaration order
-    levels = tuple(canonical_str(v) for v in values)
-    prior = _parse_prior(raw.get("prior"), kind, len(levels), where)
-    return Parameter(name, kind, values=levels, prior=prior)
+    else:  # categorical: canonicalize levels to strings, keep declaration order
+        domain = {"values": tuple(canonical_str(v) for v in values)}
+    try:
+        return Parameter(name, kind, prior=prior, **domain)
+    except ValidationError as e:  # its messages start with the parameter name
+        raise ValidationError(f"input_parameters.{e}") from None
 
 
 def decode_scenario(json_text: str) -> dict:
@@ -474,6 +457,8 @@ def scenario_from_doc(doc: dict) -> Scenario:
     objectives = doc["optimization_objectives"]
     if not isinstance(objectives, list) or not all(isinstance(o, str) for o in objectives):
         raise ValidationError("optimization_objectives must be a list of strings")
+    for name in objectives:
+        _require_column_name(name, "optimization_objectives")
 
     raw_params = doc["input_parameters"]
     if not isinstance(raw_params, dict) or not raw_params:

@@ -16,10 +16,10 @@ import pytest
 from scipy import stats
 
 from dse import (
-    Configuration,
     EvaluatorSpec,
     ForestHyperparams,
     RngState,
+    constrained_front,
     fit_regressor,
     feature_importance,
     hvi,
@@ -81,19 +81,19 @@ def test_acceptance_2_desk_scale_pareto_recovery(five_runs, toy_truth):
     true_front, _ = toy_truth
     ref = [r.objectives for r in true_front]
     union = [r.objectives for seed in ACCEPTANCE_SEEDS
-             for r in runs[seed][0].archive.records]
+             for r in runs[seed][0].records]
     sigma = objective_stddevs(union + ref)
     hits = 0
     for seed in ACCEPTANCE_SEEDS:
         result = runs[seed][0]
-        assert len(result.archive.records) <= 130
-        value = hvi([r.objectives for r in result.archive.front()], ref, sigma)
+        assert len(result.records) <= 130
+        value = hvi([r.objectives for r in constrained_front(result.records)], ref, sigma)
         print(f"seed {seed}: normalized hvi {value:.4f}")
         hits += value <= 0.1
     # the accumulated best-known front over the five runs recovers the truth
     from dse import reference_front
 
-    accumulated = reference_front([runs[s][0].archive.records for s in ACCEPTANCE_SEEDS])
+    accumulated = reference_front([runs[s][0].records for s in ACCEPTANCE_SEEDS])
     assert {r.objectives for r in accumulated} == {r.objectives for r in true_front}
     criterion(2, f"pareto recovery {hits}/5 within 0.1, runs took {elapsed:.1f}s",
               hits >= 4 and elapsed < 60.0)
@@ -107,17 +107,17 @@ def test_acceptance_3_feasibility_filter_value(five_runs, toy_truth):
     ref = [r.objectives for r in true_front]
 
     def post_warmup_infeasible_fraction(result):
-        al = [r for r in result.archive.records if r.iteration_tag >= 0]
+        al = [r for r in result.records if r.iteration_tag >= 0]
         return sum(1 for r in al if not r.feasible) / len(al)
 
     hvi_wins = frac_wins = 0
     for seed in ACCEPTANCE_SEEDS:
         on, off = runs[seed]
-        pool = [r.objectives for r in on.archive.records] + \
-               [r.objectives for r in off.archive.records]
+        pool = [r.objectives for r in on.records] + \
+               [r.objectives for r in off.records]
         sigma = objective_stddevs(pool + ref)
-        v_on = hvi([r.objectives for r in on.archive.front()], ref, sigma)
-        v_off = hvi([r.objectives for r in off.archive.front()], ref, sigma)
+        v_on = hvi([r.objectives for r in constrained_front(on.records)], ref, sigma)
+        v_off = hvi([r.objectives for r in constrained_front(off.records)], ref, sigma)
         f_on = post_warmup_infeasible_fraction(on)
         f_off = post_warmup_infeasible_fraction(off)
         print(f"seed {seed}: hvi on/off {v_on:.4f}/{v_off:.4f}, "
@@ -136,7 +136,7 @@ def test_acceptance_4_recall_improves_with_active_learning(five_runs, toy_scenar
     hp = toy_scenario.classifier_hp
     wins = 0
     for seed in ACCEPTANCE_SEEDS:
-        records = runs[seed][0].archive.records
+        records = runs[seed][0].records
         warm = [r for r in records if r.iteration_tag == -1]
         initial = kfold_recall(encode_matrix(space, [r.config for r in warm]),
                                [r.feasible for r in warm], hp, 5,
@@ -208,10 +208,10 @@ def test_acceptance_8_budget_and_wall_invariants(five_runs, tmp_path):
     ok = True
     for seed in ACCEPTANCE_SEEDS:
         for result in runs[seed]:
-            records = result.archive.records
+            records = result.records
             ok = ok and len(records) <= 30 + 5 * 20
             ok = ok and len({r.config for r in records}) == len(records)
-            front = result.archive.front()
+            front = constrained_front(result.records)
             ok = ok and all(r.feasible for r in front)
             objs = [r.objectives for r in front]
             from dse import dominates
@@ -307,8 +307,8 @@ def test_acceptance_10_subprocess_protocol(tmp_path, toy_scenario, toy_truth):
                              objectives=("cycles", "logic"), feasibility=fea,
                              timeout_seconds=120)
 
-    batch = [Configuration((2, 1, "true", 1)), Configuration((8, 4, "false", 3)),
-             Configuration((64, 16, "true", 1))]
+    batch = [(2, 1, "true", 1), (8, 4, "false", 3),
+             (64, 16, "true", 1)]
 
     echoed = evaluate_batch(spec_for(ECHO, "echo.py"), space, batch, iteration_tag=2)
     echo_ok = all(r.objectives == (7.5, 3.25) and r.feasible for r in echoed) \

@@ -5,7 +5,6 @@ import textwrap
 import pytest
 
 from dse import (
-    Configuration,
     DesignSpace,
     EvaluationError,
     EvaluatorSpec,
@@ -47,7 +46,7 @@ def test_toy_fpga_rejects_out_of_domain_values():
 
 def test_toy_fpga_is_pure(toy_scenario):
     spec = toy_scenario.evaluator
-    cfg = Configuration((4, 2, "true", 2))
+    cfg = (4, 2, "true", 2)
     first = evaluate_batch(spec, toy_scenario.space, [cfg])
     second = evaluate_batch(spec, toy_scenario.space, [cfg])
     assert first == second
@@ -141,7 +140,7 @@ def test_echo_evaluator_roundtrip(tmp_path):
     space = small_space()
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "echo.py", ECHO_EVALUATOR),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
-    batch = [Configuration((2, 1, "true", 1)), Configuration((4, 2, "false", 2))]
+    batch = [(2, 1, "true", 1), (4, 2, "false", 2)]
     records = evaluate_batch(spec, space, batch, iteration_tag=3)
     assert [r.config for r in records] == batch
     assert all(r.objectives == (42.5,) and r.feasible and r.iteration_tag == 3
@@ -172,7 +171,7 @@ def test_child_omitting_a_row_is_a_protocol_error(tmp_path):
     space = small_space()
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "partial.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
-    batch = [Configuration((2, 1, "true", 1)), Configuration((4, 2, "false", 2))]
+    batch = [(2, 1, "true", 1), (4, 2, "false", 2)]
     with pytest.raises(EvaluationError, match="omitted"):
         evaluate_batch(spec, space, batch)
 
@@ -192,7 +191,7 @@ def test_duplicate_row_is_a_protocol_error(tmp_path):
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "dups.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
     with pytest.raises(EvaluationError, match="duplicate"):
-        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(spec, space, [(2, 1, "true", 1)])
 
 
 def test_nonzero_exit_carries_child_output(tmp_path):
@@ -201,7 +200,7 @@ def test_nonzero_exit_carries_child_output(tmp_path):
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "fail.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
     with pytest.raises(EvaluationError, match="status 2") as err:
-        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(spec, space, [(2, 1, "true", 1)])
     assert "boom" in err.value.raw_output
 
 
@@ -212,7 +211,7 @@ def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "hang.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=0.5)
     with pytest.raises(EvaluationError, match="timed out after 0.5s") as err:
-        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(spec, space, [(2, 1, "true", 1)])
     assert err.value.raw_output == printed
 
 
@@ -230,7 +229,7 @@ def test_unparseable_objective_is_a_protocol_error(tmp_path):
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "bad.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
     with pytest.raises(EvaluationError, match="unparseable"):
-        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(spec, space, [(2, 1, "true", 1)])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -248,7 +247,7 @@ def test_non_finite_objective_is_a_protocol_error(tmp_path, value):
     spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "nonfinite.py", body),
                          objectives=("cost",), feasibility=FEA, timeout_seconds=60)
     with pytest.raises(EvaluationError, match=r"non-finite objective cost=.*\('2', '1', 'true', '1'\)"):
-        evaluate_batch(spec, space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(spec, space, [(2, 1, "true", 1)])
 
 
 def test_builtin_non_finite_objective_is_rejected(monkeypatch):
@@ -256,7 +255,7 @@ def test_builtin_non_finite_objective_is_rejected(monkeypatch):
                         lambda values: {"cost": float("nan")})
     spec = EvaluatorSpec("builtin", name="nan_model", objectives=("cost",))
     with pytest.raises(EvaluationError, match=r"non-finite objective cost=nan.*'4', '2'"):
-        evaluate_batch(spec, small_space(), [Configuration((4, 2, "false", 2))])
+        evaluate_batch(spec, small_space(), [(4, 2, "false", 2)])
 
 
 def test_empty_batch_rejected(toy_scenario):
@@ -281,4 +280,4 @@ def test_scenario_objective_mismatch_is_reported():
     }
     scenario = parse_scenario(json.dumps(doc))
     with pytest.raises(EvaluationError, match="watts"):
-        evaluate_batch(scenario.evaluator, scenario.space, [Configuration((2, 1, "true", 1))])
+        evaluate_batch(scenario.evaluator, scenario.space, [(2, 1, "true", 1)])

@@ -264,6 +264,18 @@ def test_importance_of_constant_forest_is_uniform():
     assert np.allclose(feature_importance(forest), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("y", [[0.1] * 7, [0.3] * 10, [7.1] * 3])
+def test_constant_targets_whose_sums_round_grow_single_leaves(y):
+    # the sums of w*y and w*y*y round, so the node variance comes out a
+    # little above zero; equal targets must still close the root
+    X = [[float(i), float(-i)] for i in range(len(y))]
+    hp = ForestHyperparams(n_estimators=3, bootstrap=False)
+    forest = fit_regressor(X, y, hp, RngState(4))
+    assert all(tree.is_leaf and tree.value == pytest.approx(y[0]) for tree in forest.trees)
+    assert forest.raw_importance.tolist() == [0.0, 0.0]
+    assert feature_importance(forest).tolist() == [0.5, 0.5]
+
+
 # --- k-fold recall --------------------------------------------------------------
 
 def test_kfold_recall_perfect_on_separable_data():

@@ -1,15 +1,14 @@
 import json
 
 from dse import (
-    Configuration,
     DesignSpace,
     EvaluationRecord,
     ForestHyperparams,
     Parameter,
-    ParetoArchive,
     Prior,
     RngState,
     candidate_pool,
+    constrained_front,
     fit_classifier,
     fit_regressor,
     mono_objective_best,
@@ -54,7 +53,7 @@ def test_pool_of_one():
 def four_point_bundle():
     """Surrogates trained to interpolate hand-set predictions exactly."""
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
-    configs = [Configuration((i,)) for i in range(4)]
+    configs = [(i,) for i in range(4)]
     X = encode_matrix(space, configs)
     targets = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (2.0, 3.0)]
     regressors = tuple(
@@ -117,15 +116,15 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
                   prior=Prior("categorical", probs=(1.0, 0.0))),
         Parameter("n", "integer", lower=0, upper=1),
     ))
-    archive = {Configuration(("a", 0)), Configuration(("a", 1))}
+    archive = {("a", 0), ("a", 1)}
     batch = select_batch([], 2, space, archive, RngState(13))
     assert len(batch) == 2
-    assert set(batch) == {Configuration(("b", 0)), Configuration(("b", 1))}
+    assert set(batch) == {("b", 0), ("b", 1)}
 
 
 def test_batch_returns_short_when_space_is_exhausted():
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
-    everything = {Configuration((i,)) for i in range(4)}
+    everything = {(i,) for i in range(4)}
     batch = select_batch([], 5, space, everything, RngState(12))
     assert batch == []
 
@@ -135,10 +134,10 @@ def test_batch_returns_short_when_space_is_exhausted():
 def test_run_with_zero_iterations_is_warmup_only(toy_scenario_doc):
     scenario = scenario_with(toy_scenario_doc, optimization_iterations=0, seed=5)
     result = run(scenario)
-    assert len(result.archive.records) == 30
-    assert all(r.iteration_tag == -1 for r in result.archive.records)
-    front = result.archive.front()
-    assert front == [r for r in result.archive.front()]
+    assert len(result.records) == 30
+    assert all(r.iteration_tag == -1 for r in result.records)
+    front = constrained_front(result.records)
+    assert front == [r for r in constrained_front(result.records)]
     assert all(r.feasible for r in front)
 
 
@@ -161,9 +160,9 @@ def test_run_terminates_once_finite_space_is_exhausted(toy_scenario_doc):
     scenario = scenario_with(doc)
     result = run(scenario)
     # warm-up already covers all 6 configurations; the loop must stop at once
-    assert len(result.archive.records) == 6
+    assert len(result.records) == 6
     assert result.meta["iterations_run"] == 0
-    fronts = {r.objectives for r in result.archive.front()}
+    fronts = {r.objectives for r in constrained_front(result.records)}
     assert fronts == {(101.0 + 5.0, 101.0)} or all(
         not dominates(a, b) for a in fronts for b in fronts if a != b)
 
@@ -171,7 +170,7 @@ def test_run_terminates_once_finite_space_is_exhausted(toy_scenario_doc):
 def test_run_respects_budget_and_never_reevaluates(toy_scenario_doc):
     scenario = scenario_with(toy_scenario_doc, seed=6)
     result = run(scenario)
-    records = result.archive.records
+    records = result.records
     n, max_iterations, m = scenario.doe_samples, scenario.optimization_iterations, \
         scenario.evaluations_per_iteration
     assert len(records) <= n + max_iterations * m
@@ -186,7 +185,7 @@ def test_run_front_comes_from_actual_evaluations(toy_scenario_doc, toy_truth):
     truth = {r.config: r for r in all_records}
     scenario = scenario_with(toy_scenario_doc, seed=7)
     result = run(scenario)
-    for r in result.archive.front():
+    for r in constrained_front(result.records):
         assert r.feasible
         assert truth[r.config].objectives == r.objectives
 
@@ -195,7 +194,7 @@ def test_run_is_deterministic(toy_scenario_doc):
     scenario = scenario_with(toy_scenario_doc, seed=8)
     a = run(scenario)
     b = run(scenario)
-    assert a.archive.records == b.archive.records
+    assert a.records == b.records
     assert a.hvi_trace == b.hvi_trace
 
 
@@ -212,8 +211,8 @@ def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
         scenario = scenario_with(toy_scenario_doc, seed=seed)
         result = run(scenario, reference_front=ref)
         volumes = []
-        for tag in sorted({r.iteration_tag for r in result.archive.records}):
-            upto = [r for r in result.archive.records if r.iteration_tag <= tag]
+        for tag in sorted({r.iteration_tag for r in result.records}):
+            upto = [r for r in result.records if r.iteration_tag <= tag]
             fr = constrained_front(upto)
             volumes.append(hypervolume_2d([r.objectives for r in fr], box))
         assert all(b >= a - 1e-9 for a, b in zip(volumes, volumes[1:]))
@@ -225,7 +224,7 @@ def test_disabling_the_filter_skips_the_classifier(toy_scenario_doc):
     scenario = scenario_with(toy_scenario_doc, use_feasibility_filter=False, seed=9)
     result = run(scenario)
     assert result.bundle.classifier is None
-    assert all(r.feasible for r in result.archive.front())
+    assert all(r.feasible for r in constrained_front(result.records))
 
 
 LOOP_CALLS = ("candidate_pool", "predict_pareto", "select_batch", "fit_surrogates")
@@ -273,16 +272,16 @@ def test_loop_stops_at_an_empty_prediction(toy_scenario_doc, monkeypatch):
 # --- mono-objective ----------------------------------------------------------------
 
 def record(value, feasible=True, key=None, tag=-1):
-    return EvaluationRecord(Configuration(key or (value,)), (float(value),), feasible, tag)
+    return EvaluationRecord(key or (value,), (float(value),), feasible, tag)
 
 
 def test_mono_objective_best_takes_minimal_feasible():
-    archive = ParetoArchive([record(5), record(3), record(9)])
+    archive = [record(5), record(3), record(9)]
     assert mono_objective_best(archive).objectives == (3.0,)
 
 
 def test_mono_objective_best_with_no_feasible_is_none():
-    archive = ParetoArchive([record(5, feasible=False)])
+    archive = [record(5, feasible=False)]
     assert mono_objective_best(archive) is None
 
 
@@ -291,6 +290,6 @@ def test_mono_objective_run_matches_exhaustive_minimum(toy_scenario_doc, toy_tru
     true_best = min((r.objectives[0] for r in all_records if r.feasible))
     scenario = scenario_with(toy_scenario_doc, optimization_objectives=["cycles"], seed=10)
     result = run(scenario)
-    best = mono_objective_best(result.archive)
+    best = mono_objective_best(result.records)
     assert best is not None
     assert best.objectives[0] == true_best == 576.0

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dse import (
-    Configuration,
     EvaluationRecord,
-    ParetoArchive,
     constrained_front,
     dominates,
     hvi,
@@ -22,7 +20,7 @@ from oracles import pairwise_front
 
 
 def rec(objectives, feasible=True, tag=-1, key=None):
-    return EvaluationRecord(Configuration(key or tuple(objectives)),
+    return EvaluationRecord(key or tuple(objectives),
                             tuple(float(v) for v in objectives), feasible, tag)
 
 
@@ -139,9 +137,9 @@ def test_toy_front_matches_exhaustive_oracle(toy_truth):
 
 def test_archive_front_members_are_feasible(toy_truth):
     front, records = toy_truth
-    archive = ParetoArchive(list(records))
-    assert all(r.feasible for r in archive.front())
-    fronts = [r.objectives for r in archive.front()]
+    archive = list(records)
+    assert all(r.feasible for r in constrained_front(archive))
+    fronts = [r.objectives for r in constrained_front(archive)]
     assert not any(dominates(a, b) for a in fronts for b in fronts if a != b)
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from dse import (
-    Configuration,
     DesignSpace,
     Parameter,
     Prior,
     RngState,
     beta_pdf,
+    encode_matrix,
     enumerate_space,
     sample_beta,
     sample_parameter,
@@ -146,8 +146,8 @@ SMALL = DesignSpace((
 
 def test_warmup_covers_space_when_n_equals_cardinality():
     out = warmup_sample(SMALL, 6, RngState(1))
-    assert sorted(out, key=lambda c: str(c.values)) == sorted(
-        enumerate_space(SMALL), key=lambda c: str(c.values))
+    assert sorted(out, key=lambda c: str(c)) == sorted(
+        enumerate_space(SMALL), key=lambda c: str(c))
     assert len(set(out)) == 6
 
 
@@ -182,8 +182,8 @@ def test_warmup_falls_back_to_enumeration_when_the_prior_runs_dry():
     out = warmup_sample(ONLY_A, 3, RngState(4))
     assert len(out) == 3
     assert len(set(out)) == 3
-    assert {Configuration(("a", 0)), Configuration(("a", 1))} < set(out)
-    assert sum(c.values[0] == "b" for c in out) == 1
+    assert {("a", 0), ("a", 1)} < set(out)
+    assert sum(c[0] == "b" for c in out) == 1
 
 
 @st.composite
@@ -220,8 +220,8 @@ def sampling_spaces(draw):
 def test_sampled_values_lie_in_domain(space, seed):
     rng = RngState(seed)
     for _ in range(20):
-        cfg = Configuration(tuple(sample_parameter(p, rng) for p in space.parameters))
-        space.validate(cfg)  # raises DomainError on any violation
+        cfg = tuple(sample_parameter(p, rng) for p in space.parameters)
+        encode_matrix(space, [cfg])  # raises DomainError on any violation
 
 
 # --- the prior stream and the uniform pool ------------------------------------
@@ -244,7 +244,7 @@ def sequential_distinct(space, n, rng, taken=(), limit=None):
     for _ in range(100 * n if limit is None else limit):
         if len(out) == n:
             break
-        cfg = Configuration(tuple(sample_parameter(p, rng) for p in space.parameters))
+        cfg = tuple(sample_parameter(p, rng) for p in space.parameters)
         if cfg not in seen:
             seen.add(cfg)
             out.append(cfg)
@@ -275,7 +275,7 @@ def test_uniform_pool_is_uniform_per_parameter_kind():
 
     pool = candidate_pool(MIXED, 20_000, RngState(21, 3))
     assert len(set(pool)) == len(pool) == 20_000
-    columns = list(zip(*(c.values for c in pool)))
+    columns = list(zip(*pool))
     x = np.array(columns[0])
     assert stats.kstest(x, stats.uniform(loc=-2.0, scale=5.0).cdf).pvalue > 0.001
     for param, col in zip(MIXED.parameters[1:], columns[1:]):

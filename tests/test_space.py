@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dse import (
-    Configuration,
     DesignSpace,
     EnumerationError,
     Parameter,
     Prior,
     ValidationError,
-    encode,
     enumerate_space,
     parse_scenario,
     serialize_scenario,
@@ -54,6 +52,21 @@ def test_categorical_prior_sum_violation():
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("param, prior, message", [
+    ("b", [-0.5, 1.5], "input_parameters.b: categorical prior probabilities must be >= 0"),
+    ("b", [0.5, 0.3, 0.1], "input_parameters.b: probabilities sum to 0.9, expected 1"),
+    ("b", [0.5, 0.5, 0.0], "input_parameters.b: prior lists 3 probabilities for 2 levels"),
+    ("b", "decay", "input_parameters.b: categorical parameters take probability priors"),
+    ("a", [0, 1], "input_parameters.a: Beta prior requires alpha > 0 and beta > 0"),
+    ("a", [1.0, -2], "input_parameters.a: Beta prior requires alpha > 0 and beta > 0"),
+])
+def test_prior_value_rules_name_their_parameter(param, prior, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["input_parameters"][param]["prior"] = prior
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_unknown_parameter_kind():
     doc = json.loads(json.dumps(MINIMAL))
     doc["input_parameters"]["a"]["parameter_type"] = "fancy"
@@ -84,6 +97,29 @@ def test_objective_name_clash_rejected():
         make_scenario(optimization_objectives=["a"])
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("feasible", "reserved"),
+    ("iteration_tag", "reserved"),
+    ("a,b", "character reserved"),
+    ('a"b', "character reserved"),
+    ("a\rb", "character reserved"),
+    ("a\nb", "character reserved"),
+])
+@pytest.mark.parametrize("role", ["parameter", "objective"])
+def test_names_that_break_the_csv_artifacts_are_rejected(role, name, reason):
+    # samples.csv would get a second feasible or iteration_tag column, or a
+    # header cell that splits or quotes
+    doc = json.loads(json.dumps(MINIMAL))
+    if role == "parameter":
+        doc["input_parameters"][name] = doc["input_parameters"].pop("a")
+        field = f"input_parameters.{name}: "
+    else:
+        doc["optimization_objectives"] = ["cost", name]
+        field = "optimization_objectives: "
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}.*{reason}"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_unknown_top_level_field_rejected():
     with pytest.raises(ValidationError, match="typo_field"):
         make_scenario(typo_field=3)
@@ -99,15 +135,15 @@ def test_unsorted_ordinal_is_stored_sorted():
 def test_encode_examples():
     s = make_scenario()
     space = s.space
-    assert encode(space, Configuration((5, "true"))) == [5.0, 0.0]
-    assert encode(space, Configuration((8, "false"))) == [8.0, 1.0]
+    assert encode_matrix(space, [(5, "true")])[0].tolist() == [5.0, 0.0]
+    assert encode_matrix(space, [(8, "false")])[0].tolist() == [8.0, 1.0]
     doc = json.loads(json.dumps(MINIMAL))
     doc["input_parameters"]["a"] = {"parameter_type": "ordinal", "values": [3.4, 2.5, 6, 9.1]}
     space2 = parse_scenario(json.dumps(doc)).space
-    assert encode(space2, Configuration((6, "true")))[0] == 6.0
+    assert encode_matrix(space2, [(6, "true")])[0][0] == 6.0
     doc["input_parameters"]["a"] = {"parameter_type": "integer", "values": [1, 4]}
     space3 = parse_scenario(json.dumps(doc)).space
-    assert encode(space3, Configuration((3, "true")))[0] == 3.0
+    assert encode_matrix(space3, [(3, "true")])[0][0] == 3.0
 
 
 def test_encode_rejects_out_of_domain():
@@ -115,14 +151,14 @@ def test_encode_rejects_out_of_domain():
 
     s = make_scenario()
     with pytest.raises(DomainError):
-        encode(s.space, Configuration((2, "true")))
+        encode_matrix(s.space, [(2, "true")])[0]
 
     space = DesignSpace((
         Parameter("n", "integer", lower=1, upper=4),
         Parameter("x", "real", lower=0.0, upper=1.0),
         Parameter("v", "categorical", values=("1", "b")),
     ))
-    assert encode(space, Configuration((4, 1, "b"))) == [4.0, 1.0, 1.0]
+    assert encode_matrix(space, [(4, 1, "b")])[0].tolist() == [4.0, 1.0, 1.0]
     for values, shown in [
         ((True, 0.5, "b"), "n: value True"),  # a boolean is not an integer
         ((2, False, "b"), "x: value False"),  # nor a real
@@ -134,18 +170,18 @@ def test_encode_rejects_out_of_domain():
         ((2, 0.5, ["b"]), "v: value ['b']"),  # unhashable
     ]:
         with pytest.raises(DomainError, match=f"^{re.escape(shown)} outside domain$"):
-            encode(space, Configuration(values))
+            encode_matrix(space, [values])[0]
     with pytest.raises(DomainError, match="length"):
-        encode(space, Configuration((2, 0.5)))
+        encode_matrix(space, [(2, 0.5)])[0]
 
 
 def test_encode_matrix_names_the_first_bad_value_of_a_column():
     from dse import DomainError
 
     space = DesignSpace((Parameter("a", "ordinal", values=(1, 5, 8)),))
-    configs = [Configuration((v,)) for v in (5, 8.0, True, 1)]
+    configs = [(v,) for v in (5, 8.0, True, 1)]
     assert encode_matrix(space, configs).tolist() == [[5.0], [8.0], [1.0], [1.0]]
-    configs += [Configuration((v,)) for v in (2, "5", 9)]
+    configs += [(v,) for v in (2, "5", 9)]
     with pytest.raises(DomainError, match="^a: value 2 outside domain$"):
         encode_matrix(space, configs)
     assert encode_matrix(space, []).shape == (0, 1)
@@ -161,7 +197,7 @@ def test_enumerate_small_space():
     configs = list(enumerate_space(s.space))
     assert len(configs) == 6
     assert len(set(configs)) == 6
-    assert configs[0] == Configuration((1, "true"))  # lexicographic order
+    assert configs[0] == (1, "true")  # lexicographic order
 
 
 def test_enumerate_toy_fpga_cardinality(toy_scenario):
@@ -237,11 +273,11 @@ def finite_spaces(draw):
 @settings(max_examples=40, deadline=None)
 def test_encode_is_injective_on_finite_spaces(space):
     configs = list(enumerate_space(space, cap=2000)) if (space.cardinality() or 0) <= 2000 else []
-    vectors = {tuple(encode(space, c)) for c in configs}
+    vectors = {tuple(encode_matrix(space, [c])[0]) for c in configs}
     assert len(vectors) == len(configs) == (space.cardinality() or 0)
     # the per-value reference: the value itself, or the level index
     reference = [[float(p.values.index(v)) if p.kind == "categorical" else float(v)
-                  for p, v in zip(space.parameters, c.values)] for c in configs]
+                  for p, v in zip(space.parameters, c)] for c in configs]
     assert encode_matrix(space, configs).tolist() == reference
 
 
