@@ -35,6 +35,7 @@ from .space import (
     Prior,
     Scenario,
     ValidationError,
+    decode_matrix,
     encode_matrix,
     enumerate_space,
     parse_scenario,
@@ -61,7 +62,7 @@ __all__ = [
     "EvaluationRecord", "EvaluatorSpec", "Forest", "ForestHyperparams",
     "Parameter", "Prior", "RngState", "Scenario", "SurrogateBundle",
     "ValidationError", "beta_pdf", "brute_force_front", "candidate_pool",
-    "constrained_front", "dominates", "encode_matrix", "enumerate_space",
+    "constrained_front", "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
     "evaluate_batch", "feature_importance", "fit_classifier",
     "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
     "mono_objective_best", "objective_stddevs", "parse_scenario",

@@ -428,25 +428,26 @@ class Forest:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"feature matrix must have {self.n_features} columns")
+        XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
         out = np.zeros(len(X))
         scratch = np.empty(len(X))
         for tree in self.trees:
-            _tree_predict(tree, X, scratch, np.arange(len(X)))
+            _tree_predict(tree, XT, scratch, np.arange(len(X)))
             out += scratch
         return out / len(self.trees)
 
 
-def _tree_predict(root: TreeNode, X, out, idx):
+def _tree_predict(root: TreeNode, XT, out, idx):
     stack = [(root, idx)]
     while stack:
         node, rows = stack.pop()
         if node.is_leaf:
             out[rows] = node.value
             continue
-        column = X[rows, node.feature]
+        column = XT[node.feature].take(rows)
         mask = (column == node.threshold) if node.unordered else (column <= node.threshold)
-        left = rows[mask]
-        right = rows[~mask]
+        left = rows.compress(mask)
+        right = rows.compress(~mask)
         if left.size:
             stack.append((node.left, left))
         if right.size:

@@ -6,6 +6,12 @@ fresh non-dominated layers instead of re-proposing known points. Candidates
 predicted infeasible are filtered out before the front is computed. Batches
 are capped at M points; a short prediction is topped up with prior-drawn
 exploration samples.
+
+The pool stays one encoded feature matrix from the draw to the front:
+repeats and evaluated configurations are found by row key
+(:func:`~dse.space.first_equal`), the filter is a boolean mask, and only the
+front rows are decoded to configuration tuples
+(:func:`~dse.space.decode_matrix`).
 """
 
 from __future__ import annotations
@@ -20,7 +26,18 @@ from .forest import Forest, fit_classifier, fit_regressor
 from .pareto import EvaluationRecord, feasible_hvi, objective_stddevs, pareto_front
 from .priors import sample_distinct
 from .rng import RngState
-from .space import DesignSpace, Scenario, encode_matrix
+from .space import (
+    ENUMERATION_CAP,
+    INTEGER,
+    REAL,
+    DesignSpace,
+    Scenario,
+    decode_matrix,
+    encode_matrix,
+    first_equal,
+    rank_rows,
+    row_keys,
+)
 
 # fixed substream tags so artifact bytes do not depend on code path details
 _STREAM_WARMUP = 1
@@ -48,13 +65,49 @@ class RunResult:
     meta: dict
 
 
-def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> list[tuple]:
-    """The candidate set a prediction pass ranks: the full enumeration when
-    the space fits in s points, else s distinct uniform samples (priors play
-    no role here; their influence ends with warm-up and batch fill)."""
+def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
+    """k encoded rows drawn uniformly, one generator call per parameter."""
+    X = np.empty((k, len(space.parameters)))
+    for j, p in enumerate(space.parameters):
+        if p.kind == REAL:
+            X[:, j] = p.lower + gen.random(k) * (p.upper - p.lower)
+        elif p.kind == INTEGER:
+            X[:, j] = gen.integers(p.lower, p.upper + 1, size=k)
+        else:
+            X[:, j] = p.code_levels(gen.integers(0, len(p.values), size=k))
+    return X
+
+
+def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
+    """The encoded candidate set a prediction pass ranks (one row per
+    candidate, as :func:`encode_matrix` encodes it): the full enumeration
+    when the space fits in s points, else s distinct uniform samples (priors
+    play no role here; their influence ends with warm-up and batch fill).
+
+    Rows are drawn in blocks; repeats are dropped and redrawn until s are
+    distinct or 100*s rows were drawn, and a finite space is then topped up
+    with a random order of its unused rows."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
-    return sample_distinct(space, s, rng, uniform=True)
+    card = space.cardinality()
+    finite = card is not None and card <= ENUMERATION_CAP
+    if finite and s >= card:
+        return rank_rows(space, np.arange(card))
+    gen = rng.generator
+    X = np.empty((0, len(space.parameters)))
+    attempts = 0
+    while len(X) < s and attempts < 100 * s:
+        k = min(s - len(X), 100 * s - attempts)  # a block never overshoots s
+        attempts += k
+        X = np.concatenate([X, _uniform_rows(space, k, gen)])
+        X = X[first_equal(space, X) == np.arange(len(X))]
+    if len(X) < s and finite:
+        used = np.zeros(card, dtype=bool)
+        used[row_keys(space, X)] = True
+        remaining = np.flatnonzero(~used)
+        order = gen.permutation(len(remaining))
+        X = np.concatenate([X, rank_rows(space, remaining[order[: s - len(X)]])])
+    return X
 
 
 def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
@@ -80,26 +133,24 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
     )
 
 
-def predict_pareto(bundle: SurrogateBundle, pool: list[tuple],
+def predict_pareto(bundle: SurrogateBundle, pool: np.ndarray,
                    exclude: set[tuple]) -> list[tuple]:
-    """The candidates whose predicted objectives form the front of the pool.
+    """The configurations whose predicted objectives form the front of an
+    encoded pool.
 
-    Already-evaluated configurations are dropped first, then candidates the
-    classifier predicts infeasible; the front is computed over what remains.
+    Rows equal to an already-evaluated configuration are dropped first, then
+    rows the classifier predicts infeasible; the front is computed over what
+    remains, and only its rows are decoded.
     """
-    candidates = [c for c in pool if c not in exclude]
-    if not candidates:
+    space = bundle.space
+    E = encode_matrix(space, list(exclude))
+    X = pool[first_equal(space, np.concatenate([E, pool]))[len(E):] >= len(E)]
+    if bundle.classifier is not None and len(X):
+        X = X[bundle.classifier.predict_batch(X) >= bundle.threshold]
+    if not len(X):
         return []
-    X = encode_matrix(bundle.space, candidates)
-    if bundle.classifier is not None:
-        keep = bundle.classifier.predict_batch(X) >= bundle.threshold
-        candidates = [c for c, k in zip(candidates, keep) if k]
-        if not candidates:
-            return []
-        X = X[keep]
     preds = np.column_stack([reg.predict_batch(X) for reg in bundle.regressors])
-    idx = pareto_front(preds)
-    return [candidates[i] for i in idx]
+    return decode_matrix(space, X[pareto_front(preds)])
 
 
 def select_batch(predicted: list[tuple], m: int, space: DesignSpace,

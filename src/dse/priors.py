@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Any
 
-import numpy as np
-
 from .rng import RngState
 from .space import (
     CATEGORICAL,
@@ -123,17 +121,17 @@ def sample_parameter(param: Parameter, rng: RngState) -> Any:
     return _snap_ordinal(lo + u * (hi - lo), param.values)
 
 
-def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = False,
+def sample_distinct(space: DesignSpace, n: int, rng: RngState,
                     taken: AbstractSet[tuple] = frozenset(),
                     limit: int | None = None) -> list[tuple]:
     """Up to n distinct configurations, none of them in ``taken``.
 
     With nothing taken, a finite space that n covers comes back whole, in
-    enumeration order. Otherwise draws (prior or uniform) that repeat are
-    rejected; after ``limit`` attempts (default 100*n) a finite space is
-    topped up with a random order of its unused configurations, so the
-    result is short only when the space runs out (spaces with real
-    parameters do not collide in practice).
+    enumeration order. Otherwise prior draws, value by value in row-major
+    order, that repeat are rejected; after ``limit`` draws (default 100*n) a
+    finite space is topped up with a random order of its unused
+    configurations, so the result is short only when the space runs out
+    (spaces with real parameters do not collide in practice).
     """
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
@@ -141,24 +139,13 @@ def sample_distinct(space: DesignSpace, n: int, rng: RngState, uniform: bool = F
         return list(enumerate_space(space))
     seen = set(taken)
     out: list[tuple] = []
-    attempts = 0
-    limit = 100 * n if limit is None else limit
-    while len(out) < n and attempts < limit:
-        k = min(n - len(out), limit - attempts)  # a block never overshoots n
-        attempts += k
-        if uniform:  # one numpy call per parameter column
-            gen = rng.generator
-            columns = [(p.lower + gen.random(k) * (p.upper - p.lower) if p.kind == REAL
-                        else gen.integers(p.lower, p.upper + 1, size=k) if p.kind == INTEGER
-                        else np.array(p.values, dtype=object)[gen.integers(0, len(p.values), size=k)]
-                        ).tolist() for p in space.parameters]
-            rows = zip(*columns)
-        else:  # value by value in row-major order: the warm-up and batch-fill stream
-            rows = [tuple(sample_parameter(p, rng) for p in space.parameters) for _ in range(k)]
-        for values in rows:
-            if values not in seen:
-                seen.add(values)
-                out.append(values)
+    for _ in range(100 * n if limit is None else limit):
+        if len(out) == n:
+            break
+        values = tuple(sample_parameter(p, rng) for p in space.parameters)
+        if values not in seen:
+            seen.add(values)
+            out.append(values)
     if len(out) < n and finite:
         remaining = [c for c in enumerate_space(space) if c not in seen]
         order = rng.generator.permutation(len(remaining))

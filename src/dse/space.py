@@ -124,6 +124,9 @@ class Parameter:
                 raise ValidationError(f"{self.name}: {self.kind} parameter needs [lower, upper]")
             if self.lower > self.upper:
                 raise ValidationError(f"{self.name}: lower bound exceeds upper bound")
+            if self.kind == INTEGER and max(-self.lower, self.upper) > 2 ** 53:
+                raise ValidationError(  # beyond it, features and decoded values would round
+                    f"{self.name}: integer bounds must lie within +-2**53")
         elif self.kind == ORDINAL:
             if not self.values:
                 raise ValidationError(f"{self.name}: ordinal value list is empty")
@@ -202,6 +205,23 @@ class Parameter:
             raise DomainError(f"{self.name}: value {values[int(bad.argmax())]!r} outside domain")
         return col
 
+    def code_levels(self, levels: np.ndarray) -> np.ndarray:
+        """The encoded column of level indices into :meth:`domain_values`
+        (not defined for reals)."""
+        if self.kind == INTEGER:
+            return self.lower + levels
+        if self.kind == ORDINAL:
+            return np.array(self.values, dtype=float)[levels]
+        return levels
+
+    def column_levels(self, col: np.ndarray) -> np.ndarray:
+        """Level indices of an encoded column; the inverse of :meth:`code_levels`."""
+        if self.kind == INTEGER:
+            return (col - self.lower).astype(np.int64)
+        if self.kind == ORDINAL:
+            return np.searchsorted(np.array(self.values, dtype=float), col)
+        return col.astype(np.int64)
+
 
 @dataclass(frozen=True)
 class DesignSpace:
@@ -243,6 +263,87 @@ def encode_matrix(space: DesignSpace, configs: Sequence[tuple]) -> np.ndarray:
     for j, (p, col) in enumerate(zip(space.parameters, zip(*configs))):
         X[:, j] = p.encode_column(col)
     return X
+
+
+def decode_matrix(space: DesignSpace, X: np.ndarray) -> list[tuple]:
+    """The configurations of an encoded matrix's rows; the inverse of
+    :func:`encode_matrix`. Reals come back as float, integers as int,
+    ordinals as their declared value objects and categoricals as their
+    level strings."""
+    columns = []
+    for p, col in zip(space.parameters, np.asarray(X, dtype=float).T):
+        if p.kind == REAL:
+            columns.append(col.tolist())
+        elif p.kind == INTEGER:
+            columns.append(col.astype(np.int64).tolist())
+        else:
+            columns.append([p.values[i] for i in p.column_levels(col).tolist()])
+    return list(zip(*columns))
+
+
+def _radix(space: DesignSpace) -> np.ndarray | None:
+    """Mixed-radix place values of the level indices, the last parameter
+    fastest; None unless the space is finite with cardinality below 2**63."""
+    card = space.cardinality()
+    if card is None or card >= 2 ** 63:
+        return None
+    places = [1]
+    for p in space.parameters[:0:-1]:
+        places.append(places[-1] * p.domain_size())
+    return np.array(places[::-1], dtype=np.int64)
+
+
+def rank_rows(space: DesignSpace, ranks: np.ndarray) -> np.ndarray:
+    """The encoded rows at the given positions of the enumeration order;
+    ``rank_rows(space, arange(cardinality))`` encodes :func:`enumerate_space`."""
+    X = np.empty((len(ranks), len(space.parameters)))
+    for j, (p, place) in enumerate(zip(space.parameters, _radix(space))):
+        X[:, j] = p.code_levels(ranks // place % p.domain_size())
+    return X
+
+
+def row_keys(space: DesignSpace, X: np.ndarray) -> np.ndarray:
+    """One integer per encoded row, equal for equal rows. In a finite space
+    of cardinality below 2**63 the key is exact: the row's position in the
+    enumeration order, a mixed-radix number over its level indices. Other
+    spaces get a uint64 hash of the row's bits, which distinct rows may share."""
+    places = _radix(space)
+    if places is not None:
+        keys = np.zeros(len(X), dtype=np.int64)
+        for p, place, col in zip(space.parameters, places, X.T):
+            keys += p.column_levels(col) * place
+        return keys
+    bits = (X + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0, which equals it
+    keys = np.zeros(len(X), dtype=np.uint64)
+    for col in bits.T:
+        keys ^= col
+        keys *= 0x9E3779B97F4A7C15
+        keys ^= keys >> 29
+    return keys
+
+
+def first_equal(space: DesignSpace, X: np.ndarray) -> np.ndarray:
+    """For every row of an encoded matrix, the index of the first row equal
+    to it; the rows where it equals ``arange(len(X))`` are the first
+    occurrences. Rows are grouped by :func:`row_keys`, and rows that share a
+    hashed key are compared, so distinct rows are never merged."""
+    n = len(X)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    keys = row_keys(space, X)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = np.empty(n, dtype=np.intp)
+    first[order] = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=n))
+    if keys.dtype == np.uint64:  # hashed keys: compare each repeat with its first row
+        later = np.flatnonzero(first != np.arange(n))
+        clash = later[(X[later] != X[first[later]]).any(axis=1)]
+        for key in set(keys[clash].tolist()):  # distinct rows with one hash
+            owner: dict[tuple, int] = {}
+            for i in np.flatnonzero(keys == key).tolist():
+                first[i] = owner.setdefault(tuple(X[i].tolist()), i)
+    return first
 
 
 def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[tuple]:
@@ -348,10 +449,19 @@ def require_number(value: Any, field: str) -> float:
     return float(value)
 
 
+def _require_unpadded(text: str, field: str) -> None:
+    """Text without leading or trailing whitespace, else a ValidationError
+    naming the field: evaluator responses are read with their cells stripped,
+    so a padded name or value would never match its response cell."""
+    if text != text.strip():
+        raise ValidationError(f"{field}: {text!r} has leading or trailing whitespace")
+
+
 def _require_column_name(name: str, field: str) -> None:
     """A parameter or objective name that can head its own CSV column, else a
     ValidationError naming the field. Records CSVs add the two columns
     ``feasible`` and ``iteration_tag`` after the parameters and objectives."""
+    _require_unpadded(name, field)
     if name in ("feasible", "iteration_tag"):
         raise ValidationError(f"{field}: name {name!r} is reserved for a records CSV column")
     if any(ch in name for ch in CSV_RESERVED):
@@ -414,6 +524,8 @@ def _parse_parameter(name: str, raw: Any) -> Parameter:
             raise ValidationError(f"{where}: ordinal values must be mutually comparable numbers")
     else:  # categorical: canonicalize levels to strings, keep declaration order
         domain = {"values": tuple(canonical_str(v) for v in values)}
+        for level in domain["values"]:
+            _require_unpadded(level, where)
     try:
         return Parameter(name, kind, prior=prior, **domain)
     except ValidationError as e:  # its messages start with the parameter name
@@ -474,6 +586,8 @@ def scenario_from_doc(doc: dict) -> Scenario:
         feasibility = FeasibleOutput(
             require_str(fo["name"], "feasible_output.name"),
             require_str(fo.get("true_value", "true"), "feasible_output.true_value"))
+        _require_unpadded(feasibility.name, "feasible_output.name")
+        _require_unpadded(feasibility.true_value, "feasible_output.true_value")
         if feasibility.name in set(objectives) | set(space.names):
             raise ValidationError("feasible_output.name clashes with another column name")
 

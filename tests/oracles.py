@@ -4,8 +4,10 @@ These deliberately take different routes than the implementation: the front
 oracle is a full O(n^2) pairwise dominance matrix, the Beta CDF comes
 from numerically integrating the density (piecewise Gauss-Legendre, with a
 change of variable taming the endpoint singularities) instead of any closed
-form, and tree splits are scored one candidate at a time with plain loops
-over two-pass variance and class-weighted Gini, not from cumulative sums.
+form, tree splits are scored one candidate at a time with plain loops
+over two-pass variance and class-weighted Gini, not from cumulative sums,
+and the uniform candidate pool is drawn as value tuples deduplicated through
+a set, not as an encoded matrix with row keys.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dse.priors import beta_pdf
+from dse.space import ENUMERATION_CAP, INTEGER, REAL, enumerate_space
 
 
 def pairwise_front(points) -> set[int]:
@@ -138,3 +141,36 @@ def candidate_splits(X, unordered):
         for left in masks:
             if any(left) and not all(left):
                 yield left
+
+
+def tuple_pool(space, n: int, rng) -> list[tuple]:
+    """The uniform candidate pool as value tuples: the full enumeration when n
+    covers a finite space, else blocks of one numpy call per parameter column,
+    first occurrences kept through a set, redrawn until n are distinct or 100*n
+    were drawn; a finite space is then topped up with a random order of its
+    unused configurations."""
+    card = space.cardinality()
+    finite = card is not None and card <= ENUMERATION_CAP
+    if finite and n >= card:
+        return list(enumerate_space(space))
+    seen = set()
+    out: list[tuple] = []
+    attempts = 0
+    limit = 100 * n
+    while len(out) < n and attempts < limit:
+        k = min(n - len(out), limit - attempts)  # a block never overshoots n
+        attempts += k
+        gen = rng.generator
+        columns = [(p.lower + gen.random(k) * (p.upper - p.lower) if p.kind == REAL
+                    else gen.integers(p.lower, p.upper + 1, size=k) if p.kind == INTEGER
+                    else np.array(p.values, dtype=object)[gen.integers(0, len(p.values), size=k)]
+                    ).tolist() for p in space.parameters]
+        for values in zip(*columns):
+            if values not in seen:
+                seen.add(values)
+                out.append(values)
+    if len(out) < n and finite:
+        remaining = [c for c in enumerate_space(space) if c not in seen]
+        order = rng.generator.permutation(len(remaining))
+        out.extend(remaining[int(i)] for i in order[: n - len(out)])
+    return out

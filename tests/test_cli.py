@@ -399,3 +399,58 @@ def test_non_finite_reference_cell_fails_with_file_line_and_column(
     assert err == (f"error: ValidationError: {reference} line 2, column 'logic': "
                    f"{cell!r} is not a finite number\n")
     assert not (tmp_path / "out").exists()
+
+
+# Runs in a fresh interpreter: `numpy.ma` costs about 1 MB of peak RSS once
+# imported, and numpy pulls it in lazily from some calls (np.isin, a bare
+# np.unique) that the run path must not make.
+NUMPY_MA_PROBE = """
+import sys
+from dse import evaluators
+from dse.cli import main
+
+def mixed(v):
+    return {"f1": v["x"] + v["k"], "f2": (1.0 - v["x"]) * v["o"], "feasible": v["c"] != "b"}
+
+evaluators.BUILTIN_EVALUATORS["mixed"] = mixed
+for path in sys.argv[1:]:
+    assert main(["run", path]) == 0, path
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path, toy_scenario_doc):
+    import os
+    import subprocess
+    import sys
+
+    from conftest import SRC
+
+    toy = dict(toy_scenario_doc, output_dir=str(tmp_path / "toy"))
+    mixed = {
+        "application_name": "mixed",
+        "optimization_objectives": ["f1", "f2"],
+        "feasible_output": {"name": "feasible"},
+        "input_parameters": {
+            "x": {"parameter_type": "real", "values": [0.0, 1.0]},
+            "y": {"parameter_type": "real", "values": [-1.0, 1.0]},
+            "c": {"parameter_type": "categorical", "values": ["a", "b", "c"]},
+            "o": {"parameter_type": "ordinal", "values": [1, 2.5, 4]},
+            "k": {"parameter_type": "integer", "values": [1, 64]},
+        },
+        "design_of_experiment": {"number_of_samples": 20},
+        "optimization_iterations": 2,
+        "evaluations_per_optimization_iteration": 5,
+        "pareto_prediction_samples": 3000,
+        "output_dir": str(tmp_path / "mixed"),
+        "evaluator": {"builtin": "mixed"},
+    }
+    paths = []
+    for name, doc in (("toy.json", toy), ("mixed.json", mixed)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, *map(str, paths)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "mixed" / "samples.csv").exists()

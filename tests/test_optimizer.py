@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from dse import (
     DesignSpace,
     EvaluationRecord,
@@ -17,10 +20,11 @@ from dse import (
     select_batch,
 )
 from dse.optimizer import SurrogateBundle
-from dse.pareto import dominates
-from dse.space import encode_matrix
+from dse.pareto import dominates, feasible_front
+from dse.space import decode_matrix, encode_matrix, first_equal
 
 from conftest import scenario_with
+from oracles import pairwise_front, tuple_pool
 
 PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
                               bootstrap=False)
@@ -29,7 +33,7 @@ PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
 # --- candidate_pool ---------------------------------------------------------------
 
 def test_pool_enumerates_small_spaces(toy_scenario):
-    pool = candidate_pool(toy_scenario.space, 100_000, RngState(1))
+    pool = decode_matrix(toy_scenario.space, candidate_pool(toy_scenario.space, 100_000, RngState(1)))
     assert len(pool) == 240
     assert len(set(pool)) == 240
 
@@ -38,7 +42,7 @@ def test_pool_samples_large_spaces_distinctly():
     space = DesignSpace(tuple(
         Parameter(f"p{i}", "integer", lower=1, upper=1000) for i in range(3)))
     assert space.cardinality() == 10 ** 9
-    pool = candidate_pool(space, 1000, RngState(2))
+    pool = decode_matrix(space, candidate_pool(space, 1000, RngState(2)))
     assert len(pool) == 1000
     assert len(set(pool)) == 1000
 
@@ -46,6 +50,107 @@ def test_pool_samples_large_spaces_distinctly():
 def test_pool_of_one():
     space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),))
     assert len(candidate_pool(space, 1, RngState(3))) == 1
+
+
+MIXED = DesignSpace((
+    Parameter("x", "real", lower=-2.0, upper=3.0),
+    Parameter("n", "integer", lower=-3, upper=6),
+    Parameter("o", "ordinal", values=(1, 2.5, 8, 20)),
+    Parameter("c", "categorical", values=("a", "b", "c")),
+    Parameter("y", "real", lower=0.0, upper=1e-3),
+))
+FIFTY = DesignSpace((Parameter("n", "integer", lower=1, upper=5),
+                     Parameter("c", "categorical", values=tuple("abcdefghij"))))
+
+
+class NarrowDraws:
+    """An RngState stand-in whose integer draws hit only the two lowest levels
+    of a parameter, so a pool from it keeps colliding and needs the top-up."""
+
+    def __init__(self, seed):
+        self.generator = self
+        self._gen = np.random.default_rng(seed)
+
+    def integers(self, low, high, size):
+        return self._gen.integers(low, min(high, low + 2), size=size)
+
+    def random(self, size):
+        return self._gen.random(size)
+
+    def permutation(self, n):
+        return self._gen.permutation(n)
+
+
+@pytest.mark.parametrize("space, s, make_rng", [
+    pytest.param(DesignSpace((Parameter("o", "ordinal", values=(1, 2.5, 8)),
+                              Parameter("c", "categorical", values=("x", "y")),
+                              Parameter("n", "integer", lower=-2, upper=2))),
+                 100, lambda: RngState(1), id="enumeration"),
+    pytest.param(FIFTY, 45, lambda: RngState(2), id="collisions"),
+    pytest.param(FIFTY, 45, lambda: NarrowDraws(3), id="top-up"),
+    pytest.param(DesignSpace(tuple(Parameter(f"p{i}", "integer", lower=1, upper=1000)
+                                   for i in range(3))),
+                 5000, lambda: RngState(4), id="billion"),
+    pytest.param(DesignSpace(tuple(Parameter(f"p{i}", "integer", lower=0, upper=10 ** 6)
+                                   for i in range(4))),
+                 2000, lambda: RngState(5), id="hashed-finite"),
+    pytest.param(MIXED, 5000, lambda: RngState(6), id="mixed"),
+])
+def test_pool_matrix_decodes_to_the_tuple_stream(space, s, make_rng):
+    got = decode_matrix(space, candidate_pool(space, s, make_rng()))
+    want = tuple_pool(space, s, make_rng())
+    assert len(want) == min(s, space.cardinality() or s)
+    assert got == want
+    assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
+
+
+def test_decode_inverts_encode_with_exact_types():
+    configs = [(-2.0, -3, 1, "a", 0.0), (3.0, 6, 2.5, "c", 1e-3),
+               (0.1 + 0.2, 0, 20, "b", 5e-324), (-0.0, 2, 8, "a", 2.5e-4)]
+    decoded = decode_matrix(MIXED, encode_matrix(MIXED, configs))
+    assert decoded == configs
+    assert [tuple(map(type, c)) for c in decoded] == [tuple(map(type, c)) for c in configs]
+    assert decode_matrix(MIXED, encode_matrix(MIXED, [])) == []
+
+
+class FixedDraws:
+    """An RngState stand-in whose uniform draws repeat a fixed cycle of values
+    and whose integer draws are all the lowest level."""
+
+    def __init__(self, values):
+        self.generator = self
+        self.values = values
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+
+def test_pool_keeps_rows_one_ulp_apart():
+    space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),
+                         Parameter("c", "categorical", values=("a", "b"))))
+    half, above = 0.5, float(np.nextafter(0.5, 1.0))
+    pool = candidate_pool(space, 3, FixedDraws([half, above]))
+    assert decode_matrix(space, pool) == [(half, "a"), (above, "a")]  # the repeats are dropped
+
+    flat = fit_regressor(pool, [1.0, 1.0], PURE_TREE, RngState(0))
+    bundle = SurrogateBundle(space, (flat, flat), classifier=None)
+    assert predict_pareto(bundle, pool, exclude={(half, "a")}) == [(above, "a")]
+    assert predict_pareto(bundle, pool, exclude={(above, "a")}) == [(half, "a")]
+
+
+def test_rows_that_share_a_hash_are_compared(monkeypatch):
+    import dse.space
+
+    space = DesignSpace((Parameter("x", "real", lower=-1.0, upper=1.0),
+                         Parameter("c", "categorical", values=("a", "b"))))
+    X = np.array([[0.5, 0], [0.25, 1], [0.5, 0], [-0.0, 1], [0.0, 1], [0.25, 1], [0.5, 1]])
+    expected = [0, 1, 0, 3, 3, 1, 6]
+    assert first_equal(space, X).tolist() == expected
+    monkeypatch.setattr(dse.space, "row_keys", lambda space, X: np.zeros(len(X), dtype=np.uint64))
+    assert first_equal(space, X).tolist() == expected
 
 
 # --- predict_pareto ----------------------------------------------------------------
@@ -64,13 +169,13 @@ def four_point_bundle():
 
 def test_predict_pareto_returns_nondominated_configs():
     space, configs, bundle = four_point_bundle()
-    predicted = predict_pareto(bundle, configs, exclude=set())
+    predicted = predict_pareto(bundle, encode_matrix(space, configs), exclude=set())
     assert predicted == configs[:3]  # (2,3) is dominated by (2,2)
 
 
 def test_predict_pareto_excludes_evaluated_configs():
     space, configs, bundle = four_point_bundle()
-    assert predict_pareto(bundle, configs, exclude=set(configs)) == []
+    assert predict_pareto(bundle, encode_matrix(space, configs), exclude=set(configs)) == []
 
 
 def test_predict_pareto_filters_predicted_infeasible():
@@ -78,21 +183,21 @@ def test_predict_pareto_filters_predicted_infeasible():
     X = encode_matrix(space, configs)
     classifier = fit_classifier(X, [False] * 4, ForestHyperparams(), RngState(5))
     filtered = SurrogateBundle(space, bundle.regressors, classifier)
-    assert predict_pareto(filtered, configs, exclude=set()) == []
+    assert predict_pareto(filtered, encode_matrix(space, configs), exclude=set()) == []
 
 
 # --- select_batch -----------------------------------------------------------------
 
 def test_batch_passes_through_when_sizes_match(toy_scenario):
     space = toy_scenario.space
-    predicted = candidate_pool(space, 100_000, RngState(6))[:5]
+    predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(6)))[:5]
     batch = select_batch(predicted, 5, space, set(), RngState(7))
     assert batch == predicted
 
 
 def test_batch_fills_with_fresh_prior_samples(toy_scenario):
     space = toy_scenario.space
-    archive = set(candidate_pool(space, 100_000, RngState(8))[:30])
+    archive = set(decode_matrix(space, candidate_pool(space, 100_000, RngState(8)))[:30])
     batch = select_batch([], 3, space, archive, RngState(9))
     assert len(batch) == 3
     assert len(set(batch)) == 3
@@ -101,7 +206,7 @@ def test_batch_fills_with_fresh_prior_samples(toy_scenario):
 
 def test_batch_subset_is_deterministic(toy_scenario):
     space = toy_scenario.space
-    predicted = candidate_pool(space, 100_000, RngState(10))[:10]
+    predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(10)))[:10]
     a = select_batch(predicted, 4, space, set(), RngState(11, 2))
     b = select_batch(predicted, 4, space, set(), RngState(11, 2))
     assert a == b
@@ -137,7 +242,11 @@ def test_run_with_zero_iterations_is_warmup_only(toy_scenario_doc):
     assert len(result.records) == 30
     assert all(r.iteration_tag == -1 for r in result.records)
     front = constrained_front(result.records)
-    assert front == [r for r in constrained_front(result.records)]
+    idx = feasible_front([r.objectives for r in result.records],
+                         [r.feasible for r in result.records])
+    assert front == [result.records[i] for i in idx]
+    feasible = [r for r in result.records if r.feasible]
+    assert front == [feasible[i] for i in sorted(pairwise_front([r.objectives for r in feasible]))]
     assert all(r.feasible for r in front)
 
 

@@ -120,6 +120,52 @@ def test_names_that_break_the_csv_artifacts_are_rejected(role, name, reason):
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", ["a ", " a", "a\t", "\u00a0a"])
+@pytest.mark.parametrize("role", ["parameter", "objective"])
+def test_padded_names_are_rejected(role, name):
+    # evaluator responses are read with stripped cells, so "a " never matches
+    doc = json.loads(json.dumps(MINIMAL))
+    if role == "parameter":
+        doc["input_parameters"][name] = doc["input_parameters"].pop("a")
+        field = f"input_parameters.{name}: "
+    else:
+        doc["optimization_objectives"] = ["cost", name]
+        field = "optimization_objectives: "
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}.*whitespace"):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("level", [" a", "a ", "\na"])
+def test_padded_categorical_levels_are_rejected(level):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["input_parameters"]["b"]["values"] = ["x", level]
+    with pytest.raises(ValidationError, match=r"^input_parameters\.b: .*whitespace"):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [("name", " ok"), ("name", "ok "),
+                                        ("true_value", " true"), ("true_value", "true\n")])
+def test_padded_feasibility_fields_are_rejected(key, value):
+    # a padded true_value would mark every child-evaluated row infeasible
+    feasible = {"name": "ok", "true_value": "true", key: value}
+    with pytest.raises(ValidationError, match=rf"^feasible_output\.{key}: .*whitespace"):
+        make_scenario(feasible_output=feasible)
+    assert make_scenario(feasible_output={"name": "ok", "true_value": "true"}).feasibility.name == "ok"
+
+
+def test_integer_bounds_stay_where_float_features_are_exact():
+    from dse.space import decode_matrix
+
+    edge = DesignSpace((Parameter("k", "integer", lower=-2 ** 53, upper=2 ** 53),))
+    configs = [(-2 ** 53,), (2 ** 53,), (2 ** 53 - 1,)]
+    assert decode_matrix(edge, encode_matrix(edge, configs)) == configs
+    for bounds in ([0, 2 ** 53 + 1], [-2 ** 53 - 1, 0]):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["input_parameters"]["a"] = {"parameter_type": "integer", "values": bounds}
+        with pytest.raises(ValidationError, match=r"^input_parameters\.a: .*2\*\*53"):
+            parse_scenario(json.dumps(doc))
+
+
 def test_unknown_top_level_field_rejected():
     with pytest.raises(ValidationError, match="typo_field"):
         make_scenario(typo_field=3)
