@@ -39,7 +39,6 @@ from .space import (
     encode_matrix,
     enumerate_space,
     parse_scenario,
-    serialize_scenario,
 )
 from .evaluators import (
     EvaluationError,
@@ -67,6 +66,6 @@ __all__ = [
     "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
     "mono_objective_best", "objective_stddevs", "parse_scenario",
     "pareto_front", "predict_pareto", "reference_front", "run",
-    "sample_beta", "sample_parameter", "select_batch", "serialize_scenario",
+    "sample_beta", "sample_parameter", "select_batch",
     "toy_fpga", "warmup_sample",
 ]

@@ -95,15 +95,6 @@ def parse_evaluator(raw: Any, objectives: tuple[str, ...],
         raise ValidationError(f"evaluator: {e}") from e
 
 
-def evaluator_to_json(spec: EvaluatorSpec) -> dict:
-    if spec.mode == "builtin":
-        return {"builtin": spec.name}
-    doc: dict[str, Any] = {"command": spec.command, "timeout_seconds": spec.timeout_seconds}
-    if spec.working_dir is not None:
-        doc["working_dir"] = spec.working_dir
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Builtin benchmarks
 # ---------------------------------------------------------------------------

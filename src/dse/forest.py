@@ -115,19 +115,6 @@ def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
         raise ValidationError(f"{where}: {e}") from e
 
 
-def hyperparams_to_json(hp: ForestHyperparams, classifier: bool) -> dict:
-    doc = {
-        "n_estimators": hp.n_estimators,
-        "max_depth": hp.max_depth,
-        "max_features": hp.max_features,
-        "bootstrap": hp.bootstrap,
-        "min_samples_split": hp.min_samples_split,
-    }
-    if classifier:
-        doc["class_weight"] = {"true": hp.class_weight[0], "false": hp.class_weight[1]}
-    return doc
-
-
 class TreeNode:
     """Binary tree node; a leaf iff ``left`` is None.
 

@@ -7,10 +7,12 @@ predicted infeasible are filtered out before the front is computed. Batches
 are capped at M points; a short prediction is topped up with prior-drawn
 exploration samples.
 
-The pool stays one encoded feature matrix from the draw to the front:
-repeats and evaluated configurations are found by row key
-(:func:`~dse.space.first_equal`), the filter is a boolean mask, and only the
-front rows are decoded to configuration tuples
+The warm-up, the candidate pool and the batch fill all draw their distinct
+configurations through :func:`~dse.space.distinct_rows`, with uniform or
+prior-drawn blocks of encoded rows. The pool stays one encoded feature
+matrix from the draw to the front: repeats and evaluated configurations are
+found by row key (:func:`~dse.space.first_equal`), the filter is a boolean
+mask, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 """
 
@@ -18,25 +20,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
 from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
 from .pareto import EvaluationRecord, feasible_hvi, objective_stddevs, pareto_front
-from .priors import sample_distinct
+from .priors import prior_rows
 from .rng import RngState
 from .space import (
-    ENUMERATION_CAP,
     INTEGER,
     REAL,
     DesignSpace,
     Scenario,
     decode_matrix,
+    distinct_rows,
     encode_matrix,
     first_equal,
-    rank_rows,
-    row_keys,
 )
 
 # fixed substream tags so artifact bytes do not depend on code path details
@@ -82,32 +83,11 @@ def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
     """The encoded candidate set a prediction pass ranks (one row per
     candidate, as :func:`encode_matrix` encodes it): the full enumeration
     when the space fits in s points, else s distinct uniform samples (priors
-    play no role here; their influence ends with warm-up and batch fill).
-
-    Rows are drawn in blocks; repeats are dropped and redrawn until s are
-    distinct or 100*s rows were drawn, and a finite space is then topped up
-    with a random order of its unused rows."""
+    play no role here; their influence ends with warm-up and batch fill)."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
-    card = space.cardinality()
-    finite = card is not None and card <= ENUMERATION_CAP
-    if finite and s >= card:
-        return rank_rows(space, np.arange(card))
     gen = rng.generator
-    X = np.empty((0, len(space.parameters)))
-    attempts = 0
-    while len(X) < s and attempts < 100 * s:
-        k = min(s - len(X), 100 * s - attempts)  # a block never overshoots s
-        attempts += k
-        X = np.concatenate([X, _uniform_rows(space, k, gen)])
-        X = X[first_equal(space, X) == np.arange(len(X))]
-    if len(X) < s and finite:
-        used = np.zeros(card, dtype=bool)
-        used[row_keys(space, X)] = True
-        remaining = np.flatnonzero(~used)
-        order = gen.permutation(len(remaining))
-        X = np.concatenate([X, rank_rows(space, remaining[order[: s - len(X)]])])
-    return X
+    return distinct_rows(space, s, lambda k: _uniform_rows(space, k, gen), gen)
 
 
 def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
@@ -134,7 +114,7 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
 
 
 def predict_pareto(bundle: SurrogateBundle, pool: np.ndarray,
-                   exclude: set[tuple]) -> list[tuple]:
+                   exclude: Collection[tuple]) -> list[tuple]:
     """The configurations whose predicted objectives form the front of an
     encoded pool.
 
@@ -154,26 +134,31 @@ def predict_pareto(bundle: SurrogateBundle, pool: np.ndarray,
 
 
 def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
-                 evaluated: set[tuple], rng: RngState) -> list[tuple]:
+                 evaluated: Collection[tuple], rng: RngState) -> list[tuple]:
     """Pick at most m configurations to evaluate next.
 
-    More predictions than the budget: a uniform random m-subset. Fewer: all
+    Predictions equal to an ``evaluated`` configuration are dropped. More
+    predictions left than the budget: a uniform random m-subset. Fewer: all
     of them plus fresh prior-drawn samples, distinct from each other and from
-    the ``evaluated`` configurations (the exploration half of the
-    epsilon-greedy trade-off). On a finite space that is almost exhausted the
-    batch may come back short or empty; empty means the search is done.
+    the predictions and ``evaluated`` configurations (the exploration half of
+    the epsilon-greedy trade-off). On a finite space that is almost exhausted
+    the batch may come back short or empty; empty means the search is done.
+    A configuration outside the domain raises a DomainError.
     """
     if m < 1:
         raise ValueError("batch budget must be >= 1")
-    fresh = [c for c in predicted if c not in evaluated]
+    E, P = encode_matrix(space, list(evaluated)), encode_matrix(space, predicted)
+    new = first_equal(space, np.concatenate([E, P]))[len(E):] >= len(E)
+    fresh = [c for c, keep in zip(predicted, new.tolist()) if keep]
     if len(fresh) > m:
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
     if len(fresh) == m:
         return fresh
-    return fresh + sample_distinct(space, m - len(fresh), rng,
-                                   taken=set(fresh) | evaluated, limit=100 * m)
+    fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng.generator,
+                         taken=np.concatenate([E, P[new]]), limit=100 * m)
+    return fresh + decode_matrix(space, fill)
 
 
 def mono_objective_best(records: list[EvaluationRecord]) -> EvaluationRecord | None:
@@ -219,7 +204,7 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
         fit_rng = root.substream(_STREAM_FIT)
         bundle = fit_surrogates(space, records, scenario, fit_rng.substream(0))
         while i < scenario.optimization_iterations:
-            evaluated = {r.config for r in records}
+            evaluated = [r.config for r in records]
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
                                   root.substream(_STREAM_POOL).substream(i))
             predicted = predict_pareto(bundle, pool, evaluated)

@@ -5,22 +5,29 @@ onto the parameter's range and snap to the closest allowed value. Categorical
 parameters draw a level from an explicit probability table. Priors shape only
 the warm-up phase and the random fill of undersized batches; the surrogates
 and the front prediction never see them.
+
+Both prior-guided draws go through :func:`~dse.space.distinct_rows`, the one
+sampler of distinct configurations that the uniform candidate pool uses too:
+:func:`prior_rows` supplies its blocks of encoded rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Any
+from typing import Any
+
+import numpy as np
 
 from .rng import RngState
 from .space import (
     CATEGORICAL,
     INTEGER,
     REAL,
-    ENUMERATION_CAP,
     DesignSpace,
     Parameter,
-    enumerate_space,
+    decode_matrix,
+    distinct_rows,
+    encode_matrix,
 )
 
 
@@ -121,41 +128,19 @@ def sample_parameter(param: Parameter, rng: RngState) -> Any:
     return _snap_ordinal(lo + u * (hi - lo), param.values)
 
 
-def sample_distinct(space: DesignSpace, n: int, rng: RngState,
-                    taken: AbstractSet[tuple] = frozenset(),
-                    limit: int | None = None) -> list[tuple]:
-    """Up to n distinct configurations, none of them in ``taken``.
-
-    With nothing taken, a finite space that n covers comes back whole, in
-    enumeration order. Otherwise prior draws, value by value in row-major
-    order, that repeat are rejected; after ``limit`` draws (default 100*n) a
-    finite space is topped up with a random order of its unused
-    configurations, so the result is short only when the space runs out
-    (spaces with real parameters do not collide in practice).
-    """
-    card = space.cardinality()
-    finite = card is not None and card <= ENUMERATION_CAP
-    if finite and not taken and n >= card:
-        return list(enumerate_space(space))
-    seen = set(taken)
-    out: list[tuple] = []
-    for _ in range(100 * n if limit is None else limit):
-        if len(out) == n:
-            break
-        values = tuple(sample_parameter(p, rng) for p in space.parameters)
-        if values not in seen:
-            seen.add(values)
-            out.append(values)
-    if len(out) < n and finite:
-        remaining = [c for c in enumerate_space(space) if c not in seen]
-        order = rng.generator.permutation(len(remaining))
-        out.extend(remaining[int(i)] for i in order[: n - len(out)])
-    return out
+def prior_rows(space: DesignSpace, k: int, rng: RngState) -> np.ndarray:
+    """k encoded rows drawn from the priors, one :func:`sample_parameter` call
+    per value in row-major order, so a block of k rows is the next k
+    configurations of a one-at-a-time draw."""
+    return encode_matrix(space, [tuple(sample_parameter(p, rng) for p in space.parameters)
+                                 for _ in range(k)])
 
 
 def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[tuple]:
     """The design-of-experiments phase: min(n, cardinality) distinct
-    configurations drawn from the per-parameter priors."""
+    configurations drawn from the per-parameter priors (a finite space that
+    n covers comes back whole, in enumeration order)."""
     if n < 1:
         raise ValueError("warm-up size must be >= 1")
-    return sample_distinct(space, n, rng)
+    rows = distinct_rows(space, n, lambda k: prior_rows(space, k, rng), rng.generator)
+    return decode_matrix(space, rows)

@@ -4,8 +4,7 @@ A design space is an ordered list of typed parameters (real, integer,
 ordinal, categorical). The parameter order is canonical: configurations
 (plain tuples of values), feature vectors, CSV columns and enumeration order
 all follow it. Scenarios bundle a space with objectives, budgets, surrogate
-hyperparameters and an evaluator, and are read from / written to a JSON
-setup file.
+hyperparameters and an evaluator, and are read from a JSON setup file.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -346,6 +345,35 @@ def first_equal(space: DesignSpace, X: np.ndarray) -> np.ndarray:
     return first
 
 
+def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], gen,
+                  taken: np.ndarray | None = None, limit: int | None = None) -> np.ndarray:
+    """Up to n distinct encoded rows, none equal to a row of ``taken`` (in
+    whatever order those come). With nothing taken, a finite space that n
+    covers comes back whole, in enumeration order. Otherwise ``draw(k)``
+    supplies blocks of k rows, k never more than the rows still missing, and
+    repeats (:func:`first_equal`) are dropped; after ``limit`` drawn rows
+    (default 100*n) a finite space is topped up with a ``gen.permutation`` of
+    its unused ranks, so the result is short only when the space runs out."""
+    card = space.cardinality()
+    finite = card is not None and card <= ENUMERATION_CAP
+    A = np.empty((0, len(space.parameters))) if taken is None else taken
+    if finite and not len(A) and n >= card:
+        return rank_rows(space, np.arange(card))
+    A = A[first_equal(space, A) == np.arange(len(A))]  # distinct taken rows, then kept draws
+    t, left = len(A), 100 * n if limit is None else limit
+    while len(A) - t < n and left > 0:
+        k = min(n + t - len(A), left)
+        left -= k
+        A = np.concatenate([A, draw(k)])
+        A = A[first_equal(space, A) == np.arange(len(A))]
+    if len(A) - t < n and finite:
+        unused = np.ones(card, dtype=bool)
+        unused[row_keys(space, A)] = False
+        order = gen.permutation(np.count_nonzero(unused))[: n + t - len(A)]
+        A = np.concatenate([A, rank_rows(space, np.flatnonzero(unused)[order])])
+    return A[t:]
+
+
 def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[tuple]:
     """Every configuration exactly once, lexicographically in canonical
     parameter order. Requires a finite space no larger than ``cap``."""
@@ -628,50 +656,3 @@ def scenario_from_doc(doc: dict) -> Scenario:
                                              "feasibility_threshold"),
     )
 
-
-def _prior_to_json(prior: Prior) -> Any:
-    if prior.shape == "categorical":
-        return list(prior.probs)
-    if prior.shape in BETA_SHAPES:
-        return prior.shape
-    return [prior.alpha, prior.beta]
-
-
-def _parameter_to_json(p: Parameter) -> dict:
-    if p.kind in (REAL, INTEGER):
-        values = [p.lower, p.upper]
-    else:
-        values = list(p.values)
-    return {"parameter_type": p.kind, "values": values, "prior": _prior_to_json(p.prior)}
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Inverse of :func:`parse_scenario`: emits a JSON document that parses
-    back to an equal Scenario."""
-    from .evaluators import evaluator_to_json
-    from .forest import hyperparams_to_json
-
-    doc: dict[str, Any] = {
-        "application_name": scenario.application_name,
-        "optimization_objectives": list(scenario.objectives),
-        "input_parameters": {p.name: _parameter_to_json(p) for p in scenario.space.parameters},
-        "design_of_experiment": {"number_of_samples": scenario.doe_samples},
-        "optimization_iterations": scenario.optimization_iterations,
-        "evaluations_per_optimization_iteration": scenario.evaluations_per_iteration,
-        "pareto_prediction_samples": scenario.pareto_prediction_samples,
-        "seed": scenario.seed,
-        "output_dir": scenario.output_dir,
-        "evaluator": evaluator_to_json(scenario.evaluator),
-        "surrogate": {
-            "regressor": hyperparams_to_json(scenario.regressor_hp, classifier=False),
-            "classifier": hyperparams_to_json(scenario.classifier_hp, classifier=True),
-        },
-        "use_feasibility_filter": scenario.use_feasibility_filter,
-        "feasibility_threshold": scenario.feasibility_threshold,
-    }
-    if scenario.feasibility is not None:
-        doc["feasible_output"] = {
-            "name": scenario.feasibility.name,
-            "true_value": scenario.feasibility.true_value,
-        }
-    return json.dumps(doc, indent=2)

@@ -5,6 +5,7 @@ import pytest
 
 from dse import (
     DesignSpace,
+    DomainError,
     EvaluationRecord,
     ForestHyperparams,
     Parameter,
@@ -21,7 +22,7 @@ from dse import (
 )
 from dse.optimizer import SurrogateBundle
 from dse.pareto import dominates, feasible_front
-from dse.space import decode_matrix, encode_matrix, first_equal
+from dse.space import decode_matrix, distinct_rows, encode_matrix, enumerate_space, first_equal
 
 from conftest import scenario_with
 from oracles import pairwise_front, tuple_pool
@@ -153,6 +154,49 @@ def test_rows_that_share_a_hash_are_compared(monkeypatch):
     assert first_equal(space, X).tolist() == expected
 
 
+# --- distinct_rows ----------------------------------------------------------------
+
+ORD = DesignSpace((Parameter("o", "ordinal", values=(1, 5, 8)),
+                   Parameter("n", "integer", lower=0, upper=1)))
+REAL_CAT = DesignSpace((Parameter("x", "real", lower=-1.0, upper=1.0),
+                        Parameter("c", "categorical", values=("a", "b"))))
+
+
+def unused_in_random_order(space, taken, seed):
+    """Oracle for the top-up: the configurations not taken, in enumeration
+    order, permuted by a generator seeded ``seed``."""
+    remaining = [c for c in enumerate_space(space) if c not in set(taken)]
+    return [remaining[i] for i in np.random.default_rng(seed).permutation(len(remaining))]
+
+
+@pytest.mark.parametrize("space, taken, draws, n, limit, expected", [
+    pytest.param(ORD, [(8, 0)], [(8.0, 0), (1, 0), (8.0, 1)], 2, None, [(1, 0), (8, 1)],
+                 id="ordinal-8-vs-8.0"),
+    pytest.param(REAL_CAT, [(-0.0, "a")], [(0.0, "a"), (0.5, "a"), (-0.0, "b")], 2, None,
+                 [(0.5, "a"), (-0.0, "b")], id="real-minus-zero"),
+    pytest.param(ORD, [(1, 0), (1, 0), (5, 1), (1, 0)],
+                 [(1, 0), (5, 1), (5, 0), (5, 0), (8, 0)], 2, None, [(5, 0), (8, 0)],
+                 id="repeated-taken"),
+    pytest.param(ORD, [(1, 0), (8, 1)], [], 3, 0,
+                 unused_in_random_order(ORD, [(1, 0), (8, 1)], 7)[:3], id="limit-0-tops-up"),
+    pytest.param(REAL_CAT, [(0.25, "a"), (0.75, "b"), (0.25, "b")],
+                 [(0.75, "b"), (0.25, "a"), (0.75, "a"), (0.75, "a"), (0.25, "b"), (-1.0, "b")],
+                 2, None, [(0.75, "a"), (-1.0, "b")], id="hashed-keys"),
+])
+def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, expected):
+    for order in (taken, taken[::-1]):
+        script = iter(draws)
+
+        def draw(k):
+            assert k >= 1
+            return encode_matrix(space, [next(script) for _ in range(k)])
+
+        got = decode_matrix(space, distinct_rows(space, n, draw, np.random.default_rng(7),
+                                                 taken=encode_matrix(space, order), limit=limit))
+        assert got == expected
+        assert next(script, None) is None  # blocks of exactly the rows still missing
+
+
 # --- predict_pareto ----------------------------------------------------------------
 
 def four_point_bundle():
@@ -232,6 +276,13 @@ def test_batch_returns_short_when_space_is_exhausted():
     everything = {(i,) for i in range(4)}
     batch = select_batch([], 5, space, everything, RngState(12))
     assert batch == []
+
+
+@pytest.mark.parametrize("predicted, m", [([(2,)], 1), ([(2,)], 3), ([], 2)])
+def test_batch_rejects_an_evaluated_configuration_outside_the_domain(predicted, m):
+    space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
+    with pytest.raises(DomainError, match="value 7 outside domain"):
+        select_batch(predicted, m, space, {(1,), (7,)}, RngState(12))
 
 
 # --- run --------------------------------------------------------------------------

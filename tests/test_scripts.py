@@ -20,6 +20,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     pytest.param("classifier_grid_search.py",
                  ["--max-estimators", "2", "--samples", "60", "--top", "3"],
                  r"^scored 81 configurations in \d+\.\ds$", id="classifier_grid_search"),
+    pytest.param("recall_census.py", ["--seeds", "1-6"],
+                 r"^set 1-5: [0-5]/5 seeds  (pass|FAIL)\nset 6-6: [01]/1 seeds .*\n\n"
+                 r"recall final >= warm-up in \d/6 seeds; [01]/1 five-seed sets pass",
+                 id="recall_census"),
 ])
 def test_script_runs_and_prints_its_summary(script, args, summary):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
