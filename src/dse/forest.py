@@ -1,27 +1,30 @@
 """Randomized decision forests, built from scratch.
 
-Regression forests act as per-objective surrogates; a binary classification
-forest acts as the feasibility filter. Trees are grown on bootstrap resamples
-with per-node feature subsampling. Ordered features split on thresholds
-(midpoints between consecutive distinct values); features flagged unordered
-(categorical level indices) split on level equality, never on thresholds.
+A regression forest with one output per objective acts as the surrogate; a
+binary classification forest acts as the feasibility filter. Trees are grown
+on bootstrap resamples with per-node feature subsampling. Ordered features
+split on thresholds (midpoints between consecutive distinct values);
+features flagged unordered (categorical level indices) split on level
+equality, never on thresholds.
 Both kinds grow by one criterion, the weight-averaged variance of the
 targets in the two children: on the classifier's class-weighted 0/1 labels
 that variance is half the weighted Gini impurity, so it picks the splits
 Gini would (Breiman et al., Classification and Regression Trees, 1984).
 
-The trees of one fit grow together, in passes that each score a batch of
-open nodes in one vectorized sweep: level by level, every open node of every
-tree at once, when each node considers every feature (regressors under
-"auto"); otherwise the next depth-first node of each tree, so that each
-node's feature draw comes from its tree's generator in depth-first order.
+The trees of one fit, of every output of a regressor fitted on an (n, p)
+target matrix alike, grow together in passes over an array frontier of open
+nodes, each pass one vectorized sweep: level by level, every open node of
+every tree at once, when each node considers every feature (regressors
+under "auto"); otherwise each tree's newest open node, so that each node's
+feature draw comes from its tree's generator in depth-first order.
 Level-wise growth follows LightGBM (Ke et al., NeurIPS 2017); the splits
 are exact, and every sum covers one node's rows, so the trees do not depend
 on the batch.
 
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
 RngState(seed ^ t, stream), so each tree is a pure function of the training
-data, the seed, the stream and t.
+data, the seed, the stream and t. Output j of a matrix fit is seeded
+rng.substream(j).
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ class TreeNode:
 
     Internal nodes test one feature: ordered features go left when
     value <= threshold, unordered features go left when value == threshold.
-    Leaves carry the training-target mean (regression) or the weighted
-    feasible-class probability (classification).
+    Every node carries its training-target mean (regression) or weighted
+    feasible-class probability (classification); a leaf predicts it.
     """
 
     __slots__ = ("feature", "threshold", "unordered", "left", "right", "value")
@@ -147,14 +150,13 @@ def _variance(w, wy, wyy):
 
 
 def _gain(total, left):
-    """Weighted variance decrease of splitting each node with sums ``total``
-    (3 x nodes) into each ``left`` part (3 x nodes x parts) and the rest,
-    which is taken as total minus left."""
-    right = total[..., None] - left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        child = (left[0] * np.maximum(_variance(*left), 0.0)
-                 + right[0] * np.maximum(_variance(*right), 0.0))
-        return _variance(*total)[..., None] - child / total[0][..., None]
+    """Weighted variance decrease of splitting nodes with sums ``total`` into
+    a ``left`` part and the rest, which is taken as total minus left; both
+    are 3 x cuts arrays, and both parts weigh more than zero."""
+    right = total - left
+    child = (left[0] * np.maximum(_variance(*left), 0.0)
+             + right[0] * np.maximum(_variance(*right), 0.0))
+    return _variance(*total) - child / total[0]
 
 
 def _first_best(g, axis):
@@ -183,27 +185,36 @@ def _chunks(widths):
         yield chunk, width
 
 
+def _select(front, mask):
+    """The nodes of a frontier (id, tree, depth, size, sums, rows) in ``mask``."""
+    ids, trees, depths, sizes, sums, rows = front
+    return (ids[mask], trees[mask], depths[mask], sizes[mask], sums[:, mask],
+            rows[np.repeat(mask, sizes)])
+
+
 class _TreeBuilder:
-    """Grows the trees of one fit together; adds each split's impurity
-    decrease to its tree's importance of the split feature.
+    """Grows the trees of one fit together, in passes over an array
+    frontier; adds each split's impurity decrease to its tree's importance
+    of the split feature.
 
     Every split minimizes one criterion, the weight-averaged variance of the
     targets in the two children. Node impurity, leaf value and every split
     gain come from sums over one 3 x (trees * n) matrix with rows w, w*y and
-    w*y*y, one block of n columns per tree's (bootstrap) sample. Regression
-    samples weigh 1.0. The classifier fits its 0/1 labels with class
-    weights; for such labels the weighted variance p(1 - p) is half the
-    weighted Gini impurity 2p(1 - p), so both criteria pick the same splits,
-    and the leaf mean is the weighted feasible fraction.
+    w*y*y, one block of n columns per tree's (bootstrap) sample and targets.
+    Regression samples weigh 1.0. The classifier fits its 0/1 labels with
+    class weights; for such labels the weighted variance p(1 - p) is half
+    the weighted Gini impurity 2p(1 - p), so both criteria pick the same
+    splits, and the leaf mean is the weighted feasible fraction.
 
-    Open nodes wait on one stack per tree, and growth runs in passes over
-    batches of them. When every node chooses every feature (k == d:
-    regressors under "auto") no feature is drawn, and a pass takes every
-    open node of every tree: the trees grow level by level, one depth per
-    pass. Otherwise (the classifier) each node draws its k features from its
-    tree's generator, and a pass takes the next node of each tree in
-    depth-first order, so every tree draws from its own generator in
-    depth-first order. Both are the one pass below; only the batch differs.
+    The open nodes are arrays in the order they were opened: node id, tree,
+    depth, size, moment sums, and their rows grouped by node. When every
+    node chooses every feature (k == d: regressors under "auto") nothing is
+    drawn, and a pass takes every open node: the trees grow one depth per
+    pass. Otherwise (the classifier) a pass takes each tree's newest open
+    node, so every tree draws its nodes' k features from its generator in
+    depth-first order. A pass splits or closes the nodes it takes and opens
+    their children, right before left. Values and splits are recorded in
+    arrays, and the TreeNodes are built once, after the last pass.
 
     A pass scores every chosen (feature, node) pair, a lane, at once.
     Ordered lanes: one stable argsort of each lane's values, one gather of
@@ -239,19 +250,35 @@ class _TreeBuilder:
         self.importance = np.zeros((len(gens), len(self.XT)))
 
     def build(self) -> list[TreeNode]:
-        count = len(self.gens)
-        roots = [TreeNode() for _ in range(count)]
-        stacks = [[] for _ in range(count)]
-        self._open(roots, range(count), np.arange(count * self.n), np.full(count, self.n),
-                   np.zeros(count, dtype=np.intp), stacks)
-        while any(stacks):
-            if self.k < len(self.XT):
-                batch = [stack.pop() for stack in stacks if stack]
+        count, d = len(self.gens), len(self.XT)
+        if self.k < d:  # row i of a tree's draws: the features of the i-th node it scores
+            self.draws, self.drawn = self._draw(16), np.zeros(count, dtype=np.intp)
+        self.values, self.splits, self.size = [], [], 0
+        front = self._open(np.arange(count), np.zeros(count, dtype=np.intp),
+                           np.full(count, self.n), np.arange(count * self.n))
+        while len(front[0]):
+            if self.k < d:
+                newest = np.full(count, -1)
+                np.maximum.at(newest, front[1], np.arange(len(front[1])))
+                take = newest[front[1]] == np.arange(len(front[1]))
+                children = self._split(_select(front, take))
+                front = tuple(np.concatenate(pair, axis=-1)
+                              for pair in zip(_select(front, ~take), children))
             else:
-                batch = [entry for stack in stacks for entry in stack]
-                stacks = [[] for _ in stacks]
-            self._split(batch, stacks)
-        return roots
+                front = self._split(front)
+        # the nodes, numbered as opened: the roots, then each split's right and left child
+        nodes = [TreeNode(v) for v in np.concatenate(self.values).tolist()]
+        unordered = self.unordered.tolist()
+        for i, f, test, child in zip(*(np.concatenate(a).tolist() for a in zip(*self.splits))):
+            node = nodes[i]
+            node.feature, node.threshold, node.unordered = f, test, unordered[f]
+            node.right, node.left = nodes[child], nodes[child + 1]
+        return nodes[:count]
+
+    def _draw(self, m):
+        """Each tree's next m permutation(d) draws, one row each, cut to k."""
+        perms = np.tile(np.arange(len(self.XT)), (m, 1))
+        return np.stack([gen.permuted(perms, axis=1)[:, :self.k] for gen in self.gens])
 
     def _sums(self, rows, segment, count):
         """3 x count sums of the moments of ``rows`` by ``segment`` label,
@@ -259,11 +286,13 @@ class _TreeBuilder:
         return np.stack([np.bincount(segment, weights=m, minlength=count)
                          for m in self.M.take(rows, axis=1)])
 
-    def _open(self, nodes, trees, rows, sizes, depths, stacks):
-        """Closes each new node whose ``sizes`` rows (consecutive in
-        ``rows``) cannot be split as a leaf, and pushes the others onto their
-        tree's stack, in order. A node whose targets are all equal is a leaf
-        even where rounding leaves its variance a little above zero."""
+    def _open(self, trees, depths, sizes, rows):
+        """Numbers and records the new nodes of ``trees``, whose ``sizes``
+        rows are consecutive in ``rows``; returns the frontier of those that
+        can split. A node whose targets are all equal is a leaf even where
+        rounding leaves its variance a little above zero."""
+        ids = np.arange(self.size, self.size + len(sizes))
+        self.size += len(sizes)
         starts = np.cumsum(sizes) - sizes
         sums = self._sums(rows, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
         y = self.y[rows]
@@ -271,54 +300,30 @@ class _TreeBuilder:
                 & (np.maximum.reduceat(y, starts) > np.minimum.reduceat(y, starts)))
         if self.hp.max_depth is not None:
             grow &= depths < self.hp.max_depth
-        values = (sums[1] / sums[0]).tolist()
-        for node, t, start, end, depth, g, v, s in zip(
-                nodes, trees, starts.tolist(), (starts + sizes).tolist(), depths.tolist(),
-                grow.tolist(), values, sums.T.tolist()):
-            if g:
-                stacks[t].append((node, t, rows[start:end], depth, s))
-            else:
-                node.value = v
+        self.values.append(sums[1] / sums[0])
+        return _select((ids, trees, depths, sizes, sums, rows), grow)
 
-    def _split(self, batch, stacks):
-        """Splits each (node, tree, rows, depth, sums) of ``batch`` at its best
-        cut, or closes it as a leaf; opens the children, right before left."""
-        nodes, trees, idxs, depths, sums = zip(*batch)
-        trees = np.array(trees)
-        sizes = np.array([len(idx) for idx in idxs])
-        rows = np.concatenate(idxs)
-        sums = np.array(sums).T
+    def _split(self, front):
+        """Splits each node of the frontier ``front`` at its best cut, or
+        leaves it a leaf; returns the frontier its children open."""
+        ids, trees, depths, sizes, sums, rows = front
         gain, feature, threshold = self._best_splits(trees, rows, sizes, sums)
         split = gain > 0.0
         np.add.at(self.importance, (trees[split], feature[split]),
                   (sums[0] / self.root_weight[trees] * gain)[split])
         # the rows of every split node, right child then left child
-        keep = np.repeat(split, sizes)
-        rows = rows[keep]
+        rows = rows[np.repeat(split, sizes)]
         column = np.repeat(feature[split], sizes[split])
         value = self.XT[column, rows]
         test = np.repeat(threshold[split], sizes[split])
-        side = np.repeat(2 * np.arange(split.sum()), sizes[split])
+        count = int(split.sum())
+        side = np.repeat(2 * np.arange(count), sizes[split])
         side += np.where(self.unordered[column], value == test, value <= test)
-        rows = rows[side.argsort(kind="stable")]
-        values = (sums[1] / sums[0]).tolist()
-        children, child_trees, child_depths = [], [], []
-        for j, (node, t, depth, f, test) in enumerate(zip(nodes, trees.tolist(), depths,
-                                                          feature.tolist(), threshold.tolist())):
-            if not split[j]:
-                node.value = values[j]
-                continue
-            node.feature = f
-            node.threshold = test
-            node.unordered = bool(self.unordered[f])
-            node.left = TreeNode()
-            node.right = TreeNode()
-            children += (node.right, node.left)
-            child_trees += (t, t)
-            child_depths += (depth + 1, depth + 1)
-        if children:
-            self._open(children, child_trees, rows, np.bincount(side, minlength=len(children)),
-                       np.array(child_depths), stacks)
+        self.splits.append((ids[split], feature[split], threshold[split],
+                            self.size + 2 * np.arange(count)))
+        return self._open(np.repeat(trees[split], 2), np.repeat(depths[split] + 1, 2),
+                          np.bincount(side, minlength=2 * count),
+                          rows[side.argsort(kind="stable")])
 
     def _best_splits(self, trees, rows, sizes, sums):
         """(gain, feature, threshold) arrays of the best split of each node
@@ -326,9 +331,11 @@ class _TreeBuilder:
         gain is -inf where no chosen feature separates the node's rows."""
         d = len(self.XT)
         if self.k < d:
+            if self.drawn.max() == self.draws.shape[1]:  # a tree has used its draws up
+                self.draws = np.concatenate([self.draws, self._draw(self.draws.shape[1])], axis=1)
             chosen = np.zeros((d, len(sizes)), dtype=bool)
-            for j, t in enumerate(trees):
-                chosen[self.gens[t].permutation(d)[: self.k], j] = True
+            chosen[self.draws[trees, self.drawn[trees]].T, np.arange(len(sizes))] = True
+            self.drawn[trees] += 1  # a pass takes one node per tree
         else:  # every feature is chosen, so a draw could not change the tree
             chosen = np.ones((d, len(sizes)), dtype=bool)
         # gain and threshold of the best cut of every chosen (feature, node)
@@ -365,14 +372,18 @@ class _TreeBuilder:
         at = starts + np.minimum(cut, m - 1)
         # padding sorts last as +inf; stable order keeps ties in row order
         sv = np.where(cut < m, self.XT[features[:, None], rows[at]], np.inf)
-        order = sv.argsort(axis=1, kind="stable")
-        sv = np.take_along_axis(sv, order, axis=1)
-        boundary = (sv[:, :-1] < sv[:, 1:]) & (cut[1:] < m)
-        left = S.take(np.take_along_axis(at, order, axis=1)[:, :-1], axis=1)
-        del at, order
-        g = np.where(boundary, _gain(total, left.cumsum(axis=2, out=left)), -np.inf)
-        best = _first_best(g, axis=1)
         lane = np.arange(len(features))
+        order = lane[:, None], sv.argsort(axis=1, kind="stable")
+        sv = sv[order]
+        boundary = (sv[:, :-1] < sv[:, 1:]) & (cut[1:] < m)
+        left = S.take(at[order][:, :-1], axis=1)
+        del at, order
+        left = left.cumsum(axis=2, out=left)
+        # only cuts between distinct values are scored
+        lanes, cuts = np.nonzero(boundary)
+        g = np.full(boundary.shape, -np.inf)
+        g[lanes, cuts] = _gain(total[:, lanes], left[:, lanes, cuts])
+        best = _first_best(g, axis=1)
         lo, hi = sv[lane, best], sv[lane, best + 1]
         mid = 0.5 * (lo + hi)
         # adjacent floats: the midpoint rounded up; fall back to the lower
@@ -390,10 +401,11 @@ class _TreeBuilder:
             if not nodes.size:
                 continue
             left = self._sums(rows, node * len(levels) + index[rows], count * len(levels))
-            left = left.reshape(3, count, len(levels))
+            left = left.reshape(3, count, len(levels))[:, nodes]
             present = left[0] > 0.0  # every sample weighs more than zero
-            g = np.where(present & (present.sum(axis=1, keepdims=True) >= 2),
-                         _gain(sums, left), -np.inf)[nodes]
+            i, level = np.nonzero(present & (present.sum(axis=1, keepdims=True) >= 2))
+            g = np.full(present.shape, -np.inf)
+            g[i, level] = _gain(sums[:, nodes[i]], left[:, i, level])
             level = _first_best(g, axis=1)
             gains[f, nodes] = g[np.arange(len(nodes)), level]
             tests[f, nodes] = levels[level]
@@ -401,27 +413,32 @@ class _TreeBuilder:
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """An immutable fitted ensemble."""
+    """An immutable fitted ensemble with one output, or with p outputs (a
+    regressor fitted on a target matrix): then ``trees`` holds each output's
+    trees in turn and ``raw_importance`` has one row per output."""
 
     kind: str  # "regressor" | "classifier"
     n_features: int
     unordered: tuple[bool, ...]
     trees: tuple[TreeNode, ...]
-    raw_importance: np.ndarray  # mean per-feature impurity decrease over trees
+    raw_importance: np.ndarray  # mean per-feature impurity decrease over trees: (d,) or (p, d)
 
     def predict_batch(self, X) -> np.ndarray:
-        """Per-row forest prediction: mean over trees of the reached leaf
-        value (target mean or feasible-class probability)."""
+        """Per-row forest prediction, (rows,) or (rows, p): mean over an
+        output's trees of the reached leaf value (target mean or
+        feasible-class probability), summed tree by tree in order."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"feature matrix must have {self.n_features} columns")
         XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
-        out = np.zeros(len(X))
+        out = np.zeros((len(X),) + self.raw_importance.shape[:-1])
+        columns = out.reshape(len(X), -1)  # a view with one column per output
+        per_output = len(self.trees) // columns.shape[1]
         scratch = np.empty(len(X))
-        for tree in self.trees:
+        for i, tree in enumerate(self.trees):
             _tree_predict(tree, XT, scratch, np.arange(len(X)))
-            out += scratch
-        return out / len(self.trees)
+            columns[:, i // per_output] += scratch
+        return out / per_output
 
 
 def _tree_predict(root: TreeNode, XT, out, idx):
@@ -446,8 +463,8 @@ def _prepare(X, y) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or X.shape[0] == 0:
         raise FitError("training set must contain at least one sample")
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise FitError("feature matrix and targets disagree on sample count")
+    if y.ndim not in (1, 2) or y.shape[0] != X.shape[0] or y.shape[1:] == (0,):
+        raise FitError(f"targets must give each of the {len(X)} samples a value or a row")
     return X, y
 
 
@@ -459,35 +476,37 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
         raise FitError("unordered mask length does not match feature count")
 
     k = hp.resolve_max_features(d, classifier)
-    gens, samples, weights = [], [], []
-    for t in range(hp.n_estimators):
-        gen = RngState(rng.seed ^ t, rng.stream_id).generator
-        sample = gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
-        if classifier:
-            pos = y[sample] > 0.5
-            n_pos = int(pos.sum())
-            weights.append(np.where(pos, hp.class_weight[0] / max(n_pos, 1),
-                                    hp.class_weight[1] / max(n - n_pos, 1)))
-        else:
-            weights.append(np.ones(n))
-        gens.append(gen)
-        samples.append(sample)
-    sample = np.concatenate(samples)
-    builder = _TreeBuilder(X[sample], y[sample], np.concatenate(weights), unordered, hp, gens, k)
+    vector, Y = y.ndim == 1, y.reshape(n, -1)  # one column per output
+    rngs = [rng] if vector else [rng.substream(j) for j in range(Y.shape[1])]
+    gens = [RngState(r.seed ^ t, r.stream_id).generator
+            for r in rngs for t in range(hp.n_estimators)]
+    sample = np.concatenate([gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
+                             for gen in gens])
+    y = Y[sample, np.arange(len(rngs)).repeat(hp.n_estimators * n)]
+    w = np.ones(len(y))
+    if classifier:  # class c weighs class_weight[c] / (count of c in the tree's sample)
+        pos = (y > 0.5).reshape(len(gens), n)
+        n_pos = pos.sum(axis=1, keepdims=True)
+        w = np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
+                     hp.class_weight[1] / np.maximum(n - n_pos, 1)).ravel()
+    builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k)
     trees = builder.build()
-    return Forest(
-        kind="classifier" if classifier else "regressor",
-        n_features=d,
-        unordered=unordered,
-        trees=tuple(trees),
-        raw_importance=np.mean(builder.importance, axis=0),
-    )
+    importance = builder.importance.reshape(len(rngs), hp.n_estimators, d).mean(axis=1)
+    return Forest(kind="classifier" if classifier else "regressor", n_features=d,
+                  unordered=unordered, trees=tuple(trees),
+                  raw_importance=importance[0] if vector else importance)
 
 
 def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
                   unordered: Sequence[bool] | None = None) -> Forest:
     """Fit a regression forest: bootstrap bagging, per-node feature
-    subsampling, splits minimizing weighted child variance, mean leaves."""
+    subsampling, splits minimizing weighted child variance, mean leaves.
+
+    ``y`` is a target vector, or an (n, p) matrix with one column per
+    output. Output j's trees are then, bit for bit, those of a fit on
+    ``y[:, j]`` seeded ``rng.substream(j)``, and all p outputs grow in the
+    same passes.
+    """
     return _fit(X, y, hp, rng, unordered, classifier=False)
 
 
@@ -515,10 +534,9 @@ def feature_importance(forest: Forest) -> np.ndarray:
     if not forest.trees:
         raise ValueError("forest has no trees")
     raw = np.asarray(forest.raw_importance, dtype=float)
-    total = raw.sum()
-    if total <= 0.0:
-        return np.full(forest.n_features, 1.0 / forest.n_features)
-    return raw / total
+    total = raw.sum(axis=-1, keepdims=True)
+    return np.divide(raw, total, out=np.full_like(raw, 1.0 / forest.n_features),
+                     where=total > 0.0)
 
 
 def kfold_recall(X, labels, hp: ForestHyperparams, k: int, rng: RngState,

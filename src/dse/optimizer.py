@@ -49,11 +49,12 @@ _STREAM_BATCH = 4
 
 @dataclass(frozen=True, eq=False)
 class SurrogateBundle:
-    """One regression forest per objective plus the optional feasibility
-    classifier; absent classifier means every candidate passes the filter."""
+    """One regression forest with an output per objective plus the optional
+    feasibility classifier; absent classifier means every candidate passes
+    the filter."""
 
     space: DesignSpace
-    regressors: tuple[Forest, ...]
+    regressor: Forest
     classifier: Forest | None
     threshold: float = 0.5
 
@@ -86,28 +87,27 @@ def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
     play no role here; their influence ends with warm-up and batch fill)."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
-    gen = rng.generator
-    return distinct_rows(space, s, lambda k: _uniform_rows(space, k, gen), gen)
+    return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng)
 
 
 def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
                    scenario: Scenario, rng: RngState) -> SurrogateBundle:
-    """Refit every model on the full accumulated record set."""
+    """Refit every model on the full accumulated record set: one regressor
+    fit whose output j is objective j's forest (seeded ``rng.substream(j)``),
+    and the classifier."""
     X = encode_matrix(space, [r.config for r in records])
     unordered = space.unordered_mask
     p = len(scenario.objectives)
 
-    regressors = tuple(
-        fit_regressor(X, [r.objectives[j] for r in records], scenario.regressor_hp,
-                      rng.substream(j), unordered)
-        for j in range(p))
+    regressor = fit_regressor(X, [r.objectives for r in records], scenario.regressor_hp, rng,
+                              unordered)
     classifier = None
     if scenario.feasibility is not None and scenario.use_feasibility_filter:
         classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
                                     rng.substream(p), unordered)
     return SurrogateBundle(
         space=space,
-        regressors=regressors,
+        regressor=regressor,
         classifier=classifier,
         threshold=scenario.feasibility_threshold,
     )
@@ -129,8 +129,7 @@ def predict_pareto(bundle: SurrogateBundle, pool: np.ndarray,
         X = X[bundle.classifier.predict_batch(X) >= bundle.threshold]
     if not len(X):
         return []
-    preds = np.column_stack([reg.predict_batch(X) for reg in bundle.regressors])
-    return decode_matrix(space, X[pareto_front(preds)])
+    return decode_matrix(space, X[pareto_front(bundle.regressor.predict_batch(X))])
 
 
 def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
@@ -156,7 +155,7 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
         return [fresh[i] for i in chosen]
     if len(fresh) == m:
         return fresh
-    fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng.generator,
+    fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng,
                          taken=np.concatenate([E, P[new]]), limit=100 * m)
     return fresh + decode_matrix(space, fill)
 

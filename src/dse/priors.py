@@ -142,5 +142,5 @@ def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[tuple]:
     n covers comes back whole, in enumeration order)."""
     if n < 1:
         raise ValueError("warm-up size must be >= 1")
-    rows = distinct_rows(space, n, lambda k: prior_rows(space, k, rng), rng.generator)
+    rows = distinct_rows(space, n, lambda k: prior_rows(space, k, rng), rng)
     return decode_matrix(space, rows)

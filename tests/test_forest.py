@@ -9,7 +9,7 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, Forest, TreeNode, classifier_grid
+from dse.forest import FitError, Forest, TreeNode, _TreeBuilder, classifier_grid
 from dse.space import encode_matrix
 
 from oracles import candidate_splits, split_decrease, weighted_gini, weighted_variance
@@ -41,6 +41,13 @@ def test_empty_training_set_is_a_fit_error():
 def test_dimension_mismatch_is_a_fit_error():
     with pytest.raises(FitError):
         fit_regressor([[1.0], [2.0]], [1.0], ForestHyperparams(), RngState(0))
+
+
+@pytest.mark.parametrize("y", [np.ones((3, 2)), np.ones((2, 2, 1)), np.ones((2, 0))],
+                         ids=["row-count", "3-d", "no-outputs"])
+def test_target_matrix_shape_is_a_fit_error(y):
+    with pytest.raises(FitError):
+        fit_regressor([[1.0], [2.0]], y, ForestHyperparams(), RngState(0))
 
 
 def test_prediction_dimension_mismatch():
@@ -374,3 +381,81 @@ def test_each_tree_grows_as_if_fitted_alone(kind, max_features):
         assert _preorder(forest.trees[t]) == _preorder(single.trees[0]), t
     assert np.array_equal(forest.raw_importance,
                           np.mean([single.raw_importance for single in singles], axis=0))
+    if kind == "regressor":  # tree t of output j: a one-tree fit seeded substream(j).seed ^ t
+        Y = np.column_stack([y / y.max(), X[:, 3]])
+        fused = fit_regressor(X, Y, hp, RngState(99, 1), unordered)
+        for j in range(2):
+            sub = RngState(99, 1).substream(j)
+            for t in range(hp.n_estimators):
+                single = fit_regressor(X, Y[:, j], alone, RngState(sub.seed ^ t, sub.stream_id),
+                                       unordered)
+                assert _preorder(fused.trees[j * hp.n_estimators + t]) == _preorder(
+                    single.trees[0]), (j, t)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("hp", [
+    ForestHyperparams(n_estimators=4),
+    ForestHyperparams(n_estimators=3, max_depth=3, min_samples_split=5),
+    ForestHyperparams(n_estimators=2, bootstrap=False, max_features=0.5),
+], ids=["default", "depth-and-split-limits", "no-bootstrap-half-features"])
+def test_matrix_fit_equals_per_column_fits(p, hp):
+    # output j of a fit on an (n, p) target matrix is, bit for bit, a fit on
+    # column j seeded substream(j); the constant column stops at its roots
+    gen = np.random.default_rng([31, p])
+    n = 70
+    X = np.column_stack([gen.random(n), gen.integers(0, 3, n), gen.integers(1, 9, n),
+                         gen.random(n)]).astype(float)
+    X = np.column_stack([X, X[:, 2]])  # a duplicate column
+    unordered = [False, True, False, False, False]
+    Y = np.column_stack([X[:, 0] + (X[:, 1] == 1) + gen.random(n), np.full(n, 2.5),
+                         X[:, 2] * gen.random(n)])[:, :p]
+    forest = fit_regressor(X, Y, hp, RngState(5, 3), unordered)
+    rows = X[gen.integers(0, n, 40)]
+    rows[:20, [0, 3]] = gen.random((20, 2))  # real values the fit has not seen
+    preds = forest.predict_batch(rows)
+    assert preds.shape == (len(rows), p)
+    assert forest.raw_importance.shape == (p, 5)
+    T = hp.n_estimators
+    for j in range(p):
+        alone = fit_regressor(X, Y[:, j], hp, RngState(5, 3).substream(j), unordered)
+        assert [_preorder(t) for t in forest.trees[j * T:(j + 1) * T]] == [
+            _preorder(t) for t in alone.trees], j
+        assert np.array_equal(forest.raw_importance[j], alone.raw_importance), j
+        assert alone.predict_batch(rows).shape == (len(rows),)
+        assert np.array_equal(preds[:, j], alone.predict_batch(rows)), j
+        assert np.array_equal(feature_importance(forest)[j], feature_importance(alone)), j
+    if p > 1:
+        assert all(tree.is_leaf for tree in forest.trees[T:2 * T])
+        assert feature_importance(forest)[1].tolist() == [0.2] * 5
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_one_permuted_call_draws_successive_permutations(d):
+    # a classifier tree draws its nodes' features in blocks, one
+    # Generator.permuted call each; its rows must be the permutation(d) calls
+    # of a node-by-node draw, and leave the generator where those leave it
+    a, b = RngState(d, 7).generator, RngState(d, 7).generator
+    rows = np.vstack([a.permuted(np.tile(np.arange(d), (m, 1)), axis=1) for m in (13, 5)])
+    assert rows.tolist() == [b.permutation(d).tolist() for _ in range(18)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_classifier_draws_each_node_features_in_depth_first_order(monkeypatch):
+    # reference: one permutation(d) call per node a tree scores, all drawn
+    # before the first pass; the fit draws them in blocks as trees need them
+    gen = np.random.default_rng(19)
+    X = np.column_stack([gen.random((120, 5)), gen.integers(0, 3, 120)]).astype(float)
+    labels = X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * gen.random(120) > 0.8
+    unordered = [False] * 5 + [True]
+    hp = ForestHyperparams(n_estimators=4)
+    fitted = fit_classifier(X, labels, hp, RngState(3), unordered)
+    assert max(sum(not isinstance(v, float) for v in _preorder(t)) for t in fitted.trees) > 16
+
+    def up_front(self, m):
+        return np.array([[g.permutation(len(self.XT))[:self.k] for _ in range(2 * self.n)]
+                         for g in self.gens])
+
+    monkeypatch.setattr(_TreeBuilder, "_draw", up_front)
+    reference = fit_classifier(X, labels, hp, RngState(3), unordered)
+    assert [_preorder(t) for t in fitted.trees] == [_preorder(t) for t in reference.trees]

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def test_pool_enumerates_small_spaces(toy_scenario):
     pool = decode_matrix(toy_scenario.space, candidate_pool(toy_scenario.space, 100_000, RngState(1)))
     assert len(pool) == 240
     assert len(set(pool)) == 240
+
+
+def test_enumerated_pool_builds_no_generator(toy_scenario):
+    rng = RngState(1)
+    candidate_pool(toy_scenario.space, 240, rng)
+    assert rng._gen is None  # the generator is built only when the pool is drawn
+    candidate_pool(toy_scenario.space, 239, rng)
+    assert rng._gen is not None
 
 
 def test_pool_samples_large_spaces_distinctly():
@@ -136,8 +145,8 @@ def test_pool_keeps_rows_one_ulp_apart():
     pool = candidate_pool(space, 3, FixedDraws([half, above]))
     assert decode_matrix(space, pool) == [(half, "a"), (above, "a")]  # the repeats are dropped
 
-    flat = fit_regressor(pool, [1.0, 1.0], PURE_TREE, RngState(0))
-    bundle = SurrogateBundle(space, (flat, flat), classifier=None)
+    flat = fit_regressor(pool, [[1.0, 1.0], [1.0, 1.0]], PURE_TREE, RngState(0))
+    bundle = SurrogateBundle(space, flat, classifier=None)
     assert predict_pareto(bundle, pool, exclude={(half, "a")}) == [(above, "a")]
     assert predict_pareto(bundle, pool, exclude={(above, "a")}) == [(half, "a")]
 
@@ -191,7 +200,8 @@ def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, 
             assert k >= 1
             return encode_matrix(space, [next(script) for _ in range(k)])
 
-        got = decode_matrix(space, distinct_rows(space, n, draw, np.random.default_rng(7),
+        rng = SimpleNamespace(generator=np.random.default_rng(7))
+        got = decode_matrix(space, distinct_rows(space, n, draw, rng,
                                                  taken=encode_matrix(space, order), limit=limit))
         assert got == expected
         assert next(script, None) is None  # blocks of exactly the rows still missing
@@ -205,10 +215,8 @@ def four_point_bundle():
     configs = [(i,) for i in range(4)]
     X = encode_matrix(space, configs)
     targets = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (2.0, 3.0)]
-    regressors = tuple(
-        fit_regressor(X, [t[j] for t in targets], PURE_TREE, RngState(4, j))
-        for j in range(2))
-    return space, configs, SurrogateBundle(space, regressors, classifier=None)
+    regressor = fit_regressor(X, targets, PURE_TREE, RngState(4))
+    return space, configs, SurrogateBundle(space, regressor, classifier=None)
 
 
 def test_predict_pareto_returns_nondominated_configs():
@@ -226,7 +234,7 @@ def test_predict_pareto_filters_predicted_infeasible():
     space, configs, bundle = four_point_bundle()
     X = encode_matrix(space, configs)
     classifier = fit_classifier(X, [False] * 4, ForestHyperparams(), RngState(5))
-    filtered = SurrogateBundle(space, bundle.regressors, classifier)
+    filtered = SurrogateBundle(space, bundle.regressor, classifier)
     assert predict_pareto(filtered, encode_matrix(space, configs), exclude=set()) == []
 
 
