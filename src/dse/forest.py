@@ -19,7 +19,10 @@ under "auto"); otherwise each tree's newest open node, so that each node's
 feature draw comes from its tree's generator in depth-first order.
 Level-wise growth follows LightGBM (Ke et al., NeurIPS 2017); the splits
 are exact, and every sum covers one node's rows, so the trees do not depend
-on the batch.
+on the batch. A fitted forest is the node arrays the builder records; no
+node objects are built. A small batch descends every tree one level per
+pass, all (tree, row) pairs at once; a large one walks each tree node by
+node. Both sum leaf values tree by tree, so the two agree bit for bit.
 
 Determinism: tree t of a fit seeded with RngState(seed, stream) draws from
 RngState(seed ^ t, stream), so each tree is a pure function of the training
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -119,24 +123,14 @@ def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
 
 
 class TreeNode:
-    """Binary tree node; a leaf iff ``left`` is None.
-
-    Internal nodes test one feature: ordered features go left when
-    value <= threshold, unordered features go left when value == threshold.
-    Every node carries its training-target mean (regression) or weighted
-    feasible-class probability (classification); a leaf predicts it.
-    """
+    """A node of the linked view of a fitted tree (``Forest.trees``); a leaf
+    iff ``left`` is None."""
 
     __slots__ = ("feature", "threshold", "unordered", "left", "right", "value")
 
-    def __init__(self, value=None, feature=-1, threshold=0.0, unordered=False,
-                 left=None, right=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.unordered = unordered
-        self.left = left
-        self.right = right
-        self.value = value
+    def __init__(self, value):
+        self.value, self.feature, self.threshold, self.unordered = value, -1, 0.0, False
+        self.left = self.right = None
 
     @property
     def is_leaf(self) -> bool:
@@ -214,7 +208,7 @@ class _TreeBuilder:
     node, so every tree draws its nodes' k features from its generator in
     depth-first order. A pass splits or closes the nodes it takes and opens
     their children, right before left. Values and splits are recorded in
-    arrays, and the TreeNodes are built once, after the last pass.
+    arrays, which are the fitted forest.
 
     A pass scores every chosen (feature, node) pair, a lane, at once.
     Ordered lanes: one stable argsort of each lane's values, one gather of
@@ -249,7 +243,10 @@ class _TreeBuilder:
         self.root_weight = w.reshape(len(gens), self.n).sum(axis=1)
         self.importance = np.zeros((len(gens), len(self.XT)))
 
-    def build(self) -> list[TreeNode]:
+    def build(self):
+        """The node arrays (feature, threshold, child, value) of the grown
+        trees, numbered as opened: the roots, then each split's right and
+        left child; feature and child are -1 at a leaf."""
         count, d = len(self.gens), len(self.XT)
         if self.k < d:  # row i of a tree's draws: the features of the i-th node it scores
             self.draws, self.drawn = self._draw(16), np.zeros(count, dtype=np.intp)
@@ -266,14 +263,11 @@ class _TreeBuilder:
                               for pair in zip(_select(front, ~take), children))
             else:
                 front = self._split(front)
-        # the nodes, numbered as opened: the roots, then each split's right and left child
-        nodes = [TreeNode(v) for v in np.concatenate(self.values).tolist()]
-        unordered = self.unordered.tolist()
-        for i, f, test, child in zip(*(np.concatenate(a).tolist() for a in zip(*self.splits))):
-            node = nodes[i]
-            node.feature, node.threshold, node.unordered = f, test, unordered[f]
-            node.right, node.left = nodes[child], nodes[child + 1]
-        return nodes[:count]
+        feature, child = np.full(self.size, -1), np.full(self.size, -1)
+        threshold = np.zeros(self.size)
+        for ids, f, test, right in self.splits:
+            feature[ids], threshold[ids], child[ids] = f, test, right
+        return feature, threshold, child, np.concatenate(self.values)
 
     def _draw(self, m):
         """Each tree's next m permutation(d) draws, one row each, cut to k."""
@@ -411,17 +405,42 @@ class _TreeBuilder:
             tests[f, nodes] = levels[level]
 
 
+_DESCENT = 12  # predict_batch descends while rows * trees < _DESCENT * nodes, else walks
+
+
 @dataclass(frozen=True, eq=False)
 class Forest:
     """An immutable fitted ensemble with one output, or with p outputs (a
-    regressor fitted on a target matrix): then ``trees`` holds each output's
-    trees in turn and ``raw_importance`` has one row per output."""
+    regressor fitted on a target matrix): then each output's trees come in
+    turn and ``raw_importance`` has one row per output.
+
+    The trees are node arrays whose nodes 0..n_trees-1 are the roots. An
+    inner node sends a row left, to ``child + 1``, when its ``feature``
+    value is <= ``threshold`` (== for an unordered feature), else right, to
+    ``child``; ``child`` and ``feature`` are -1 at a leaf. ``value`` is a
+    node's target mean or weighted feasible-class probability. ``trees`` is
+    a linked TreeNode view, built on first read; no run step reads it."""
 
     kind: str  # "regressor" | "classifier"
     n_features: int
     unordered: tuple[bool, ...]
-    trees: tuple[TreeNode, ...]
+    n_trees: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
     raw_importance: np.ndarray  # mean per-feature impurity decrease over trees: (d,) or (p, d)
+
+    @cached_property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The root of each tree's linked TreeNode view."""
+        nodes = [TreeNode(v) for v in self.value.tolist()]
+        for node, f, test, right in zip(nodes, self.feature.tolist(), self.threshold.tolist(),
+                                        self.child.tolist()):
+            if right >= 0:
+                node.feature, node.threshold, node.unordered = f, test, self.unordered[f]
+                node.right, node.left = nodes[right], nodes[right + 1]
+        return tuple(nodes[:self.n_trees])
 
     def predict_batch(self, X) -> np.ndarray:
         """Per-row forest prediction, (rows,) or (rows, p): mean over an
@@ -431,31 +450,55 @@ class Forest:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"feature matrix must have {self.n_features} columns")
         XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
-        out = np.zeros((len(X),) + self.raw_importance.shape[:-1])
-        columns = out.reshape(len(X), -1)  # a view with one column per output
-        per_output = len(self.trees) // columns.shape[1]
-        scratch = np.empty(len(X))
-        for i, tree in enumerate(self.trees):
-            _tree_predict(tree, XT, scratch, np.arange(len(X)))
-            columns[:, i // per_output] += scratch
+        small = len(X) * self.n_trees < _DESCENT * len(self.value)
+        reached = self._descend(XT) if small else self._walk(XT)
+        outputs = self.raw_importance.shape[:-1]
+        out = np.zeros((len(X),) + outputs)
+        columns = out.reshape(len(X), math.prod(outputs))  # a view with one column per output
+        per_output = self.n_trees // columns.shape[1]
+        for i, values in enumerate(reached):
+            columns[:, i // per_output] += values
         return out / per_output
 
+    def _descend(self, XT) -> np.ndarray:
+        """(trees, rows) values of the leaves reached: every (tree, row) lane
+        steps one level per pass, each pass over the lanes not yet at a leaf."""
+        rows = XT.shape[1]
+        node = np.repeat(np.arange(self.n_trees), rows)
+        row = np.tile(np.arange(rows), self.n_trees)
+        unordered = np.asarray(self.unordered)
+        lanes = np.arange(len(node))
+        while lanes.size:
+            right = self.child[node[lanes]]
+            inner = right >= 0
+            lanes, right = lanes[inner], right[inner]
+            at = node[lanes]
+            f, test = self.feature[at], self.threshold[at]
+            x = XT[f, row[lanes]]
+            node[lanes] = right + np.where(unordered[f], x == test, x <= test)
+        return self.value[node].reshape(self.n_trees, rows)
 
-def _tree_predict(root: TreeNode, XT, out, idx):
-    stack = [(root, idx)]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            out[rows] = node.value
-            continue
-        column = XT[node.feature].take(rows)
-        mask = (column == node.threshold) if node.unordered else (column <= node.threshold)
-        left = rows.compress(mask)
-        right = rows.compress(~mask)
-        if left.size:
-            stack.append((node.left, left))
-        if right.size:
-            stack.append((node.right, right))
+    def _walk(self, XT):
+        """Each tree's (rows,) values of the leaves reached, tree by tree, node by node."""
+        feature, threshold, child = (a.tolist() for a in (self.feature, self.threshold, self.child))
+        for tree in range(self.n_trees):
+            out = np.empty(XT.shape[1])
+            stack = [(tree, np.arange(XT.shape[1]))]
+            while stack:
+                node, rows = stack.pop()
+                right = child[node]
+                if right < 0:
+                    out[rows] = self.value[node]
+                    continue
+                column, test = XT[feature[node]].take(rows), threshold[node]
+                mask = (column == test) if self.unordered[feature[node]] else (column <= test)
+                left = rows.compress(mask)
+                rows = rows.compress(~mask)
+                if left.size:
+                    stack.append((right + 1, left))
+                if rows.size:
+                    stack.append((right, rows))
+            yield out
 
 
 def _prepare(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -490,11 +533,11 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
         w = np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
                      hp.class_weight[1] / np.maximum(n - n_pos, 1)).ravel()
     builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k)
-    trees = builder.build()
+    feature, threshold, child, value = builder.build()
     importance = builder.importance.reshape(len(rngs), hp.n_estimators, d).mean(axis=1)
     return Forest(kind="classifier" if classifier else "regressor", n_features=d,
-                  unordered=unordered, trees=tuple(trees),
-                  raw_importance=importance[0] if vector else importance)
+                  unordered=unordered, n_trees=len(gens), feature=feature, threshold=threshold,
+                  child=child, value=value, raw_importance=importance[0] if vector else importance)
 
 
 def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
@@ -531,7 +574,7 @@ def feature_importance(forest: Forest) -> np.ndarray:
     Forests of single-leaf trees carry no split information and return the
     uniform vector.
     """
-    if not forest.trees:
+    if not forest.n_trees:
         raise ValueError("forest has no trees")
     raw = np.asarray(forest.raw_importance, dtype=float)
     total = raw.sum(axis=-1, keepdims=True)

@@ -6,14 +6,16 @@ from numerically integrating the density (piecewise Gauss-Legendre, with a
 change of variable taming the endpoint singularities) instead of any closed
 form, tree splits are scored one candidate at a time with plain loops
 over two-pass variance and class-weighted Gini, not from cumulative sums,
-and the uniform candidate pool is drawn as value tuples deduplicated through
-a set, not as an encoded matrix with row keys.
+the uniform candidate pool is drawn as value tuples deduplicated through
+a set, not as an encoded matrix with row keys, and a forest predicts by
+walking its linked TreeNode view, not its node arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dse.forest import Forest
 from dse.priors import beta_pdf
 from dse.space import ENUMERATION_CAP, INTEGER, REAL, enumerate_space
 
@@ -174,3 +176,43 @@ def tuple_pool(space, n: int, rng) -> list[tuple]:
         order = rng.generator.permutation(len(remaining))
         out.extend(remaining[int(i)] for i in order[: n - len(out)])
     return out
+
+
+def tree_walk(forest, X) -> np.ndarray:
+    """(trees, rows) value of the leaf each row reaches in each tree, walking
+    the ``forest.trees`` view: a stack of (node, rows) pairs per tree, each
+    inner node splitting its rows in two."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    out = np.empty((len(forest.trees), XT.shape[1]))
+    for root, values in zip(forest.trees, out):
+        stack = [(root, np.arange(XT.shape[1]))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                values[rows] = node.value
+                continue
+            column = XT[node.feature].take(rows)
+            mask = (column == node.threshold) if node.unordered else (column <= node.threshold)
+            left = rows.compress(mask)
+            right = rows.compress(~mask)
+            if left.size:
+                stack.append((node.left, left))
+            if right.size:
+                stack.append((node.right, right))
+    return out
+
+
+def forest_of_trees(kind, n_features, unordered, trees, raw_importance) -> Forest:
+    """A Forest of linked TreeNodes, flattened into node arrays: the roots,
+    then each inner node's right and left child in the order the inner
+    nodes are numbered."""
+    nodes, child = list(trees), []
+    for node in nodes:  # the loop reaches the children it appends
+        child.append(-1 if node.is_leaf else len(nodes))
+        if not node.is_leaf:
+            nodes += [node.right, node.left]
+    return Forest(kind=kind, n_features=n_features, unordered=unordered, n_trees=len(trees),
+                  feature=np.array([n.feature for n in nodes]),
+                  threshold=np.array([n.threshold for n in nodes], dtype=float),
+                  child=np.array(child), value=np.array([n.value for n in nodes], dtype=float),
+                  raw_importance=raw_importance)

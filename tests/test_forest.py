@@ -9,10 +9,19 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, Forest, TreeNode, _TreeBuilder, classifier_grid
+from dse.forest import FitError, TreeNode, _TreeBuilder, classifier_grid
+from dse.optimizer import _STREAM_FIT, fit_surrogates, run
 from dse.space import encode_matrix
 
-from oracles import candidate_splits, split_decrease, weighted_gini, weighted_variance
+from conftest import scenario_with
+from oracles import (
+    candidate_splits,
+    forest_of_trees,
+    split_decrease,
+    tree_walk,
+    weighted_gini,
+    weighted_variance,
+)
 
 PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
                               bootstrap=False, min_samples_split=2)
@@ -57,16 +66,16 @@ def test_prediction_dimension_mismatch():
 
 
 def test_mean_of_two_manual_trees():
-    forest = Forest(kind="regressor", n_features=1, unordered=(False,),
-                    trees=(TreeNode(value=2.0), TreeNode(value=4.0)),
-                    raw_importance=np.zeros(1))
+    forest = forest_of_trees(kind="regressor", n_features=1, unordered=(False,),
+                             trees=(TreeNode(value=2.0), TreeNode(value=4.0)),
+                             raw_importance=np.zeros(1))
     assert forest.predict_batch([[0.0]])[0] == 3.0
 
 
 def test_mean_of_two_manual_classifier_leaves():
-    forest = Forest(kind="classifier", n_features=1, unordered=(False,),
-                    trees=(TreeNode(value=0.2), TreeNode(value=0.6)),
-                    raw_importance=np.zeros(1))
+    forest = forest_of_trees(kind="classifier", n_features=1, unordered=(False,),
+                             trees=(TreeNode(value=0.2), TreeNode(value=0.6)),
+                             raw_importance=np.zeros(1))
     assert forest.predict_batch([[0.0]])[0] == pytest.approx(0.4)
 
 
@@ -250,6 +259,72 @@ def test_every_node_split_reaches_the_brute_force_maximum(kind, max_depth, min_s
                 assert split_decrease(ys, ws, left, impurity) >= best - 1e-12, case
                 stack.append((node.left, [i for i, go in zip(idx, left) if go], depth + 1))
                 stack.append((node.right, [i for i, go in zip(idx, left) if not go], depth + 1))
+
+
+# --- prediction paths -------------------------------------------------------------
+
+def _path_forests():
+    """A 1-output and a 2-output regressor (one output constant, so its trees
+    are single leaves), a classifier, and a max_depth=1 regressor, on ordered
+    and categorical columns."""
+    gen = np.random.default_rng(41)
+    n = 90
+    X = np.column_stack([gen.random(n), gen.integers(0, 4, n), gen.integers(1, 9, n),
+                         np.round(gen.random(n), 1)]).astype(float)
+    unordered = [False, True, False, False]
+    y = X[:, 0] + (X[:, 1] == 2) + 0.3 * X[:, 2] * gen.random(n)
+    hp = ForestHyperparams(n_estimators=5)
+    return X, {
+        "regressor": fit_regressor(X, y, hp, RngState(1), unordered),
+        "2-output": fit_regressor(X, np.column_stack([y, np.full(n, 1.5)]), hp, RngState(2),
+                                  unordered),
+        "classifier": fit_classifier(X, y > np.median(y), hp, RngState(3), unordered),
+        "depth-1": fit_regressor(X, y, ForestHyperparams(n_estimators=5, max_depth=1),
+                                 RngState(4), unordered),
+    }
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 3000])
+def test_both_predict_paths_match_the_node_walk(rows):
+    X, forests = _path_forests()
+    gen = np.random.default_rng(rows)
+    Q = X[gen.integers(0, len(X), rows)]  # training values, so tests hit thresholds exactly
+    Q[::2, [0, 2]] = gen.random((len(Q[::2]), 2)) * [1.0, 9.0]  # and values between them
+    XT = np.ascontiguousarray(Q.T)
+    for name, forest in forests.items():
+        reference = tree_walk(forest, Q)
+        descent, walk = forest._descend(XT), np.array(list(forest._walk(XT)))
+        assert np.array_equal(descent, reference), name
+        assert np.array_equal(walk, reference), name
+        # the prediction sums each output's leaf values tree by tree in order
+        p = forest.raw_importance.reshape(-1, X.shape[1]).shape[0]
+        expected = np.zeros((rows, p))
+        for i, values in enumerate(reference):
+            expected[:, i // (forest.n_trees // p)] += values
+        assert np.array_equal(forest.predict_batch(Q).reshape(rows, p),
+                              expected / (forest.n_trees // p)), name
+    assert all(tree.is_leaf for tree in forests["2-output"].trees[5:])
+
+
+def test_a_run_builds_no_tree_nodes(toy_scenario_doc, monkeypatch):
+    built = []
+    original = TreeNode.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TreeNode, "__init__", counted)
+    scenario = scenario_with(toy_scenario_doc, seed=1)
+    result = run(scenario)
+    assert not built
+    # the view of the returned regressor is that of a refit on the same records
+    refit = fit_surrogates(scenario.space, result.records, scenario,
+                           RngState(1).substream(_STREAM_FIT).substream(
+                               result.meta["iterations_run"]))
+    assert [_preorder(t) for t in result.bundle.regressor.trees] == [
+        _preorder(t) for t in refit.regressor.trees]
+    assert built
 
 
 # --- feature importance -------------------------------------------------------
