@@ -25,7 +25,7 @@ from .pareto import (
     pareto_front,
     reference_front,
 )
-from .priors import beta_pdf, sample_beta, sample_parameter, warmup_sample
+from .priors import beta_pdf, sample_beta, warmup_sample
 from .rng import RngState
 from .space import (
     DesignSpace,
@@ -66,6 +66,6 @@ __all__ = [
     "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
     "mono_objective_best", "objective_stddevs", "parse_scenario",
     "pareto_front", "predict_pareto", "reference_front", "run",
-    "sample_beta", "sample_parameter", "select_batch",
+    "sample_beta", "select_batch",
     "toy_fpga", "warmup_sample",
 ]

@@ -199,7 +199,7 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
 
     imp = io.StringIO()
     imp.write("objective," + ",".join(space.names) + "\n")
-    for name, vec in zip(objectives, feature_importance(result.bundle.regressor)):
+    for name, vec in zip(objectives, feature_importance(result.regressor)):
         imp.write(name + "," + ",".join(canonical_str(float(v)) for v in vec) + "\n")
     (out_dir / "feature_importance.csv").write_text(imp.getvalue(), encoding="utf-8")
 

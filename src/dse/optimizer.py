@@ -61,8 +61,12 @@ class SurrogateBundle:
 
 @dataclass
 class RunResult:
+    """Every evaluation record in order, the regressor of the run's last
+    refit (the forest whose feature importances the CLI writes), the HVI
+    trace and the run's metadata."""
+
     records: list[EvaluationRecord]
-    bundle: SurrogateBundle
+    regressor: Forest
     hvi_trace: list[tuple[int, float]]
     meta: dict
 
@@ -91,10 +95,11 @@ def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
 
 
 def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
-                   scenario: Scenario, rng: RngState) -> SurrogateBundle:
-    """Refit every model on the full accumulated record set: one regressor
+                   scenario: Scenario, rng: RngState, *, classify: bool) -> SurrogateBundle:
+    """Refit the models on the full accumulated record set: one regressor
     fit whose output j is objective j's forest (seeded ``rng.substream(j)``),
-    and the classifier."""
+    and, when ``classify`` is set and the scenario filters, the classifier.
+    A run clears ``classify`` on a refit that no prediction follows."""
     X = encode_matrix(space, [r.config for r in records])
     unordered = space.unordered_mask
     p = len(scenario.objectives)
@@ -102,7 +107,7 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
     regressor = fit_regressor(X, [r.objectives for r in records], scenario.regressor_hp, rng,
                               unordered)
     classifier = None
-    if scenario.feasibility is not None and scenario.use_feasibility_filter:
+    if classify and scenario.feasibility is not None and scenario.use_feasibility_filter:
         classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
                                     rng.substream(p), unordered)
     return SurrogateBundle(
@@ -180,7 +185,8 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     the front over a fresh pool excluding everything evaluated, evaluate a
     batch of at most evaluations_per_iteration of it, refit on all records.
     The loop stops early when the prediction or the batch comes back empty.
-    The last refit is the returned bundle (its importances are reported).
+    Only a refit that a prediction follows fits the classifier; the last
+    refit's regressor is returned (its importances are reported).
 
     ``reference_front`` (optional list of objective vectors) enables the
     per-iteration HVI trace; it requires a bi-objective scenario.
@@ -201,7 +207,8 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     try:
         records += evaluate_batch(spec, space, warm, iteration_tag=-1)
         fit_rng = root.substream(_STREAM_FIT)
-        bundle = fit_surrogates(space, records, scenario, fit_rng.substream(0))
+        bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i),
+                                classify=i < scenario.optimization_iterations)
         while i < scenario.optimization_iterations:
             evaluated = [r.config for r in records]
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
@@ -215,7 +222,8 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                 break
             records += evaluate_batch(spec, space, batch, iteration_tag=i)
             i += 1
-            bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i))
+            bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i),
+                                    classify=i < scenario.optimization_iterations)
     except EvaluationError as e:
         e.partial_records = records
         raise
@@ -234,4 +242,4 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
             upto = [r for r in records if r.iteration_tag <= tag]
             hvi_trace.append((tag, feasible_hvi([r.objectives for r in upto],
                                                 [r.feasible for r in upto], ref, sigma)))
-    return RunResult(records=records, bundle=bundle, hvi_trace=hvi_trace, meta=meta)
+    return RunResult(records=records, regressor=bundle.regressor, hvi_trace=hvi_trace, meta=meta)

@@ -8,13 +8,14 @@ and the front prediction never see them.
 
 Both prior-guided draws go through :func:`~dse.space.distinct_rows`, the one
 sampler of distinct configurations that the uniform candidate pool uses too:
-:func:`prior_rows` supplies its blocks of encoded rows.
+:func:`prior_rows` supplies its blocks of encoded rows. It draws the unit
+variates one value at a time in row-major order and maps each column onto
+its domain with numpy, so no value passes through a configuration tuple.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from .space import (
     INTEGER,
     REAL,
     DesignSpace,
-    Parameter,
     decode_matrix,
     distinct_rows,
-    encode_matrix,
 )
 
 
@@ -91,49 +90,39 @@ def sample_beta(alpha: float, beta: float, rng: RngState) -> float:
             return x / (x + y)
 
 
-def _snap_ordinal(target: float, values: tuple) -> Any:
-    # nearest allowed value; exact ties resolve to the lower one
-    best = values[0]
-    best_dist = abs(target - float(best))
-    for v in values[1:]:
-        dist = abs(target - float(v))
-        if dist < best_dist:
-            best, best_dist = v, dist
-    return best
-
-
-def _pick_level(levels: tuple, probs, gen) -> Any:
-    u = gen.random()
-    acc = 0.0
-    for level, p in zip(levels, probs):
-        acc += p
-        if u < acc:
-            return level
-    return levels[-1]
-
-
-def sample_parameter(param: Parameter, rng: RngState) -> Any:
-    """Draw one value from the parameter's prior, inside its domain."""
-    if param.kind == CATEGORICAL:
-        if param.prior.shape == "categorical":
-            return _pick_level(param.values, param.prior.probs, rng.generator)
-        k = len(param.values)
-        return _pick_level(param.values, [1.0 / k] * k, rng.generator)
-    u = sample_beta(param.prior.alpha, param.prior.beta, rng)
-    if param.kind == REAL:
-        return param.lower + u * (param.upper - param.lower)
-    if param.kind == INTEGER:
-        return int(round(param.lower + u * (param.upper - param.lower)))
-    lo, hi = float(param.values[0]), float(param.values[-1])
-    return _snap_ordinal(lo + u * (hi - lo), param.values)
-
-
 def prior_rows(space: DesignSpace, k: int, rng: RngState) -> np.ndarray:
-    """k encoded rows drawn from the priors, one :func:`sample_parameter` call
-    per value in row-major order, so a block of k rows is the next k
-    configurations of a one-at-a-time draw."""
-    return encode_matrix(space, [tuple(sample_parameter(p, rng) for p in space.parameters)
-                                 for _ in range(k)])
+    """k encoded rows drawn from the priors.
+
+    The draws are scalars in row-major order, one :func:`sample_beta` per
+    numeric value and one ``random()`` per categorical value, so a block of
+    k rows is the next k configurations of a one-at-a-time draw. Each column
+    is then mapped onto its domain: reals rescale (capped at the upper bound,
+    which rounding can pass), integers rescale and round (halves to even),
+    ordinals snap to the nearest value (exact ties to the lower one), and a
+    categorical takes the first level whose cumulative probability exceeds
+    its draw (the last level if none does).
+    """
+    gen, params = rng.generator, space.parameters
+    U = np.array([[gen.random() if p.kind == CATEGORICAL
+                   else sample_beta(p.prior.alpha, p.prior.beta, rng) for p in params]
+                  for _ in range(k)], dtype=float).reshape(k, len(params))
+    X = np.empty_like(U)
+    for j, (p, u) in enumerate(zip(params, U.T)):
+        if p.kind == REAL:  # the rounded rescale can pass the upper bound
+            X[:, j] = np.minimum(p.lower + u * (p.upper - p.lower), p.upper)
+        elif p.kind == INTEGER:  # + 0.0 turns -0.0 into 0.0, as the int 0 encodes
+            X[:, j] = np.round(p.lower + u * (p.upper - p.lower)) + 0.0
+        elif p.kind == CATEGORICAL:
+            n = len(p.values)
+            probs = p.prior.probs if p.prior.shape == "categorical" else [1.0 / n] * n
+            X[:, j] = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), n - 1)
+        else:
+            values = np.array(p.values, dtype=float)
+            target = values[0] + u * (values[-1] - values[0])
+            i = np.searchsorted(values[1:-1], target)  # the nearest is values[i] or values[i + 1]
+            below, above = values[i], values.take(i + 1, mode="clip")
+            X[:, j] = np.where(abs(target - below) <= abs(target - above), below, above)
+    return X
 
 
 def warmup_sample(space: DesignSpace, n: int, rng: RngState) -> list[tuple]:

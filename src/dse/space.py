@@ -350,36 +350,26 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
     """Up to n distinct encoded rows, none equal to a row of ``taken`` (in
     whatever order those come). With nothing taken, a finite space that n
     covers comes back whole, in enumeration order. Otherwise ``draw(k)``
-    supplies blocks of k rows, k never more than the rows still missing;
-    repeats are dropped by a mask of used ranks (finite spaces) or by
-    :func:`first_equal`. After ``limit`` drawn rows (default 100*n) a finite
-    space is topped up with a ``rng.generator.permutation`` of its unused
-    ranks, so the result is short only when the space runs out."""
+    supplies blocks of k rows, k never more than the rows still missing, and
+    :func:`first_equal` drops the repeats. After ``limit`` drawn rows
+    (default 100*n) a finite space is topped up with a
+    ``rng.generator.permutation`` of the ranks neither taken nor kept, so the
+    result is short only when the space runs out."""
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
     A = np.empty((0, len(space.parameters))) if taken is None else taken
     if finite and not len(A) and n >= card:
         return rank_rows(space, np.arange(card))
-    if finite:  # the ranks taken or kept so far
-        used = np.zeros(card, dtype=bool)
-        used[row_keys(space, A)] = True
-        A = A[:0]
-    else:
-        A = A[first_equal(space, A) == np.arange(len(A))]  # distinct taken rows, then kept draws
+    A = A[first_equal(space, A) == np.arange(len(A))]  # distinct taken rows, then kept draws
     t, left = len(A), 100 * n if limit is None else limit
     while len(A) - t < n and left > 0:
         k = min(n + t - len(A), left)
         left -= k
-        B = draw(k)
-        if finite:  # the first row of each unused rank, in draw order
-            keys = row_keys(space, B)
-            first = np.unique(keys, return_index=True)[1]
-            A = np.concatenate([A, B[np.sort(first[~used[keys[first]]])]])
-            used[keys] = True
-        else:
-            A = np.concatenate([A, B])
-            A = A[first_equal(space, A) == np.arange(len(A))]
+        A = np.concatenate([A, draw(k)])
+        A = A[first_equal(space, A) == np.arange(len(A))]
     if len(A) - t < n and finite:
+        used = np.zeros(card, dtype=bool)
+        used[row_keys(space, A)] = True
         unused = np.flatnonzero(~used)
         order = rng.generator.permutation(len(unused))[: n + t - len(A)]
         A = np.concatenate([A, rank_rows(space, unused[order])])

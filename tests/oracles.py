@@ -7,8 +7,10 @@ change of variable taming the endpoint singularities) instead of any closed
 form, tree splits are scored one candidate at a time with plain loops
 over two-pass variance and class-weighted Gini, not from cumulative sums,
 the uniform candidate pool is drawn as value tuples deduplicated through
-a set, not as an encoded matrix with row keys, and a forest predicts by
-walking its linked TreeNode view, not its node arrays.
+a set, not as an encoded matrix with row keys, a prior draw snaps and picks
+one value at a time with plain loops, not column by column with
+``searchsorted``, and a forest predicts by walking its linked TreeNode view,
+not its node arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from dse.forest import Forest
-from dse.priors import beta_pdf
-from dse.space import ENUMERATION_CAP, INTEGER, REAL, enumerate_space
+from dse.priors import beta_pdf, sample_beta
+from dse.space import CATEGORICAL, ENUMERATION_CAP, INTEGER, REAL, enumerate_space
 
 
 def pairwise_front(points) -> set[int]:
@@ -143,6 +145,40 @@ def candidate_splits(X, unordered):
         for left in masks:
             if any(left) and not all(left):
                 yield left
+
+
+def prior_value(param, rng):
+    """One value from a parameter's prior. A categorical draws one
+    ``random()`` and walks its cumulative probabilities to the first that
+    exceeds it (the last level if none does); a numeric parameter rescales
+    one :func:`sample_beta` variate onto its range, then rounds it (integer)
+    or scans the ordinal values for the nearest, the first on a tie."""
+    if param.kind == CATEGORICAL:
+        k = len(param.values)
+        probs = param.prior.probs if param.prior.shape == "categorical" else [1.0 / k] * k
+        u, acc = rng.generator.random(), 0.0
+        for level, p in zip(param.values, probs):
+            acc += p
+            if u < acc:
+                return level
+        return param.values[-1]
+    u = sample_beta(param.prior.alpha, param.prior.beta, rng)
+    if param.kind == REAL:
+        return param.lower + u * (param.upper - param.lower)
+    if param.kind == INTEGER:
+        return int(round(param.lower + u * (param.upper - param.lower)))
+    lo, hi = float(param.values[0]), float(param.values[-1])
+    target = lo + u * (hi - lo)
+    best = param.values[0]
+    for v in param.values[1:]:
+        if abs(target - float(v)) < abs(target - float(best)):
+            best = v
+    return best
+
+
+def prior_config(space, rng) -> tuple:
+    """One configuration from the priors, its values drawn in parameter order."""
+    return tuple(prior_value(p, rng) for p in space.parameters)
 
 
 def tuple_pool(space, n: int, rng) -> list[tuple]:

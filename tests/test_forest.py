@@ -321,8 +321,8 @@ def test_a_run_builds_no_tree_nodes(toy_scenario_doc, monkeypatch):
     # the view of the returned regressor is that of a refit on the same records
     refit = fit_surrogates(scenario.space, result.records, scenario,
                            RngState(1).substream(_STREAM_FIT).substream(
-                               result.meta["iterations_run"]))
-    assert [_preorder(t) for t in result.bundle.regressor.trees] == [
+                               result.meta["iterations_run"]), classify=False)
+    assert [_preorder(t) for t in result.regressor.trees] == [
         _preorder(t) for t in refit.regressor.trees]
     assert built
 

@@ -188,6 +188,9 @@ def unused_in_random_order(space, taken, seed):
                  id="repeated-taken"),
     pytest.param(ORD, [(1, 0), (8, 1)], [], 3, 0,
                  unused_in_random_order(ORD, [(1, 0), (8, 1)], 7)[:3], id="limit-0-tops-up"),
+    pytest.param(ORD, [(1, 0), (8, 1)], [(1, 0), (5, 1), (5, 1)], 3, 3,
+                 [(5, 1)] + unused_in_random_order(ORD, [(1, 0), (8, 1), (5, 1)], 7)[:2],
+                 id="top-up-after-kept-draws"),
     pytest.param(REAL_CAT, [(0.25, "a"), (0.75, "b"), (0.25, "b")],
                  [(0.75, "b"), (0.25, "a"), (0.75, "a"), (0.75, "a"), (0.25, "b"), (-1.0, "b")],
                  2, None, [(0.75, "a"), (-1.0, "b")], id="hashed-keys"),
@@ -388,11 +391,22 @@ def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
         assert trace[-1] <= trace[0]
 
 
-def test_disabling_the_filter_skips_the_classifier(toy_scenario_doc):
-    scenario = scenario_with(toy_scenario_doc, use_feasibility_filter=False, seed=9)
-    result = run(scenario)
-    assert result.bundle.classifier is None
-    assert all(r.feasible for r in constrained_front(result.records))
+def test_disabling_the_filter_skips_the_classifier(toy_scenario_doc, monkeypatch):
+    import dse.optimizer as optimizer
+
+    counts, fits, original = count_loop_calls(monkeypatch), [], optimizer.fit_classifier
+    monkeypatch.setattr(optimizer, "fit_classifier",
+                        lambda *args: fits.append(1) or original(*args))
+    for use_filter, iterations in [(False, 5), (True, 5), (True, 0)]:
+        counts.update(dict.fromkeys(counts, 0))
+        fits.clear()
+        result = run(scenario_with(toy_scenario_doc, use_feasibility_filter=use_filter,
+                                   optimization_iterations=iterations, seed=9))
+        assert counts["predict_pareto"] == iterations
+        # one classifier per prediction with the filter on, none for the final refit
+        assert len(fits) == (iterations if use_filter else 0)
+        if not use_filter:
+            assert all(r.feasible for r in constrained_front(result.records))
 
 
 LOOP_CALLS = ("candidate_pool", "predict_pareto", "select_batch", "fit_surrogates")

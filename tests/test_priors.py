@@ -11,13 +11,15 @@ from dse import (
     Prior,
     RngState,
     beta_pdf,
+    decode_matrix,
     encode_matrix,
     enumerate_space,
     sample_beta,
-    sample_parameter,
     warmup_sample,
 )
-from dse.priors import _snap_ordinal
+from dse.priors import prior_rows
+
+from oracles import prior_config
 
 NAMED_SHAPES = [(1.0, 1.0), (3.0, 3.0), (0.5, 1.5), (1.5, 0.5)]
 
@@ -100,26 +102,44 @@ def test_sample_beta_rejects_bad_parameters():
         sample_beta(0, 1, RngState(1))
 
 
-# --- sample_parameter -----------------------------------------------------------
+# --- prior_rows -------------------------------------------------------------------
 
-def test_ordinal_snap_arithmetic():
-    # rescale-and-snap on domain [1, 5, 8]
-    assert _snap_ordinal(1 + 0.9 * 7, (1, 5, 8)) == 8  # 7.3 -> 8
-    assert _snap_ordinal(1 + 0.5 * 7, (1, 5, 8)) == 5  # 4.5 -> 5
-    assert _snap_ordinal(6.5, (1, 5, 8)) == 5  # exact tie -> lower value
+def one_parameter_draws(param, n, rng):
+    """The decoded values of n prior_rows draws on a space of one parameter."""
+    space = DesignSpace((param,))
+    return [c[0] for c in decode_matrix(space, prior_rows(space, n, rng))]
+
+
+def test_ordinal_snap_arithmetic(monkeypatch):
+    # rescale-and-snap on domain [1, 5, 8], the Beta variates scripted
+    import dse.priors
+
+    variates = iter([0.9, 0.5, 11 / 14, 0.0, 1.0])
+    monkeypatch.setattr(dse.priors, "sample_beta", lambda alpha, beta, rng: next(variates))
+    assert 1 + 11 / 14 * 7 == 6.5
+    p = Parameter("o", "ordinal", values=(1, 5, 8))
+    # 7.3 -> 8, 4.5 -> 5, exact tie 6.5 -> lower value 5, and both ends
+    assert one_parameter_draws(p, 5, RngState(0)) == [8, 5, 5, 1, 8]
+
+
+def test_a_real_draw_stays_inside_its_upper_bound(monkeypatch):
+    import dse.priors
+
+    monkeypatch.setattr(dse.priors, "sample_beta", lambda alpha, beta, rng: 1.0)
+    assert -0.1 + 1.0 * (0.2 - -0.1) > 0.2  # the rescale alone rounds past the bound
+    assert one_parameter_draws(Parameter("x", "real", lower=-0.1, upper=0.2), 1,
+                               RngState(0)) == [0.2]
 
 
 def test_degenerate_categorical_prior_is_constant():
     p = Parameter("v", "categorical", values=("car", "truck", "motorbike"),
                   prior=Prior("categorical", probs=(1.0, 0.0, 0.0)))
-    rng = RngState(5)
-    assert all(sample_parameter(p, rng) == "car" for _ in range(200))
+    assert set(one_parameter_draws(p, 200, RngState(5))) == {"car"}
 
 
 def test_integer_sampling_stays_in_bounds():
     p = Parameter("n", "integer", lower=1, upper=4)
-    rng = RngState(6)
-    draws = {sample_parameter(p, rng) for _ in range(500)}
+    draws = set(one_parameter_draws(p, 500, RngState(6)))
     assert draws <= {1, 2, 3, 4}
     assert len(draws) > 1
 
@@ -128,9 +148,8 @@ def test_categorical_frequencies_match_prior():
     probs = (0.6, 0.3, 0.1)
     p = Parameter("v", "categorical", values=("a", "b", "c"),
                   prior=Prior("categorical", probs=probs))
-    rng = RngState(7)
     n = 10_000
-    draws = [sample_parameter(p, rng) for _ in range(n)]
+    draws = one_parameter_draws(p, n, RngState(7))
     for level, pk in zip(("a", "b", "c"), probs):
         freq = draws.count(level) / n
         assert abs(freq - pk) < 3 * math.sqrt(pk * (1 - pk) / n)
@@ -210,18 +229,30 @@ def sampling_spaces(draw):
             params.append(Parameter(f"p{i}", "ordinal", values=tuple(sorted(vals)), prior=prior))
         else:
             k = draw(st.integers(min_value=1, max_value=4))
+            weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                           .filter(any))
+            prior = (Prior.uniform() if weights is None else
+                     Prior("categorical", probs=tuple(w / sum(weights) for w in weights)))
             params.append(Parameter(f"p{i}", "categorical",
-                                    values=tuple(f"v{j}" for j in range(k))))
+                                    values=tuple(f"v{j}" for j in range(k)), prior=prior))
     return DesignSpace(tuple(params))
 
 
 @given(sampling_spaces(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_sampled_values_lie_in_domain(space, seed):
-    rng = RngState(seed)
-    for _ in range(20):
-        cfg = tuple(sample_parameter(p, rng) for p in space.parameters)
-        encode_matrix(space, [cfg])  # raises DomainError on any violation
+    configs = decode_matrix(space, prior_rows(space, 20, RngState(seed)))
+    encode_matrix(space, configs)  # raises DomainError on any violation
+
+
+@given(sampling_spaces(), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=100, deadline=None)
+def test_prior_rows_encode_the_one_value_at_a_time_draw(space, seed, k):
+    # bytes, not ==: an integer column must hold 0.0 where the oracle's int 0 encodes, never -0.0
+    oracle_rng = RngState(seed)
+    expected = encode_matrix(space, [prior_config(space, oracle_rng) for _ in range(k)])
+    assert prior_rows(space, k, RngState(seed)).tobytes() == expected.tobytes()
 
 
 # --- the prior stream and the uniform pool ------------------------------------
@@ -236,15 +267,15 @@ MIXED = DesignSpace((
 
 
 def sequential_distinct(space, n, rng, taken=(), limit=None):
-    """Oracle: the distinct configurations that one sample_parameter call per
-    value draws in row-major order, not in ``taken``, stopping at n or after
-    ``limit`` configurations (default 100*n); a finite space then continues
-    with a random order of its unused configurations."""
+    """Oracle: the distinct configurations that one prior_config call per
+    configuration draws, not in ``taken``, stopping at n or after ``limit``
+    configurations (default 100*n); a finite space then continues with a
+    random order of its unused configurations."""
     seen, out = set(taken), []
     for _ in range(100 * n if limit is None else limit):
         if len(out) == n:
             break
-        cfg = tuple(sample_parameter(p, rng) for p in space.parameters)
+        cfg = prior_config(space, rng)
         if cfg not in seen:
             seen.add(cfg)
             out.append(cfg)
