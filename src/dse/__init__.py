@@ -47,25 +47,17 @@ from .evaluators import (
     evaluate_batch,
     toy_fpga,
 )
-from .optimizer import (
-    SurrogateBundle,
-    candidate_pool,
-    mono_objective_best,
-    predict_pareto,
-    run,
-    select_batch,
-)
+from .optimizer import candidate_pool, predict_pareto, run, select_batch
 
 __all__ = [
     "DesignSpace", "DomainError", "EnumerationError", "EvaluationError",
     "EvaluationRecord", "EvaluatorSpec", "Forest", "ForestHyperparams",
-    "Parameter", "Prior", "RngState", "Scenario", "SurrogateBundle",
-    "ValidationError", "beta_pdf", "brute_force_front", "candidate_pool",
-    "constrained_front", "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
+    "Parameter", "Prior", "RngState", "Scenario", "ValidationError",
+    "beta_pdf", "brute_force_front", "candidate_pool", "constrained_front",
+    "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
     "evaluate_batch", "feature_importance", "fit_classifier",
     "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
-    "mono_objective_best", "objective_stddevs", "parse_scenario",
-    "pareto_front", "predict_pareto", "reference_front", "run",
-    "sample_beta", "select_batch",
+    "objective_stddevs", "parse_scenario", "pareto_front", "predict_pareto",
+    "reference_front", "run", "sample_beta", "select_batch",
     "toy_fpga", "warmup_sample",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .evaluators import EvaluationError, brute_force_front
 from .forest import feature_importance
-from .optimizer import RunResult, mono_objective_best, run
+from .optimizer import RunResult, run
 from .pareto import (
     EvaluationRecord, constrained_front, feasible_front, feasible_hvi, objective_stddevs,
 )
@@ -242,8 +242,8 @@ def cmd_run(args) -> int:
     if not front:
         print("warning: no feasible point found; pareto.csv is empty", file=sys.stderr)
     if len(scenario.objectives) == 1:
-        best = mono_objective_best(result.records)
-        if best is not None:
+        if front:  # on one objective the front's first record is the earliest minimum
+            best = front[0]
             print(f"best {scenario.objectives[0]}: {canonical_str(best.objectives[0])} "
                   f"at {dict(zip(scenario.space.names, best.config))}")
         else:
@@ -303,7 +303,8 @@ def cmd_report(args) -> int:
     The reference is the --reference-front file or, without one, the
     feasible front of every run's samples pooled; objectives are scaled by
     standard deviations over all samples plus the given reference. A run
-    with no feasible sample scores ``inf``.
+    with no feasible sample scores ``inf``, and so does the half-width of a
+    set of runs that holds one.
     """
     run_dirs = [Path(d) for d in args.run_dir]
     objective_sets = {_run_objectives(d) for d in run_dirs}
@@ -337,7 +338,10 @@ def cmd_report(args) -> int:
     if len(hvis) >= 2:
         from scipy import stats
 
-        half = float(stats.t.ppf(0.9, len(hvis) - 1) * np.std(hvis, ddof=1) / math.sqrt(len(hvis)))
+        half = math.inf  # a run with no feasible sample leaves the spread unbounded
+        if all(map(math.isfinite, hvis)):
+            half = float(stats.t.ppf(0.9, len(hvis) - 1) * np.std(hvis, ddof=1)
+                         / math.sqrt(len(hvis)))
         buf.write(f"ci80_half_width,{canonical_str(half)}\n")
     out_path = Path(args.output)
     out_path.write_text(buf.getvalue(), encoding="utf-8")

@@ -14,13 +14,17 @@ matrix from the draw to the front: repeats and evaluated configurations are
 found by row key (:func:`~dse.space.first_equal`), the filter is a boolean
 mask, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
+
+The archive of evaluated configurations is encoded once, when its batch
+returns: :func:`run` grows one matrix with the records, which
+:func:`fit_surrogates` fits on, :func:`predict_pareto` excludes by and
+:func:`select_batch` fills around.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Collection
 
 import numpy as np
 
@@ -45,18 +49,6 @@ _STREAM_WARMUP = 1
 _STREAM_FIT = 2
 _STREAM_POOL = 3
 _STREAM_BATCH = 4
-
-
-@dataclass(frozen=True, eq=False)
-class SurrogateBundle:
-    """One regression forest with an output per objective plus the optional
-    feasibility classifier; absent classifier means every candidate passes
-    the filter."""
-
-    space: DesignSpace
-    regressor: Forest
-    classifier: Forest | None
-    threshold: float = 0.5
 
 
 @dataclass
@@ -94,14 +86,15 @@ def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
     return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng)
 
 
-def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
-                   scenario: Scenario, rng: RngState, *, classify: bool) -> SurrogateBundle:
-    """Refit the models on the full accumulated record set: one regressor
-    fit whose output j is objective j's forest (seeded ``rng.substream(j)``),
-    and, when ``classify`` is set and the scenario filters, the classifier.
-    A run clears ``classify`` on a refit that no prediction follows."""
-    X = encode_matrix(space, [r.config for r in records])
-    unordered = space.unordered_mask
+def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Scenario,
+                   rng: RngState, *, classify: bool) -> tuple[Forest, Forest | None]:
+    """Refit the models on the encoded archive ``X`` (one row per record):
+    one regressor fit whose output j is objective j's forest (seeded
+    ``rng.substream(j)``), and, when ``classify`` is set and the scenario
+    filters, the feasibility classifier; otherwise the classifier is None
+    and every candidate passes the filter. A run clears ``classify`` on a
+    refit that no prediction follows."""
+    unordered = scenario.space.unordered_mask
     p = len(scenario.objectives)
 
     regressor = fit_regressor(X, [r.objectives for r in records], scenario.regressor_hp, rng,
@@ -110,49 +103,43 @@ def fit_surrogates(space: DesignSpace, records: list[EvaluationRecord],
     if classify and scenario.feasibility is not None and scenario.use_feasibility_filter:
         classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
                                     rng.substream(p), unordered)
-    return SurrogateBundle(
-        space=space,
-        regressor=regressor,
-        classifier=classifier,
-        threshold=scenario.feasibility_threshold,
-    )
+    return regressor, classifier
 
 
-def predict_pareto(bundle: SurrogateBundle, pool: np.ndarray,
-                   exclude: Collection[tuple]) -> list[tuple]:
+def predict_pareto(space: DesignSpace, pool: np.ndarray, X: np.ndarray, regressor: Forest,
+                   classifier: Forest | None, threshold: float) -> list[tuple]:
     """The configurations whose predicted objectives form the front of an
     encoded pool.
 
-    Rows equal to an already-evaluated configuration are dropped first, then
-    rows the classifier predicts infeasible; the front is computed over what
-    remains, and only its rows are decoded.
+    Pool rows equal to a row of the encoded archive ``X`` are dropped first,
+    then rows the classifier (if any) predicts feasible with probability
+    below ``threshold``; the front is computed over what remains, and only
+    its rows are decoded.
     """
-    space = bundle.space
-    E = encode_matrix(space, list(exclude))
-    X = pool[first_equal(space, np.concatenate([E, pool]))[len(E):] >= len(E)]
-    if bundle.classifier is not None and len(X):
-        X = X[bundle.classifier.predict_batch(X) >= bundle.threshold]
-    if not len(X):
+    C = pool[first_equal(space, np.concatenate([X, pool]))[len(X):] >= len(X)]
+    if classifier is not None and len(C):
+        C = C[classifier.predict_batch(C) >= threshold]
+    if not len(C):
         return []
-    return decode_matrix(space, X[pareto_front(bundle.regressor.predict_batch(X))])
+    return decode_matrix(space, C[pareto_front(regressor.predict_batch(C))])
 
 
-def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
-                 evaluated: Collection[tuple], rng: RngState) -> list[tuple]:
+def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarray,
+                 rng: RngState) -> list[tuple]:
     """Pick at most m configurations to evaluate next.
 
-    Predictions equal to an ``evaluated`` configuration are dropped. More
-    predictions left than the budget: a uniform random m-subset. Fewer: all
-    of them plus fresh prior-drawn samples, distinct from each other and from
-    the predictions and ``evaluated`` configurations (the exploration half of
-    the epsilon-greedy trade-off). On a finite space that is almost exhausted
+    Predictions equal to a row of the encoded archive ``X`` are dropped.
+    More predictions left than the budget: a uniform random m-subset. Fewer:
+    all of them plus fresh prior-drawn samples, distinct from each other and
+    from the predictions and the archive (the exploration half of the
+    epsilon-greedy trade-off). On a finite space that is almost exhausted
     the batch may come back short or empty; empty means the search is done.
-    A configuration outside the domain raises a DomainError.
+    A predicted configuration outside the domain raises a DomainError.
     """
     if m < 1:
         raise ValueError("batch budget must be >= 1")
-    E, P = encode_matrix(space, list(evaluated)), encode_matrix(space, predicted)
-    new = first_equal(space, np.concatenate([E, P]))[len(E):] >= len(E)
+    P = encode_matrix(space, predicted)
+    new = first_equal(space, np.concatenate([X, P]))[len(X):] >= len(X)
     fresh = [c for c, keep in zip(predicted, new.tolist()) if keep]
     if len(fresh) > m:
         gen = rng.generator
@@ -161,32 +148,23 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace,
     if len(fresh) == m:
         return fresh
     fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng,
-                         taken=np.concatenate([E, P[new]]), limit=100 * m)
+                         taken=np.concatenate([X, P[new]]), limit=100 * m)
     return fresh + decode_matrix(space, fill)
-
-
-def mono_objective_best(records: list[EvaluationRecord]) -> EvaluationRecord | None:
-    """Feasible record with the minimal (single) objective; ties go to the
-    earliest evaluation. None when nothing feasible was found."""
-    best = None
-    for r in records:
-        if len(r.objectives) != 1:
-            raise ValueError("mono_objective_best requires single-objective records")
-        if r.feasible and (best is None or r.objectives[0] < best.objectives[0]):
-            best = r
-    return best
 
 
 def run(scenario: Scenario, reference_front=None) -> RunResult:
     """Execute the full search for a scenario.
 
-    Warm-up with doe_samples prior-drawn distinct configurations, evaluate,
-    fit surrogates, then loop at most optimization_iterations times: predict
-    the front over a fresh pool excluding everything evaluated, evaluate a
-    batch of at most evaluations_per_iteration of it, refit on all records.
-    The loop stops early when the prediction or the batch comes back empty.
-    Only a refit that a prediction follows fits the classifier; the last
-    refit's regressor is returned (its importances are reported).
+    Warm-up with doe_samples prior-drawn distinct configurations and
+    evaluate them. Then loop: refit the surrogates on every record, stop
+    after optimization_iterations batches, predict the front over a fresh
+    pool excluding everything evaluated, and evaluate a batch of at most
+    evaluations_per_iteration of it. The loop stops early when the
+    prediction or the batch comes back empty. The archive is encoded once,
+    when its batch returns: one matrix grows with the records, and the
+    refit, the prediction and the batch selection all read it. Only a refit
+    that a prediction follows fits the classifier; the last refit's
+    regressor is returned (its importances are reported).
 
     ``reference_front`` (optional list of objective vectors) enables the
     per-iteration HVI trace; it requires a bi-objective scenario.
@@ -206,24 +184,28 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     i = 0
     try:
         records += evaluate_batch(spec, space, warm, iteration_tag=-1)
+        X = encode_matrix(space, [r.config for r in records])
         fit_rng = root.substream(_STREAM_FIT)
-        bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i),
-                                classify=i < scenario.optimization_iterations)
-        while i < scenario.optimization_iterations:
-            evaluated = [r.config for r in records]
+        while True:
+            predicting = i < scenario.optimization_iterations
+            regressor, classifier = fit_surrogates(X, records, scenario, fit_rng.substream(i),
+                                                   classify=predicting)
+            if not predicting:
+                break
             pool = candidate_pool(space, scenario.pareto_prediction_samples,
                                   root.substream(_STREAM_POOL).substream(i))
-            predicted = predict_pareto(bundle, pool, evaluated)
+            predicted = predict_pareto(space, pool, X, regressor, classifier,
+                                       scenario.feasibility_threshold)
             if not predicted:
                 break
-            batch = select_batch(predicted, scenario.evaluations_per_iteration, space,
-                                 evaluated, root.substream(_STREAM_BATCH).substream(i))
+            batch = select_batch(predicted, scenario.evaluations_per_iteration, space, X,
+                                 root.substream(_STREAM_BATCH).substream(i))
             if not batch:
                 break
-            records += evaluate_batch(spec, space, batch, iteration_tag=i)
+            evaluated = evaluate_batch(spec, space, batch, iteration_tag=i)
+            records += evaluated
+            X = np.concatenate([X, encode_matrix(space, [r.config for r in evaluated])])
             i += 1
-            bundle = fit_surrogates(space, records, scenario, fit_rng.substream(i),
-                                    classify=i < scenario.optimization_iterations)
     except EvaluationError as e:
         e.partial_records = records
         raise
@@ -242,4 +224,4 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
             upto = [r for r in records if r.iteration_tag <= tag]
             hvi_trace.append((tag, feasible_hvi([r.objectives for r in upto],
                                                 [r.feasible for r in upto], ref, sigma)))
-    return RunResult(records=records, regressor=bundle.regressor, hvi_trace=hvi_trace, meta=meta)
+    return RunResult(records=records, regressor=regressor, hvi_trace=hvi_trace, meta=meta)

@@ -336,6 +336,28 @@ def test_report_single_run_has_no_ci_row(tmp_path, run_dir, truth_dir):
     assert float(values["mean"]) == float(rows[1][1])
 
 
+def test_report_half_width_is_inf_when_a_run_has_no_feasible_sample(tmp_path, run_dir,
+                                                                   truth_dir, capsys):
+    import shutil
+    import warnings
+
+    infeasible = tmp_path / "infeasible"
+    shutil.copytree(run_dir, infeasible)
+    rows = read_rows(infeasible / "samples.csv")
+    with open(infeasible / "samples.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "feasible": "false"} for row in rows)
+    report = tmp_path / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("report", run_dir, infeasible, "--reference-front",
+                       truth_dir / "true_front.csv", "--output", report) == 0
+    values = {r[0]: r[1] for r in csv.reader(open(report))}
+    assert values[str(infeasible)] == values["mean"] == values["ci80_half_width"] == "inf"
+    assert capsys.readouterr().err == ""
+
+
 def test_report_rejects_mismatched_objectives(tmp_path, run_dir, capsys):
     out = tmp_path / "lin2"
     assert run_cli("run", LINEAR, "--set", f"output_dir={out}") == 0

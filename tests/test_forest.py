@@ -319,11 +319,12 @@ def test_a_run_builds_no_tree_nodes(toy_scenario_doc, monkeypatch):
     result = run(scenario)
     assert not built
     # the view of the returned regressor is that of a refit on the same records
-    refit = fit_surrogates(scenario.space, result.records, scenario,
-                           RngState(1).substream(_STREAM_FIT).substream(
-                               result.meta["iterations_run"]), classify=False)
+    X = encode_matrix(scenario.space, [r.config for r in result.records])
+    refit, _ = fit_surrogates(X, result.records, scenario,
+                              RngState(1).substream(_STREAM_FIT).substream(
+                                  result.meta["iterations_run"]), classify=False)
     assert [_preorder(t) for t in result.regressor.trees] == [
-        _preorder(t) for t in refit.regressor.trees]
+        _preorder(t) for t in refit.trees]
     assert built
 
 

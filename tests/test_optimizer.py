@@ -16,12 +16,10 @@ from dse import (
     constrained_front,
     fit_classifier,
     fit_regressor,
-    mono_objective_best,
     predict_pareto,
     run,
     select_batch,
 )
-from dse.optimizer import SurrogateBundle
 from dse.pareto import dominates, feasible_front
 from dse.space import decode_matrix, distinct_rows, encode_matrix, enumerate_space, first_equal
 
@@ -146,9 +144,9 @@ def test_pool_keeps_rows_one_ulp_apart():
     assert decode_matrix(space, pool) == [(half, "a"), (above, "a")]  # the repeats are dropped
 
     flat = fit_regressor(pool, [[1.0, 1.0], [1.0, 1.0]], PURE_TREE, RngState(0))
-    bundle = SurrogateBundle(space, flat, classifier=None)
-    assert predict_pareto(bundle, pool, exclude={(half, "a")}) == [(above, "a")]
-    assert predict_pareto(bundle, pool, exclude={(above, "a")}) == [(half, "a")]
+    for evaluated, rest in [(half, above), (above, half)]:
+        X = encode_matrix(space, [(evaluated, "a")])
+        assert predict_pareto(space, pool, X, flat, None, 0.5) == [(rest, "a")]
 
 
 def test_rows_that_share_a_hash_are_compared(monkeypatch):
@@ -212,33 +210,31 @@ def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, 
 
 # --- predict_pareto ----------------------------------------------------------------
 
-def four_point_bundle():
-    """Surrogates trained to interpolate hand-set predictions exactly."""
+def four_point_regressor():
+    """A regressor trained to interpolate hand-set predictions exactly."""
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
     configs = [(i,) for i in range(4)]
     X = encode_matrix(space, configs)
     targets = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (2.0, 3.0)]
-    regressor = fit_regressor(X, targets, PURE_TREE, RngState(4))
-    return space, configs, SurrogateBundle(space, regressor, classifier=None)
+    return space, configs, X, fit_regressor(X, targets, PURE_TREE, RngState(4))
 
 
 def test_predict_pareto_returns_nondominated_configs():
-    space, configs, bundle = four_point_bundle()
-    predicted = predict_pareto(bundle, encode_matrix(space, configs), exclude=set())
+    space, configs, pool, regressor = four_point_regressor()
+    predicted = predict_pareto(space, pool, encode_matrix(space, []), regressor, None, 0.5)
     assert predicted == configs[:3]  # (2,3) is dominated by (2,2)
 
 
 def test_predict_pareto_excludes_evaluated_configs():
-    space, configs, bundle = four_point_bundle()
-    assert predict_pareto(bundle, encode_matrix(space, configs), exclude=set(configs)) == []
+    space, _, pool, regressor = four_point_regressor()
+    assert predict_pareto(space, pool, pool.copy(), regressor, None, 0.5) == []
 
 
 def test_predict_pareto_filters_predicted_infeasible():
-    space, configs, bundle = four_point_bundle()
-    X = encode_matrix(space, configs)
-    classifier = fit_classifier(X, [False] * 4, ForestHyperparams(), RngState(5))
-    filtered = SurrogateBundle(space, bundle.regressor, classifier)
-    assert predict_pareto(filtered, encode_matrix(space, configs), exclude=set()) == []
+    space, _, pool, regressor = four_point_regressor()
+    classifier = fit_classifier(pool, [False] * 4, ForestHyperparams(), RngState(5))
+    assert predict_pareto(space, pool, encode_matrix(space, []), regressor, classifier,
+                          0.5) == []
 
 
 # --- select_batch -----------------------------------------------------------------
@@ -246,14 +242,14 @@ def test_predict_pareto_filters_predicted_infeasible():
 def test_batch_passes_through_when_sizes_match(toy_scenario):
     space = toy_scenario.space
     predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(6)))[:5]
-    batch = select_batch(predicted, 5, space, set(), RngState(7))
+    batch = select_batch(predicted, 5, space, encode_matrix(space, []), RngState(7))
     assert batch == predicted
 
 
 def test_batch_fills_with_fresh_prior_samples(toy_scenario):
     space = toy_scenario.space
     archive = set(decode_matrix(space, candidate_pool(space, 100_000, RngState(8)))[:30])
-    batch = select_batch([], 3, space, archive, RngState(9))
+    batch = select_batch([], 3, space, encode_matrix(space, list(archive)), RngState(9))
     assert len(batch) == 3
     assert len(set(batch)) == 3
     assert not set(batch) & archive
@@ -262,8 +258,9 @@ def test_batch_fills_with_fresh_prior_samples(toy_scenario):
 def test_batch_subset_is_deterministic(toy_scenario):
     space = toy_scenario.space
     predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(10)))[:10]
-    a = select_batch(predicted, 4, space, set(), RngState(11, 2))
-    b = select_batch(predicted, 4, space, set(), RngState(11, 2))
+    nothing = encode_matrix(space, [])
+    a = select_batch(predicted, 4, space, nothing, RngState(11, 2))
+    b = select_batch(predicted, 4, space, nothing, RngState(11, 2))
     assert a == b
     assert len(a) == 4
     assert set(a) <= set(predicted)
@@ -277,7 +274,7 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
         Parameter("n", "integer", lower=0, upper=1),
     ))
     archive = {("a", 0), ("a", 1)}
-    batch = select_batch([], 2, space, archive, RngState(13))
+    batch = select_batch([], 2, space, encode_matrix(space, list(archive)), RngState(13))
     assert len(batch) == 2
     assert set(batch) == {("b", 0), ("b", 1)}
 
@@ -285,15 +282,18 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
 def test_batch_returns_short_when_space_is_exhausted():
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
     everything = {(i,) for i in range(4)}
-    batch = select_batch([], 5, space, everything, RngState(12))
+    batch = select_batch([], 5, space, encode_matrix(space, list(everything)), RngState(12))
     assert batch == []
 
 
 @pytest.mark.parametrize("predicted, m", [([(2,)], 1), ([(2,)], 3), ([], 2)])
 def test_batch_rejects_an_evaluated_configuration_outside_the_domain(predicted, m):
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
+    # an evaluated configuration is rejected where its batch is encoded into the archive
     with pytest.raises(DomainError, match="value 7 outside domain"):
-        select_batch(predicted, m, space, {(1,), (7,)}, RngState(12))
+        encode_matrix(space, [(1,), (7,)])
+    with pytest.raises(DomainError, match="value 7 outside domain"):
+        select_batch(predicted + [(7,)], m, space, encode_matrix(space, [(1,)]), RngState(12))
 
 
 # --- run --------------------------------------------------------------------------
@@ -451,20 +451,41 @@ def test_loop_stops_at_an_empty_prediction(toy_scenario_doc, monkeypatch):
                       "fit_surrogates": 2}
 
 
+def test_each_evaluated_configuration_is_encoded_once(toy_scenario_doc, monkeypatch):
+    import sys
+
+    import dse.optimizer as optimizer
+
+    calls, original = [], optimizer.encode_matrix
+
+    def counted(space, configs):
+        calls.append((sys._getframe(1).f_code.co_name, len(configs)))
+        return original(space, configs)
+
+    monkeypatch.setattr(optimizer, "encode_matrix", counted)
+    result = run(scenario_with(toy_scenario_doc, seed=1))
+    iterations = result.meta["iterations_run"]
+    assert iterations > 0
+    # the warm-up, each returned batch, and the predictions of each select_batch
+    assert len(calls) == 1 + 2 * iterations
+    assert [name for name, _ in calls].count("select_batch") == iterations
+    assert sum(rows for name, rows in calls if name == "run") == len(result.records)
+
+
 # --- mono-objective ----------------------------------------------------------------
 
 def record(value, feasible=True, key=None, tag=-1):
     return EvaluationRecord(key or (value,), (float(value),), feasible, tag)
 
 
-def test_mono_objective_best_takes_minimal_feasible():
-    archive = [record(5), record(3), record(9)]
-    assert mono_objective_best(archive).objectives == (3.0,)
+def test_one_objective_front_starts_at_the_earliest_minimum():
+    records = [record(5), record(3, key=("first",)), record(9), record(3, key=("second",)),
+               record(1, feasible=False)]
+    assert constrained_front(records)[0] is records[1]
 
 
-def test_mono_objective_best_with_no_feasible_is_none():
-    archive = [record(5, feasible=False)]
-    assert mono_objective_best(archive) is None
+def test_one_objective_front_with_no_feasible_is_empty():
+    assert constrained_front([record(5, feasible=False)]) == []
 
 
 def test_mono_objective_run_matches_exhaustive_minimum(toy_scenario_doc, toy_truth):
@@ -472,6 +493,4 @@ def test_mono_objective_run_matches_exhaustive_minimum(toy_scenario_doc, toy_tru
     true_best = min((r.objectives[0] for r in all_records if r.feasible))
     scenario = scenario_with(toy_scenario_doc, optimization_objectives=["cycles"], seed=10)
     result = run(scenario)
-    best = mono_objective_best(result.records)
-    assert best is not None
-    assert best.objectives[0] == true_best == 576.0
+    assert constrained_front(result.records)[0].objectives[0] == true_best == 576.0

@@ -298,7 +298,8 @@ def test_warmup_and_batch_fill_follow_the_sequential_prior_stream(toy_scenario, 
     m = n - len(archive) + 1
     expected = predicted[-1:] + sequential_distinct(space, m - 1, RngState(14),
                                                     taken=archive | set(predicted), limit=100 * m)
-    assert select_batch(predicted, m, space, archive, RngState(14)) == expected
+    X = encode_matrix(space, list(archive))
+    assert select_batch(predicted, m, space, X, RngState(14)) == expected
 
 
 def test_uniform_pool_is_uniform_per_parameter_kind():
