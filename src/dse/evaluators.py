@@ -2,9 +2,16 @@
 
 External evaluators are one-shot child processes: they receive a request CSV
 (parameter columns, canonical formatting) on stdin and answer on stdout with
-the same parameter columns plus one column per objective and, optionally, the
-feasibility column. Rows are joined back to configurations by the parameter
-columns, never by row order, so children may answer out of order.
+the same parameter columns plus one column per objective and, when the
+scenario declares one, the feasibility column. Rows are joined back to
+configurations by the parameter columns, never by row order, so children may
+answer out of order.
+
+A builtin's result dict and a child's response row are read by the same
+rules (:func:`_records`): every objective and the named feasibility output
+must be present, objectives must be finite numbers, and a configuration is
+feasible iff its feasibility output, in canonical form, equals
+``true_value``. Anything else fails the batch with an ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .pareto import EvaluationRecord, constrained_front
 from .space import (
@@ -161,46 +168,18 @@ def request_csv(space: DesignSpace, batch: Sequence[tuple]) -> str:
     return buf.getvalue()
 
 
-def _require_finite(spec: EvaluatorSpec, key: tuple[str, ...],
-                    objectives: tuple[float, ...], raw_output: str = "") -> None:
-    # a NaN is never dominated and would land on the front unnoticed
-    for name, value in zip(spec.objectives, objectives):
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"non-finite objective {name}={value!r} for configuration {key}", raw_output)
-
-
-def _evaluate_builtin(spec: EvaluatorSpec, space: DesignSpace,
-                      batch: Sequence[tuple], iteration_tag: int):
-    fn = BUILTIN_EVALUATORS[spec.name]
-    records = []
-    for config in batch:
-        outputs = fn(dict(zip(space.names, config)))
-        missing = [o for o in spec.objectives if o not in outputs]
-        if missing:
-            raise EvaluationError(
-                f"builtin {spec.name!r} does not produce objective {missing[0]!r}")
-        objectives = tuple(float(outputs[o]) for o in spec.objectives)
-        _require_finite(spec, _config_key(config), objectives)
-        feasible = bool(outputs.get("feasible", True)) if spec.feasibility is not None else True
-        records.append(EvaluationRecord(config, objectives, feasible, iteration_tag))
-    return records
-
-
-def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
-                    batch: Sequence[tuple], text: str, iteration_tag: int):
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+def _response_rows(space: DesignSpace, batch: Sequence[tuple], text: str) -> list[dict[str, str]]:
+    """The child's answer to each configuration of ``batch``, in batch order,
+    as a column -> cell map. Only the CSV itself is checked here; the cells
+    are read by :func:`_records`."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise EvaluationError("evaluator produced no CSV output", text)
     header = [h.strip() for h in rows[0]]
     col = {name: i for i, name in enumerate(header)}
-    for name in list(space.names) + list(spec.objectives):
+    for name in space.names:
         if name not in col:
             raise EvaluationError(f"response is missing column {name!r}", text)
-    fea_name = spec.feasibility.name if spec.feasibility is not None else None
-    if fea_name is not None and fea_name not in col:
-        raise EvaluationError(f"response is missing feasibility column {fea_name!r}", text)
 
     by_key: dict[tuple[str, ...], list[str]] = {}
     for row in rows[1:]:
@@ -211,21 +190,38 @@ def _parse_response(spec: EvaluatorSpec, space: DesignSpace,
             raise EvaluationError(f"duplicate response row for configuration {key}", text)
         by_key[key] = row
 
-    records = []
+    answers = []
     for config in batch:
         key = _config_key(config)
-        row = by_key.get(key)
-        if row is None:
+        if key not in by_key:
             raise EvaluationError(f"evaluator omitted configuration {key}", text)
+        answers.append(dict(zip(header, by_key[key])))
+    return answers
+
+
+def _records(spec: EvaluatorSpec, batch: Sequence[tuple], outputs: Iterable[Mapping[str, Any]],
+             iteration_tag: int, raw_output: str = "") -> list[EvaluationRecord]:
+    """One record per configuration of ``batch`` from its output mapping (a
+    builtin's result or a child's response row), by the module's rules."""
+    fea = spec.feasibility
+    required = spec.objectives + ((fea.name,) if fea is not None else ())
+    records = []
+    for config, out in zip(batch, outputs):
+        missing = [name for name in required if name not in out]
+        if missing:
+            raise EvaluationError(f"evaluator output is missing column {missing[0]!r} "
+                                  f"for configuration {_config_key(config)}", raw_output)
         try:
-            objectives = tuple(float(row[col[o]]) for o in spec.objectives)
-        except ValueError as e:
-            raise EvaluationError(f"unparseable objective value for {key}: {e}", text)
-        _require_finite(spec, key, objectives, text)
-        if fea_name is not None:
-            feasible = row[col[fea_name]].strip() == spec.feasibility.true_value
-        else:
-            feasible = True
+            objectives = tuple(float(out[o]) for o in spec.objectives)
+        except (TypeError, ValueError) as e:
+            raise EvaluationError(
+                f"unparseable objective value for {_config_key(config)}: {e}", raw_output)
+        # a NaN is never dominated and would land on the front unnoticed
+        for name, value in zip(spec.objectives, objectives):
+            if not math.isfinite(value):
+                raise EvaluationError(f"non-finite objective {name}={value!r} for "
+                                      f"configuration {_config_key(config)}", raw_output)
+        feasible = fea is None or canonical_str(out[fea.name]).strip() == fea.true_value
         records.append(EvaluationRecord(config, objectives, feasible, iteration_tag))
     return records
 
@@ -242,7 +238,9 @@ def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
     if not batch:
         raise EvaluationError("evaluate_batch requires a non-empty batch")
     if spec.mode == "builtin":
-        return _evaluate_builtin(spec, space, batch, iteration_tag)
+        fn, names = BUILTIN_EVALUATORS[spec.name], space.names
+        # a generator, so each call is followed by its own record
+        return _records(spec, batch, (fn(dict(zip(names, c))) for c in batch), iteration_tag)
 
     request = request_csv(space, batch)
     try:
@@ -267,7 +265,8 @@ def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
             f"evaluator exited with status {proc.returncode}",
             proc.stdout + proc.stderr,
         )
-    return _parse_response(spec, space, batch, proc.stdout, iteration_tag)
+    return _records(spec, batch, _response_rows(space, batch, proc.stdout),
+                    iteration_tag, proc.stdout)
 
 
 def brute_force_front(space: DesignSpace, spec: EvaluatorSpec):

@@ -51,7 +51,10 @@ class EnumerationError(ValueError):
 
 def canonical_str(value: Any) -> str:
     """Canonical wire/CSV form: booleans lowercase, ints bare, floats via
-    shortest round-trip repr, strings unchanged."""
+    shortest round-trip repr, strings unchanged; numpy scalars as their
+    Python values."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -121,6 +124,10 @@ class Parameter:
         if self.kind in (REAL, INTEGER):
             if self.lower is None or self.upper is None:
                 raise ValidationError(f"{self.name}: {self.kind} parameter needs [lower, upper]")
+            if not all(-math.inf < b < math.inf for b in (self.lower, self.upper)):  # NaN too
+                raise ValidationError(f"{self.name}: {self.kind} bounds must be finite")
+            if self.kind == INTEGER and not all(b == int(b) for b in (self.lower, self.upper)):
+                raise ValidationError(f"{self.name}: integer bounds must be integral")
             if self.lower > self.upper:
                 raise ValidationError(f"{self.name}: lower bound exceeds upper bound")
             if self.kind == INTEGER and max(-self.lower, self.upper) > 2 ** 53:
@@ -403,26 +410,19 @@ class Scenario:
     objectives: tuple[str, ...]
     space: DesignSpace
     evaluator: "EvaluatorSpec"
-    feasibility: FeasibleOutput | None = None
-    doe_samples: int = 1000
-    optimization_iterations: int = 50
-    evaluations_per_iteration: int = 100
-    pareto_prediction_samples: int = 100_000
-    regressor_hp: "ForestHyperparams" = None
-    classifier_hp: "ForestHyperparams" = None
-    seed: int = 0
-    output_dir: str = "dse_output"
-    use_feasibility_filter: bool = True
-    feasibility_threshold: float = 0.5
+    feasibility: FeasibleOutput | None
+    doe_samples: int
+    optimization_iterations: int
+    evaluations_per_iteration: int
+    pareto_prediction_samples: int
+    regressor_hp: "ForestHyperparams"
+    classifier_hp: "ForestHyperparams"
+    seed: int
+    output_dir: str
+    use_feasibility_filter: bool
+    feasibility_threshold: float
 
     def __post_init__(self):
-        if self.regressor_hp is None or self.classifier_hp is None:
-            from .forest import ForestHyperparams
-
-            if self.regressor_hp is None:
-                object.__setattr__(self, "regressor_hp", ForestHyperparams())
-            if self.classifier_hp is None:
-                object.__setattr__(self, "classifier_hp", ForestHyperparams())
         if len(self.objectives) < 1:
             raise ValidationError("at least one optimization objective is required")
         if len(set(self.objectives)) != len(self.objectives):
@@ -586,8 +586,8 @@ def scenario_from_doc(doc: dict) -> Scenario:
     prior gets the uniform one. Structural violations name the offending
     field.
     """
-    from .evaluators import EvaluatorSpec, parse_evaluator
-    from .forest import ForestHyperparams, parse_hyperparams
+    from .evaluators import parse_evaluator
+    from .forest import parse_hyperparams
 
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:

@@ -2,6 +2,7 @@ import json
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from dse import (
@@ -15,7 +16,7 @@ from dse import (
     toy_fpga,
 )
 from dse import evaluators
-from dse.space import DomainError, FeasibleOutput
+from dse.space import DomainError, FeasibleOutput, canonical_str
 
 FEA = FeasibleOutput("feasible", "true")
 
@@ -215,47 +216,67 @@ def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed
     assert err.value.raw_output == printed
 
 
-def test_unparseable_objective_is_a_protocol_error(tmp_path):
-    body = textwrap.dedent("""\
-        import csv, sys
-        rows = list(csv.reader(sys.stdin))
-        out = csv.writer(sys.stdout, lineterminator="\\n")
-        out.writerow(rows[0] + ["cost", "feasible"])
-        for row in rows[1:]:
-            if row:
-                out.writerow(row + ["not-a-number", "true"])
-    """)
-    space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "bad.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
-    with pytest.raises(EvaluationError, match="unparseable"):
-        evaluate_batch(spec, space, [(2, 1, "true", 1)])
+# --- one set of rules for builtin results and child responses ---------------------
+
+CONFIG = (2, 1, "true", 1)
+CONFIG_RE = r"\('2', '1', 'true', '1'\)"
+FITS = FeasibleOutput("fits", "yes")
+
+# (outputs of every configuration, feasibility output, the error it raises
+# or the feasibility it reads)
+OUTPUT_CASES = {
+    "missing-objective": ({"feasible": True}, FEA,
+                          rf"missing column 'cost' for configuration {CONFIG_RE}"),
+    "missing-feasibility": ({"cost": 1.0}, FEA,
+                            rf"missing column 'feasible' for configuration {CONFIG_RE}"),
+    "missing-custom-feasibility": ({"cost": 1.0, "feasible": True}, FITS,
+                                   r"missing column 'fits'"),
+    "unparseable-objective": ({"cost": "not-a-number", "feasible": True}, FEA,
+                              rf"unparseable objective value for {CONFIG_RE}"),
+    "nan-objective": ({"cost": float("nan"), "feasible": True}, FEA,
+                      rf"non-finite objective cost=nan for configuration {CONFIG_RE}"),
+    "inf-objective": ({"cost": float("inf"), "feasible": True}, FEA,
+                      rf"non-finite objective cost=inf for configuration {CONFIG_RE}"),
+    "custom-feasible": ({"cost": 1.0, "fits": "yes", "feasible": False}, FITS, True),
+    "custom-infeasible": ({"cost": 1.0, "fits": "no", "feasible": True}, FITS, False),
+    "numpy-true": ({"cost": np.float64(1.5), "feasible": np.True_}, FEA, True),
+    "numpy-false": ({"cost": np.float64(1.5), "feasible": np.False_}, FEA, False),
+    "no-feasibility-declared": ({"cost": 1.0, "feasible": False}, None, True),
+}
+
+# A child that answers every requested row with the same output cells.
+FIXED_OUTPUT_CHILD = textwrap.dedent("""\
+    import csv, sys
+    cells = {cells!r}
+    rows = [row for row in csv.reader(sys.stdin) if row]
+    out = csv.writer(sys.stdout, lineterminator="\\n")
+    out.writerow(rows[0] + list(cells))
+    for row in rows[1:]:
+        out.writerow(row + list(cells.values()))
+""")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_objective_is_a_protocol_error(tmp_path, value):
-    body = textwrap.dedent(f"""\
-        import csv, sys
-        rows = list(csv.reader(sys.stdin))
-        out = csv.writer(sys.stdout, lineterminator="\\n")
-        out.writerow(rows[0] + ["cost", "feasible"])
-        for row in rows[1:]:
-            if row:
-                out.writerow(row + ["{value}", "true"])
-    """)
-    space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "nonfinite.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
-    with pytest.raises(EvaluationError, match=r"non-finite objective cost=.*\('2', '1', 'true', '1'\)"):
-        evaluate_batch(spec, space, [(2, 1, "true", 1)])
-
-
-def test_builtin_non_finite_objective_is_rejected(monkeypatch):
-    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "nan_model",
-                        lambda values: {"cost": float("nan")})
-    spec = EvaluatorSpec("builtin", name="nan_model", objectives=("cost",))
-    with pytest.raises(EvaluationError, match=r"non-finite objective cost=nan.*'4', '2'"):
-        evaluate_batch(spec, small_space(), [(4, 2, "false", 2)])
+@pytest.mark.parametrize("mode", ["builtin", "subprocess"])
+@pytest.mark.parametrize("case", list(OUTPUT_CASES))
+def test_builtin_and_child_outputs_are_read_by_the_same_rules(tmp_path, monkeypatch, mode, case):
+    outputs, feasibility, expected = OUTPUT_CASES[case]
+    if mode == "builtin":
+        monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "fixed", lambda values: dict(outputs))
+        where = {"name": "fixed"}
+    else:  # the same outputs, written in canonical form
+        cells = {name: canonical_str(value) for name, value in outputs.items()}
+        where = {"command": write_script(tmp_path, "fixed.py",
+                                         FIXED_OUTPUT_CHILD.format(cells=cells)),
+                 "timeout_seconds": 60}
+    spec = EvaluatorSpec(mode, **where, objectives=("cost",), feasibility=feasibility)
+    batch = [CONFIG, (4, 2, "false", 2)]
+    if isinstance(expected, str):
+        with pytest.raises(EvaluationError, match=expected):
+            evaluate_batch(spec, small_space(), batch)
+    else:
+        records = evaluate_batch(spec, small_space(), batch)
+        assert [r.feasible for r in records] == [expected, expected]
+        assert records[0].objectives == (float(outputs["cost"]),)
 
 
 def test_empty_batch_rejected(toy_scenario):

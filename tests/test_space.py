@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -163,6 +164,34 @@ def test_integer_bounds_stay_where_float_features_are_exact():
         doc["input_parameters"]["a"] = {"parameter_type": "integer", "values": bounds}
         with pytest.raises(ValidationError, match=r"^input_parameters\.a: .*2\*\*53"):
             parse_scenario(json.dumps(doc))
+
+
+NON_FINITE_JSON = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+@pytest.mark.parametrize("kind, bound", [*(("real", b) for b in NON_FINITE_JSON),
+                                         *(("integer", b) for b in NON_FINITE_JSON + ["1.5"])])
+def test_json_bounds_must_be_finite_and_integer_bounds_integers(kind, bound):
+    # json.loads reads NaN, Infinity and 1e400 (as inf) without complaint
+    text = json.dumps(MINIMAL).replace('"ordinal", "values": [1, 5, 8]',
+                                       f'"{kind}", "values": [0, {bound}]')
+    message = "real bounds must be finite" if kind == "real" else "integer bounds must be integers"
+    with pytest.raises(ValidationError, match=rf"^input_parameters\.a: {message}$"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("kind, lower, upper, message", [
+    ("real", 0.0, math.nan, "real bounds must be finite"),
+    ("real", 0.0, math.inf, "real bounds must be finite"),
+    ("real", -math.inf, 0.0, "real bounds must be finite"),
+    ("integer", 1, math.inf, "integer bounds must be finite"),
+    ("integer", math.nan, 3, "integer bounds must be finite"),
+    ("integer", 1.5, 3.0, "integer bounds must be integral"),
+])
+def test_parameter_bounds_must_be_finite_and_integer_bounds_integral(kind, lower, upper, message):
+    with pytest.raises(ValidationError, match=rf"^k: {message}$"):
+        Parameter("k", kind, lower=lower, upper=upper)
+    assert Parameter("k", "integer", lower=1.0, upper=3.0).domain_values() == (1, 2, 3)
 
 
 def test_unknown_top_level_field_rejected():
