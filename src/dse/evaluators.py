@@ -64,8 +64,8 @@ class EvaluatorSpec:
             raise ValueError(f"unknown builtin evaluator {self.name!r}")
         if self.mode == "subprocess" and not self.command:
             raise ValueError("subprocess evaluator needs a command line")
-        if self.timeout_seconds <= 0:
-            raise ValueError("evaluator timeout must be positive")
+        if not 0 < self.timeout_seconds < math.inf:  # NaN too
+            raise ValueError("evaluator timeout must be positive and finite")
 
 
 def parse_evaluator(raw: Any, objectives: tuple[str, ...],

@@ -1,24 +1,23 @@
 """The search loop: warm-up, surrogate fitting, front prediction, batches.
 
-Each iteration predicts a front over a candidate pool with every
-already-evaluated configuration excluded, so successive iterations peel
-fresh non-dominated layers instead of re-proposing known points. Candidates
+Each iteration predicts a front over a fresh candidate pool, one that holds
+no already-evaluated configuration, so successive iterations peel fresh
+non-dominated layers instead of re-proposing known points. Candidates
 predicted infeasible are filtered out before the front is computed. Batches
 are capped at M points; a short prediction is topped up with prior-drawn
 exploration samples.
 
 The warm-up, the candidate pool and the batch fill all draw their distinct
-configurations through :func:`~dse.space.distinct_rows`, with uniform or
-prior-drawn blocks of encoded rows. The pool stays one encoded feature
-matrix from the draw to the front: repeats and evaluated configurations are
-found by row key (:func:`~dse.space.first_equal`), the filter is a boolean
-mask, and only the front rows are decoded to configuration tuples
+configurations through :func:`~dse.space.distinct_rows`, which drops
+repeats and evaluated configurations by row key. The pool stays one encoded
+feature matrix from the draw to the front: the filter is a boolean mask,
+and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 
 The archive of evaluated configurations is encoded once, when its batch
 returns: :func:`run` grows one matrix with the records, which
-:func:`fit_surrogates` fits on, :func:`predict_pareto` excludes by and
-:func:`select_batch` fills around.
+:func:`fit_surrogates` fits on and :func:`candidate_pool` and
+:func:`select_batch` draw around.
 """
 
 from __future__ import annotations
@@ -76,14 +75,15 @@ def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
     return X
 
 
-def candidate_pool(space: DesignSpace, s: int, rng: RngState) -> np.ndarray:
-    """The encoded candidate set a prediction pass ranks (one row per
-    candidate, as :func:`encode_matrix` encodes it): the full enumeration
-    when the space fits in s points, else s distinct uniform samples (priors
-    play no role here; their influence ends with warm-up and batch fill)."""
+def candidate_pool(space: DesignSpace, s: int, X: np.ndarray, rng: RngState) -> np.ndarray:
+    """The encoded candidate set a prediction pass ranks: s distinct uniform
+    samples, none equal to a row of the encoded archive ``X``, or the
+    enumeration without the archive when that leaves at most s points. Priors
+    play no role here; their influence ends with warm-up and batch fill."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
-    return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng)
+    return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng,
+                         taken=X)
 
 
 def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Scenario,
@@ -106,22 +106,20 @@ def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Sce
     return regressor, classifier
 
 
-def predict_pareto(space: DesignSpace, pool: np.ndarray, X: np.ndarray, regressor: Forest,
+def predict_pareto(space: DesignSpace, pool: np.ndarray, regressor: Forest,
                    classifier: Forest | None, threshold: float) -> list[tuple]:
     """The configurations whose predicted objectives form the front of an
-    encoded pool.
+    encoded pool (:func:`candidate_pool` keeps evaluated ones out of it).
 
-    Pool rows equal to a row of the encoded archive ``X`` are dropped first,
-    then rows the classifier (if any) predicts feasible with probability
-    below ``threshold``; the front is computed over what remains, and only
-    its rows are decoded.
+    Rows the classifier (if any) predicts feasible with probability below
+    ``threshold`` are dropped; the front is computed over what remains, and
+    only its rows are decoded.
     """
-    C = pool[first_equal(space, np.concatenate([X, pool]))[len(X):] >= len(X)]
-    if classifier is not None and len(C):
-        C = C[classifier.predict_batch(C) >= threshold]
-    if not len(C):
+    if classifier is not None and len(pool):
+        pool = pool[classifier.predict_batch(pool) >= threshold]
+    if not len(pool):
         return []
-    return decode_matrix(space, C[pareto_front(regressor.predict_batch(C))])
+    return decode_matrix(space, pool[pareto_front(regressor.predict_batch(pool))])
 
 
 def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarray,
@@ -158,11 +156,11 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     Warm-up with doe_samples prior-drawn distinct configurations and
     evaluate them. Then loop: refit the surrogates on every record, stop
     after optimization_iterations batches, predict the front over a fresh
-    pool excluding everything evaluated, and evaluate a batch of at most
+    pool that holds nothing evaluated, and evaluate a batch of at most
     evaluations_per_iteration of it. The loop stops early when the
     prediction or the batch comes back empty. The archive is encoded once,
     when its batch returns: one matrix grows with the records, and the
-    refit, the prediction and the batch selection all read it. Only a refit
+    refit, the pool and the batch selection all read it. Only a refit
     that a prediction follows fits the classifier; the last refit's
     regressor is returned (its importances are reported).
 
@@ -192,9 +190,9 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                                                    classify=predicting)
             if not predicting:
                 break
-            pool = candidate_pool(space, scenario.pareto_prediction_samples,
+            pool = candidate_pool(space, scenario.pareto_prediction_samples, X,
                                   root.substream(_STREAM_POOL).substream(i))
-            predicted = predict_pareto(space, pool, X, regressor, classifier,
+            predicted = predict_pareto(space, pool, regressor, classifier,
                                        scenario.feasibility_threshold)
             if not predicted:
                 break

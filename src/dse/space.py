@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -82,7 +83,7 @@ class Prior:
         if self.shape == "categorical":
             if self.probs is None:
                 raise ValidationError("categorical prior requires probabilities")
-            if any(p < 0 for p in self.probs):
+            if not all(p >= 0 for p in self.probs):  # NaN too
                 raise ValidationError("categorical prior probabilities must be >= 0")
             total = math.fsum(self.probs)
             if abs(total - 1.0) > 1e-9:
@@ -90,6 +91,8 @@ class Prior:
         else:
             if not (self.alpha > 0 and self.beta > 0):
                 raise ValidationError("Beta prior requires alpha > 0 and beta > 0")
+            if not (self.alpha < math.inf and self.beta < math.inf):
+                raise ValidationError("Beta prior requires finite alpha and beta")
             if self.probs is not None:
                 raise ValidationError("probability table only valid for categorical priors")
 
@@ -137,8 +140,9 @@ class Parameter:
             if not self.values:
                 raise ValidationError(f"{self.name}: ordinal value list is empty")
             vals = list(self.values)
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals):
-                raise ValidationError(f"{self.name}: ordinal values must be numeric")
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and -sys.float_info.max <= v <= sys.float_info.max for v in vals):
+                raise ValidationError(f"{self.name}: ordinal values must be finite numbers")
             if any(not (a < b) for a, b in zip(vals, vals[1:])):
                 raise ValidationError(f"{self.name}: ordinal values must be strictly increasing")
         else:  # categorical
@@ -355,20 +359,20 @@ def first_equal(space: DesignSpace, X: np.ndarray) -> np.ndarray:
 def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], rng,
                   taken: np.ndarray | None = None, limit: int | None = None) -> np.ndarray:
     """Up to n distinct encoded rows, none equal to a row of ``taken`` (in
-    whatever order those come). With nothing taken, a finite space that n
-    covers comes back whole, in enumeration order. Otherwise ``draw(k)``
-    supplies blocks of k rows, k never more than the rows still missing, and
-    :func:`first_equal` drops the repeats. After ``limit`` drawn rows
-    (default 100*n) a finite space is topped up with a
-    ``rng.generator.permutation`` of the ranks neither taken nor kept, so the
-    result is short only when the space runs out."""
+    whatever order those come). When n covers what a finite space has left
+    untaken, that comes back in enumeration order, and nothing is drawn.
+    Otherwise ``draw(k)`` supplies blocks of k rows, k never more than the
+    rows still missing, and :func:`first_equal` drops rows equal to a taken
+    or earlier row. After ``limit`` drawn rows (default 100*n) a finite space
+    is topped up with a ``rng.generator.permutation`` of the ranks neither
+    taken nor kept, so the result is short only when the space runs out."""
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
     A = np.empty((0, len(space.parameters))) if taken is None else taken
-    if finite and not len(A) and n >= card:
-        return rank_rows(space, np.arange(card))
     A = A[first_equal(space, A) == np.arange(len(A))]  # distinct taken rows, then kept draws
-    t, left = len(A), 100 * n if limit is None else limit
+    t = len(A)
+    whole = finite and n >= card - t
+    left = 0 if whole else 100 * n if limit is None else limit
     while len(A) - t < n and left > 0:
         k = min(n + t - len(A), left)
         left -= k
@@ -378,8 +382,9 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
         used = np.zeros(card, dtype=bool)
         used[row_keys(space, A)] = True
         unused = np.flatnonzero(~used)
-        order = rng.generator.permutation(len(unused))[: n + t - len(A)]
-        A = np.concatenate([A, rank_rows(space, unused[order])])
+        if not whole:
+            unused = unused[rng.generator.permutation(len(unused))]
+        A = np.concatenate([A, rank_rows(space, unused[: n + t - len(A)])])
     return A[t:]
 
 
@@ -473,9 +478,11 @@ def require_str(value: Any, field: str) -> str:
 
 
 def require_number(value: Any, field: str) -> float:
-    """A JSON number (booleans excluded), else a ValidationError naming the field."""
+    """A finite JSON number (booleans excluded), else a ValidationError naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN too
+        raise ValidationError(f"{field} must be finite, got {value!r}")
     return float(value)
 
 
@@ -540,18 +547,13 @@ def _parse_parameter(name: str, raw: Any) -> Parameter:
     if kind in (REAL, INTEGER):
         if len(values) != 2:
             raise ValidationError(f"{where}: {kind} takes a [lower, upper] pair")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-            raise ValidationError(f"{where}: bounds must be numbers")
-        if kind == INTEGER and not all(isinstance(v, int) for v in values):
-            raise ValidationError(f"{where}: integer bounds must be integers")
-        cast = float if kind == REAL else int
-        domain = {"lower": cast(values[0]), "upper": cast(values[1])}
-    elif kind == ORDINAL:
-        # ordinal lists may arrive unsorted; canonical order is ascending
-        try:
-            domain = {"values": tuple(sorted(values))}
-        except TypeError:
-            raise ValidationError(f"{where}: ordinal values must be mutually comparable numbers")
+        read = require_number if kind == REAL else require_int
+        lower, upper = (read(v, f"{where}.values") for v in values)
+        domain = {"lower": lower, "upper": upper}
+    elif kind == ORDINAL:  # the list may arrive unsorted; canonical order is ascending
+        for v in values:
+            require_number(v, f"{where}.values")
+        domain = {"values": tuple(sorted(values))}
     else:  # categorical: canonicalize levels to strings, keep declaration order
         domain = {"values": tuple(canonical_str(v) for v in values)}
         for level in domain["values"]:

@@ -181,17 +181,18 @@ def prior_config(space, rng) -> tuple:
     return tuple(prior_value(p, rng) for p in space.parameters)
 
 
-def tuple_pool(space, n: int, rng) -> list[tuple]:
-    """The uniform candidate pool as value tuples: the full enumeration when n
-    covers a finite space, else blocks of one numpy call per parameter column,
-    first occurrences kept through a set, redrawn until n are distinct or 100*n
-    were drawn; a finite space is then topped up with a random order of its
-    unused configurations."""
+def tuple_pool(space, n: int, rng, taken=()) -> list[tuple]:
+    """The uniform candidate pool as value tuples, none equal to a ``taken``
+    configuration: the full enumeration without the taken ones when n covers
+    what a finite space has left, else blocks of one numpy call per parameter
+    column, first occurrences of untaken values kept through a set, redrawn
+    until n are distinct or 100*n were drawn; a finite space is then topped
+    up with a random order of its configurations neither taken nor kept."""
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
-    if finite and n >= card:
-        return list(enumerate_space(space))
-    seen = set()
+    seen = set(taken)
+    if finite and n >= card - len(seen):
+        return [c for c in enumerate_space(space) if c not in seen]
     out: list[tuple] = []
     attempts = 0
     limit = 100 * n

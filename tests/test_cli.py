@@ -218,6 +218,34 @@ def test_out_of_range_fields_fail_with_their_section_named(override, message, ca
     assert err.count("\n") == 1
 
 
+# every scenario field read as a number -> a --set override putting {} there
+NUMBER_FIELDS = {
+    "evaluator.timeout_seconds": 'evaluator={{"command": "true", "timeout_seconds": {}}}',
+    "input_parameters.T.prior": "input_parameters.T.prior=[{}, 1]",
+    "input_parameters.S.prior": "input_parameters.S.prior=[{}, 1.0]",
+    "input_parameters.T.values": "input_parameters.T.values=[2, {}]",
+    "input_parameters.R.values":
+        'input_parameters.R={{"parameter_type": "real", "values": [0, {}]}}',
+    "surrogate.regressor.max_features": "surrogate.regressor.max_features={}",
+    "surrogate.classifier.class_weight.true":
+        'surrogate.classifier.class_weight={{"true": {}, "false": 0.25}}',
+    "feasibility_threshold": "feasibility_threshold={}",
+}
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "10**400"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_every_scenario_number_must_be_finite(tmp_path, capsys, field, number):
+    # json.loads reads NaN and Infinity, and an integer too large for a float
+    override = NUMBER_FIELDS[field].format(number)
+    assert run_cli("run", TOY, "--set", f"output_dir={tmp_path}", "--set", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: {field} must be finite, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "samples.csv").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"a":}', "scenario JSON parse error at line 1 column 6: Expecting value"),
     ("[1, 2]", "scenario document must be a JSON object"),

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import textwrap
 
@@ -203,6 +204,13 @@ def test_nonzero_exit_carries_child_output(tmp_path):
     with pytest.raises(EvaluationError, match="status 2") as err:
         evaluate_batch(spec, space, [(2, 1, "true", 1)])
     assert "boom" in err.value.raw_output
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+def test_evaluator_timeout_must_be_positive_and_finite(timeout):
+    with pytest.raises(ValueError, match="^evaluator timeout must be positive and finite$"):
+        EvaluatorSpec("subprocess", command="true", timeout_seconds=timeout)
+    assert EvaluatorSpec("subprocess", command="true", timeout_seconds=1e-3).timeout_seconds == 1e-3
 
 
 @pytest.mark.parametrize("printed", ["T,P,S,B\n", ""])

@@ -33,16 +33,17 @@ PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
 # --- candidate_pool ---------------------------------------------------------------
 
 def test_pool_enumerates_small_spaces(toy_scenario):
-    pool = decode_matrix(toy_scenario.space, candidate_pool(toy_scenario.space, 100_000, RngState(1)))
+    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    pool = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(1)))
     assert len(pool) == 240
     assert len(set(pool)) == 240
 
 
 def test_enumerated_pool_builds_no_generator(toy_scenario):
-    rng = RngState(1)
-    candidate_pool(toy_scenario.space, 240, rng)
+    rng, nothing = RngState(1), encode_matrix(toy_scenario.space, [])
+    candidate_pool(toy_scenario.space, 240, nothing, rng)
     assert rng._gen is None  # the generator is built only when the pool is drawn
-    candidate_pool(toy_scenario.space, 239, rng)
+    candidate_pool(toy_scenario.space, 239, nothing, rng)
     assert rng._gen is not None
 
 
@@ -50,14 +51,14 @@ def test_pool_samples_large_spaces_distinctly():
     space = DesignSpace(tuple(
         Parameter(f"p{i}", "integer", lower=1, upper=1000) for i in range(3)))
     assert space.cardinality() == 10 ** 9
-    pool = decode_matrix(space, candidate_pool(space, 1000, RngState(2)))
+    pool = decode_matrix(space, candidate_pool(space, 1000, encode_matrix(space, []), RngState(2)))
     assert len(pool) == 1000
     assert len(set(pool)) == 1000
 
 
 def test_pool_of_one():
     space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),))
-    assert len(candidate_pool(space, 1, RngState(3))) == 1
+    assert len(candidate_pool(space, 1, encode_matrix(space, []), RngState(3))) == 1
 
 
 MIXED = DesignSpace((
@@ -105,11 +106,44 @@ class NarrowDraws:
     pytest.param(MIXED, 5000, lambda: RngState(6), id="mixed"),
 ])
 def test_pool_matrix_decodes_to_the_tuple_stream(space, s, make_rng):
-    got = decode_matrix(space, candidate_pool(space, s, make_rng()))
+    got = decode_matrix(space, candidate_pool(space, s, encode_matrix(space, []), make_rng()))
     want = tuple_pool(space, s, make_rng())
     assert len(want) == min(s, space.cardinality() or s)
     assert got == want
     assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
+
+
+@pytest.mark.parametrize("space, s, make_rng", [
+    pytest.param(FIFTY, 100, lambda: RngState(1), id="enumeration"),
+    pytest.param(FIFTY, 30, lambda: RngState(2), id="collisions"),
+    pytest.param(FIFTY, 45, lambda: RngState(2), id="what-is-left"),
+    pytest.param(FIFTY, 30, lambda: NarrowDraws(3), id="top-up"),
+    pytest.param(DesignSpace(tuple(Parameter(f"p{i}", "integer", lower=0, upper=10 ** 6)
+                                   for i in range(4))),
+                 2000, lambda: RngState(5), id="hashed-finite"),
+    pytest.param(MIXED, 5000, lambda: RngState(6), id="mixed"),
+])
+def test_pool_never_holds_an_archive_row(space, s, make_rng):
+    # the archive takes every third row the pool would hold without it
+    archive = tuple_pool(space, s, make_rng())[::3]
+    got = decode_matrix(space, candidate_pool(space, s, encode_matrix(space, archive), make_rng()))
+    assert got == tuple_pool(space, s, make_rng(), taken=archive)
+    assert not set(got) & set(archive)
+    assert len(set(got)) == len(got) == min(s, (space.cardinality() or s + len(archive))
+                                            - len(archive))
+
+
+def test_mixed_pool_is_the_parents_pool_then_exclusion():
+    nothing = encode_matrix(MIXED, [])
+    pool = decode_matrix(MIXED, candidate_pool(MIXED, 3000, nothing, RngState(6)))
+    archive = decode_matrix(MIXED, candidate_pool(MIXED, 500, nothing, RngState(7)))
+    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, encode_matrix(MIXED, archive),
+                                              RngState(6)))
+    assert got == [c for c in pool if c not in set(archive)] == pool  # no draw hits the archive
+    # an archive row that is drawn is replaced by a later draw, not left as a gap
+    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, encode_matrix(MIXED, pool[:10]),
+                                              RngState(6)))
+    assert got[:2990] == pool[10:] and len(set(got)) == 3000 and not set(got) & set(pool[:10])
 
 
 def test_decode_inverts_encode_with_exact_types():
@@ -140,13 +174,14 @@ def test_pool_keeps_rows_one_ulp_apart():
     space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),
                          Parameter("c", "categorical", values=("a", "b"))))
     half, above = 0.5, float(np.nextafter(0.5, 1.0))
-    pool = candidate_pool(space, 3, FixedDraws([half, above]))
+    pool = candidate_pool(space, 3, encode_matrix(space, []), FixedDraws([half, above]))
     assert decode_matrix(space, pool) == [(half, "a"), (above, "a")]  # the repeats are dropped
 
     flat = fit_regressor(pool, [[1.0, 1.0], [1.0, 1.0]], PURE_TREE, RngState(0))
     for evaluated, rest in [(half, above), (above, half)]:
         X = encode_matrix(space, [(evaluated, "a")])
-        assert predict_pareto(space, pool, X, flat, None, 0.5) == [(rest, "a")]
+        fresh = candidate_pool(space, 3, X, FixedDraws([half, above]))
+        assert predict_pareto(space, fresh, flat, None, 0.5) == [(rest, "a")]
 
 
 def test_rows_that_share_a_hash_are_compared(monkeypatch):
@@ -192,6 +227,10 @@ def unused_in_random_order(space, taken, seed):
     pytest.param(REAL_CAT, [(0.25, "a"), (0.75, "b"), (0.25, "b")],
                  [(0.75, "b"), (0.25, "a"), (0.75, "a"), (0.75, "a"), (0.25, "b"), (-1.0, "b")],
                  2, None, [(0.75, "a"), (-1.0, "b")], id="hashed-keys"),
+    pytest.param(ORD, [(8, 1), (1, 0)], [], 6, None, [(1, 1), (5, 0), (5, 1), (8, 0)],
+                 id="whole-space-but-taken"),
+    pytest.param(ORD, [(8, 1), (1, 0)], [], 4, None, [(1, 1), (5, 0), (5, 1), (8, 0)],
+                 id="all-that-is-left"),
 ])
 def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, expected):
     for order in (taken, taken[::-1]):
@@ -221,34 +260,51 @@ def four_point_regressor():
 
 def test_predict_pareto_returns_nondominated_configs():
     space, configs, pool, regressor = four_point_regressor()
-    predicted = predict_pareto(space, pool, encode_matrix(space, []), regressor, None, 0.5)
+    predicted = predict_pareto(space, pool, regressor, None, 0.5)
     assert predicted == configs[:3]  # (2,3) is dominated by (2,2)
 
 
 def test_predict_pareto_excludes_evaluated_configs():
     space, _, pool, regressor = four_point_regressor()
-    assert predict_pareto(space, pool, pool.copy(), regressor, None, 0.5) == []
+    fresh = candidate_pool(space, 4, pool, RngState(0))
+    assert len(fresh) == 0
+    assert predict_pareto(space, fresh, regressor, None, 0.5) == []
+
+
+def test_predict_pareto_keys_no_rows(monkeypatch):
+    import dse.optimizer
+    import dse.space
+
+    calls = []
+    original = dse.space.first_equal
+    for module in (dse.optimizer, dse.space):
+        monkeypatch.setattr(module, "first_equal",
+                            lambda space, X: calls.append(len(X)) or original(space, X))
+    space, configs, pool, regressor = four_point_regressor()
+    classifier = fit_classifier(pool, [True] * 4, ForestHyperparams(), RngState(5))
+    assert predict_pareto(space, pool, regressor, classifier, 0.5) == configs[:3]
+    assert calls == []
 
 
 def test_predict_pareto_filters_predicted_infeasible():
     space, _, pool, regressor = four_point_regressor()
     classifier = fit_classifier(pool, [False] * 4, ForestHyperparams(), RngState(5))
-    assert predict_pareto(space, pool, encode_matrix(space, []), regressor, classifier,
-                          0.5) == []
+    assert predict_pareto(space, pool, regressor, classifier, 0.5) == []
 
 
 # --- select_batch -----------------------------------------------------------------
 
 def test_batch_passes_through_when_sizes_match(toy_scenario):
-    space = toy_scenario.space
-    predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(6)))[:5]
-    batch = select_batch(predicted, 5, space, encode_matrix(space, []), RngState(7))
+    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(6)))[:5]
+    batch = select_batch(predicted, 5, space, nothing, RngState(7))
     assert batch == predicted
 
 
 def test_batch_fills_with_fresh_prior_samples(toy_scenario):
     space = toy_scenario.space
-    archive = set(decode_matrix(space, candidate_pool(space, 100_000, RngState(8)))[:30])
+    pool = candidate_pool(space, 100_000, encode_matrix(space, []), RngState(8))
+    archive = set(decode_matrix(space, pool)[:30])
     batch = select_batch([], 3, space, encode_matrix(space, list(archive)), RngState(9))
     assert len(batch) == 3
     assert len(set(batch)) == 3
@@ -257,8 +313,8 @@ def test_batch_fills_with_fresh_prior_samples(toy_scenario):
 
 def test_batch_subset_is_deterministic(toy_scenario):
     space = toy_scenario.space
-    predicted = decode_matrix(space, candidate_pool(space, 100_000, RngState(10)))[:10]
     nothing = encode_matrix(space, [])
+    predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(10)))[:10]
     a = select_batch(predicted, 4, space, nothing, RngState(11, 2))
     b = select_batch(predicted, 4, space, nothing, RngState(11, 2))
     assert a == b

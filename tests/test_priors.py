@@ -306,7 +306,8 @@ def test_uniform_pool_is_uniform_per_parameter_kind():
     from dse.optimizer import candidate_pool
     from dse.space import decode_matrix
 
-    pool = decode_matrix(MIXED, candidate_pool(MIXED, 20_000, RngState(21, 3)))
+    pool = decode_matrix(MIXED, candidate_pool(MIXED, 20_000, encode_matrix(MIXED, []),
+                                               RngState(21, 3)))
     assert len(set(pool)) == len(pool) == 20_000
     columns = list(zip(*pool))
     x = np.array(columns[0])

@@ -166,17 +166,19 @@ def test_integer_bounds_stay_where_float_features_are_exact():
             parse_scenario(json.dumps(doc))
 
 
-NON_FINITE_JSON = ["NaN", "Infinity", "-Infinity", "1e400"]
+# JSON text -> the float json.loads reads it as, without complaint
+NON_FINITE_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf"}
 
 
 @pytest.mark.parametrize("kind, bound", [*(("real", b) for b in NON_FINITE_JSON),
-                                         *(("integer", b) for b in NON_FINITE_JSON + ["1.5"])])
+                                         *(("integer", b) for b in [*NON_FINITE_JSON, "1.5"])])
 def test_json_bounds_must_be_finite_and_integer_bounds_integers(kind, bound):
-    # json.loads reads NaN, Infinity and 1e400 (as inf) without complaint
     text = json.dumps(MINIMAL).replace('"ordinal", "values": [1, 5, 8]',
                                        f'"{kind}", "values": [0, {bound}]')
-    message = "real bounds must be finite" if kind == "real" else "integer bounds must be integers"
-    with pytest.raises(ValidationError, match=rf"^input_parameters\.a: {message}$"):
+    message = "must be finite" if kind == "real" else "must be an integer"
+    got = NON_FINITE_JSON.get(bound, bound)
+    pattern = rf"^input_parameters\.a\.values {message}, got {re.escape(got)}$"
+    with pytest.raises(ValidationError, match=pattern):
         parse_scenario(text)
 
 
@@ -192,6 +194,37 @@ def test_parameter_bounds_must_be_finite_and_integer_bounds_integral(kind, lower
     with pytest.raises(ValidationError, match=rf"^k: {message}$"):
         Parameter("k", kind, lower=lower, upper=upper)
     assert Parameter("k", "integer", lower=1.0, upper=3.0).domain_values() == (1, 2, 3)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: Prior("beta", math.inf, 1.0), "Beta prior requires finite alpha and beta",
+                 id="alpha-inf"),
+    pytest.param(lambda: Prior("beta", 1.0, math.inf), "Beta prior requires finite alpha and beta",
+                 id="beta-inf"),
+    pytest.param(lambda: Prior("beta", math.nan, 1.0), "Beta prior requires alpha > 0 and beta > 0",
+                 id="alpha-nan"),
+    pytest.param(lambda: Prior("beta", 1.0, math.nan), "Beta prior requires alpha > 0 and beta > 0",
+                 id="beta-nan"),
+    pytest.param(lambda: Prior("categorical", probs=(math.nan, 1.0)),
+                 "categorical prior probabilities must be >= 0", id="probability-nan"),
+    pytest.param(lambda: Prior("categorical", probs=(math.inf, -math.inf)),
+                 "categorical prior probabilities must be >= 0", id="probability-minus-inf"),
+    pytest.param(lambda: Prior("categorical", probs=(math.inf, 0.0)),
+                 "probabilities sum to inf, expected 1", id="probability-inf"),
+    pytest.param(lambda: Parameter("o", "ordinal", values=(1, math.inf)),
+                 "o: ordinal values must be finite numbers", id="ordinal-inf"),
+    pytest.param(lambda: Parameter("o", "ordinal", values=(math.nan,)),
+                 "o: ordinal values must be finite numbers", id="ordinal-nan"),
+    pytest.param(lambda: Parameter("o", "ordinal", values=(-math.inf, 0)),
+                 "o: ordinal values must be finite numbers", id="ordinal-minus-inf"),
+    pytest.param(lambda: Parameter("o", "ordinal", values=(1, 10 ** 400)),
+                 "o: ordinal values must be finite numbers", id="ordinal-beyond-float"),
+])
+def test_constructors_refuse_non_finite_numbers(make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+    assert Prior("beta", 0.5, 1e300).beta == 1e300
+    assert Parameter("o", "ordinal", values=(-1e300, 0, 2.5)).values == (-1e300, 0, 2.5)
 
 
 def test_unknown_top_level_field_rejected():
