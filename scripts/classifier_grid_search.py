@@ -17,11 +17,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dse import RngState, kfold_recall, parse_scenario
 from dse.evaluators import evaluate_batch
-from dse.forest import classifier_grid
+from dse.forest import ForestHyperparams
 from dse.priors import warmup_sample
 from dse.space import encode_matrix
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
+
+
+def classifier_grid() -> list[ForestHyperparams]:
+    """The 81-point classifier tuning grid: every combination of
+    n_estimators in {10, 100, 1000}, max_depth in {None, 4, 8},
+    max_features in {auto, 0.5, 0.75} and three (feasible, infeasible)
+    class weightings."""
+    grid = []
+    for n_estimators in (10, 100, 1000):
+        for max_depth in (None, 4, 8):
+            for max_features in ("auto", 0.5, 0.75):
+                for class_weight in ((0.5, 0.5), (0.75, 0.25), (0.9, 0.1)):
+                    grid.append(ForestHyperparams(
+                        n_estimators=n_estimators,
+                        max_depth=max_depth,
+                        max_features=max_features,
+                        class_weight=class_weight,
+                    ))
+    return grid
 
 
 def main() -> int:

@@ -38,7 +38,6 @@ from .space import (
     ORDINAL,
     DesignSpace,
     DomainError,
-    EnumerationError,
     Parameter,
     Scenario,
     ValidationError,
@@ -52,18 +51,13 @@ from .space import (
 # CSV artifacts
 # ---------------------------------------------------------------------------
 
-def record_columns(space: DesignSpace, objectives: Sequence[str],
-                   with_tag: bool = True) -> list[str]:
-    cols = list(space.names) + list(objectives) + ["feasible"]
-    if with_tag:
-        cols.append("iteration_tag")
-    return cols
-
-
 def records_to_csv(space: DesignSpace, objectives: Sequence[str],
                    records: Sequence[EvaluationRecord], with_tag: bool = True) -> str:
     buf = io.StringIO()
-    buf.write(",".join(record_columns(space, objectives, with_tag)) + "\n")
+    cols = list(space.names) + list(objectives) + ["feasible"]
+    if with_tag:
+        cols.append("iteration_tag")
+    buf.write(",".join(cols) + "\n")
     for r in records:
         cells = [canonical_str(v) for v in r.config]
         cells += [canonical_str(v) for v in r.objectives]
@@ -388,8 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, DomainError, EnumerationError, EvaluationError, OSError,
-            ValueError) as e:
+    except (EvaluationError, OSError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

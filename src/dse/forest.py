@@ -615,22 +615,3 @@ def kfold_recall(X, labels, hp: ForestHyperparams, k: int, rng: RngState,
         tp = int((probs >= threshold).sum())
         recalls.append(tp / positives.size)
     return float(np.mean(recalls))
-
-
-def classifier_grid() -> list[ForestHyperparams]:
-    """The 81-point classifier tuning grid: every combination of
-    n_estimators in {10, 100, 1000}, max_depth in {None, 4, 8},
-    max_features in {auto, 0.5, 0.75} and three (feasible, infeasible)
-    class weightings."""
-    grid = []
-    for n_estimators in (10, 100, 1000):
-        for max_depth in (None, 4, 8):
-            for max_features in ("auto", 0.5, 0.75):
-                for class_weight in ((0.5, 0.5), (0.75, 0.25), (0.9, 0.1)):
-                    grid.append(ForestHyperparams(
-                        n_estimators=n_estimators,
-                        max_depth=max_depth,
-                        max_features=max_features,
-                        class_weight=class_weight,
-                    ))
-    return grid

@@ -33,7 +33,6 @@ from .pareto import EvaluationRecord, feasible_hvi, objective_stddevs, pareto_fr
 from .priors import prior_rows
 from .rng import RngState
 from .space import (
-    INTEGER,
     REAL,
     DesignSpace,
     Scenario,
@@ -68,10 +67,8 @@ def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
     for j, p in enumerate(space.parameters):
         if p.kind == REAL:
             X[:, j] = p.lower + gen.random(k) * (p.upper - p.lower)
-        elif p.kind == INTEGER:
-            X[:, j] = gen.integers(p.lower, p.upper + 1, size=k)
         else:
-            X[:, j] = p.code_levels(gen.integers(0, len(p.values), size=k))
+            X[:, j] = p.code_levels(gen.integers(0, p.domain_size(), size=k))
     return X
 
 
@@ -115,10 +112,8 @@ def predict_pareto(space: DesignSpace, pool: np.ndarray, regressor: Forest,
     ``threshold`` are dropped; the front is computed over what remains, and
     only its rows are decoded.
     """
-    if classifier is not None and len(pool):
+    if classifier is not None:
         pool = pool[classifier.predict_batch(pool) >= threshold]
-    if not len(pool):
-        return []
     return decode_matrix(space, pool[pareto_front(regressor.predict_batch(pool))])
 
 
@@ -143,8 +138,6 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarr
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
-    if len(fresh) == m:
-        return fresh
     fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng,
                          taken=np.concatenate([X, P[new]]), limit=100 * m)
     return fresh + decode_matrix(space, fill)
@@ -167,6 +160,8 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     ``reference_front`` (optional list of objective vectors) enables the
     per-iteration HVI trace; it requires a bi-objective scenario.
     """
+    # imported at call time: perfbench's tracer wraps dse.priors.warmup_sample,
+    # and a module-level import would bind the unwrapped function
     from .priors import warmup_sample
 
     if reference_front is not None and len(scenario.objectives) != 2:

@@ -96,12 +96,8 @@ class Prior:
             if self.probs is not None:
                 raise ValidationError("probability table only valid for categorical priors")
 
-    @staticmethod
-    def uniform() -> "Prior":
-        return Prior("uniform", *BETA_SHAPES["uniform"])
 
-
-UNIFORM_PRIOR = Prior.uniform()
+UNIFORM_PRIOR = Prior("uniform", *BETA_SHAPES["uniform"])
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,6 @@ class Parameter:
             raise ValidationError(f"{self.name}: probability priors only attach to categorical parameters")
 
     # -- domain helpers -----------------------------------------------------
-
-    @property
-    def is_unordered(self) -> bool:
-        return self.kind == CATEGORICAL
 
     def domain_size(self) -> int | None:
         """Number of attainable values; None when uncountable (real)."""
@@ -250,7 +242,7 @@ class DesignSpace:
 
     @property
     def unordered_mask(self) -> tuple[bool, ...]:
-        return tuple(p.is_unordered for p in self.parameters)
+        return tuple(p.kind == CATEGORICAL for p in self.parameters)
 
     def cardinality(self) -> int | None:
         """Exact number of configurations, or None when any real parameter
@@ -388,14 +380,14 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
     return A[t:]
 
 
-def enumerate_space(space: DesignSpace, cap: int = ENUMERATION_CAP) -> Iterator[tuple]:
+def enumerate_space(space: DesignSpace) -> Iterator[tuple]:
     """Every configuration exactly once, lexicographically in canonical
-    parameter order. Requires a finite space no larger than ``cap``."""
+    parameter order. Requires a finite space no larger than ``ENUMERATION_CAP``."""
     card = space.cardinality()
     if card is None:
         raise EnumerationError("space with real parameters cannot be enumerated")
-    if card > cap:
-        raise EnumerationError(f"cardinality {card} exceeds enumeration cap {cap}")
+    if card > ENUMERATION_CAP:
+        raise EnumerationError(f"cardinality {card} exceeds enumeration cap {ENUMERATION_CAP}")
     return itertools.product(*(p.domain_values() for p in space.parameters))
 
 

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, TreeNode, _TreeBuilder, classifier_grid
+from dse.forest import FitError, TreeNode, _TreeBuilder
 from dse.optimizer import _STREAM_FIT, fit_surrogates, run
 from dse.space import encode_matrix
 
@@ -391,7 +394,8 @@ def test_kfold_preconditions():
 
 
 def test_classifier_grid_has_81_documented_combos(toy_scenario, toy_truth):
-    grid = classifier_grid()
+    script = Path(__file__).resolve().parent.parent / "scripts" / "classifier_grid_search.py"
+    grid = runpy.run_path(str(script))["classifier_grid"]()
     assert len(grid) == 81
     assert ForestHyperparams(n_estimators=10, max_depth=8, max_features="auto",
                              class_weight=(0.75, 0.25)) in grid

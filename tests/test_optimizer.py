@@ -61,6 +61,18 @@ def test_pool_of_one():
     assert len(candidate_pool(space, 1, encode_matrix(space, []), RngState(3))) == 1
 
 
+@pytest.mark.parametrize("lower, upper", [
+    pytest.param(-5, 10 ** 9, id="range-below-2**32"),  # numpy's 32-bit bounded draw
+    pytest.param(-2 ** 53, 2 ** 53, id="range-above-2**32"),  # its 64-bit bounded draw
+])
+def test_uniform_pool_draws_integers_as_numpy_does(lower, upper):
+    space = DesignSpace((Parameter("x", "integer", lower=lower, upper=upper),))
+    pool = candidate_pool(space, 200, encode_matrix(space, []), RngState(5, 3))
+    expected = RngState(5, 3).generator.integers(lower, upper + 1, size=200)
+    assert len(set(expected.tolist())) == 200  # no repeat, so the pool draws no second block
+    assert pool[:, 0].tolist() == expected.astype(float).tolist()
+
+
 MIXED = DesignSpace((
     Parameter("x", "real", lower=-2.0, upper=3.0),
     Parameter("n", "integer", lower=-3, upper=6),

@@ -18,6 +18,7 @@ from dse import (
     warmup_sample,
 )
 from dse.priors import prior_rows
+from dse.space import UNIFORM_PRIOR
 
 from oracles import prior_config
 
@@ -231,7 +232,7 @@ def sampling_spaces(draw):
             k = draw(st.integers(min_value=1, max_value=4))
             weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
                            .filter(any))
-            prior = (Prior.uniform() if weights is None else
+            prior = (UNIFORM_PRIOR if weights is None else
                      Prior("categorical", probs=tuple(w / sum(weights) for w in weights)))
             params.append(Parameter(f"p{i}", "categorical",
                                     values=tuple(f"v{j}" for j in range(k)), prior=prior))

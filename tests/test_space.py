@@ -14,7 +14,7 @@ from dse import (
     enumerate_space,
     parse_scenario,
 )
-from dse.space import FeasibleOutput, encode_matrix
+from dse.space import ENUMERATION_CAP, UNIFORM_PRIOR, FeasibleOutput, encode_matrix
 
 MINIMAL = {
     "application_name": "demo",
@@ -42,7 +42,7 @@ def test_parse_ordinal_domain():
 
 def test_priors_default_to_uniform():
     s = make_scenario()
-    assert all(p.prior == Prior.uniform() for p in s.space.parameters)
+    assert all(p.prior == UNIFORM_PRIOR for p in s.space.parameters)
 
 
 def test_categorical_prior_sum_violation():
@@ -320,9 +320,9 @@ def test_enumerate_rejects_real_parameters():
 
 
 def test_enumerate_respects_cap():
-    space = DesignSpace((Parameter("x", "integer", lower=0, upper=99),))
+    space = DesignSpace((Parameter("x", "integer", lower=0, upper=ENUMERATION_CAP),))
     with pytest.raises(EnumerationError):
-        list(enumerate_space(space, cap=10))
+        enumerate_space(space)
 
 
 def test_scenario_parses_every_prior_and_evaluator_kind():
@@ -379,7 +379,7 @@ def finite_spaces(draw):
 @given(finite_spaces())
 @settings(max_examples=40, deadline=None)
 def test_encode_is_injective_on_finite_spaces(space):
-    configs = list(enumerate_space(space, cap=2000)) if (space.cardinality() or 0) <= 2000 else []
+    configs = list(enumerate_space(space)) if (space.cardinality() or 0) <= 2000 else []
     vectors = {tuple(encode_matrix(space, [c])[0]) for c in configs}
     assert len(vectors) == len(configs) == (space.cardinality() or 0)
     # the per-value reference: the value itself, or the level index
