@@ -502,17 +502,27 @@ class Forest:
 
 
 def _prepare(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, or a FitError: for an empty set, a target
+    shape that does not match, or the first sample with a NaN or infinite
+    feature or target (such a fit would predict NaN or inf everywhere)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise FitError("training set must contain at least one sample")
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != X.shape[0] or y.shape[1:] == (0,):
         raise FitError(f"targets must give each of the {len(X)} samples a value or a row")
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(y.reshape(len(X), -1)).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FitError(f"sample {i} has a non-finite feature or target: "
+                       f"{X[i].tolist()} -> {y[i].tolist()}")
     return X, y
 
 
 def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool) -> Forest:
     X, y = _prepare(X, y)
+    if classifier:  # every nonzero label is the feasible class
+        y = (y != 0.0) * 1.0
     n, d = X.shape
     unordered = tuple(bool(u) for u in (unordered if unordered is not None else [False] * d))
     if len(unordered) != d:
@@ -548,7 +558,7 @@ def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
     ``y`` is a target vector, or an (n, p) matrix with one column per
     output. Output j's trees are then, bit for bit, those of a fit on
     ``y[:, j]`` seeded ``rng.substream(j)``, and all p outputs grow in the
-    same passes.
+    same passes. A NaN or infinite feature or target raises a FitError.
     """
     return _fit(X, y, hp, rng, unordered, classifier=False)
 
@@ -562,10 +572,11 @@ def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
     sample of class c weighs class_weight[c] / (count of c in the tree's
     bootstrap sample), so per-tree class mass matches the configured weights.
     Leaves store the weighted feasible-class probability (the weighted label
-    mean); a single-class training set yields a constant classifier.
+    mean); a single-class training set yields a constant classifier. Any
+    nonzero label is feasible; a NaN or infinite feature or label raises a
+    FitError.
     """
-    labels = np.asarray([1.0 if bool(v) else 0.0 for v in np.asarray(labels).ravel()])
-    return _fit(X, labels, hp, rng, unordered, classifier=True)
+    return _fit(X, np.asarray(labels, dtype=float).ravel(), hp, rng, unordered, classifier=True)
 
 
 def feature_importance(forest: Forest) -> np.ndarray:

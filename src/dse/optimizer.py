@@ -8,10 +8,11 @@ are capped at M points; a short prediction is topped up with prior-drawn
 exploration samples.
 
 The warm-up, the candidate pool and the batch fill all draw their distinct
-configurations through :func:`~dse.space.distinct_rows`, which drops
-repeats and evaluated configurations by row key. The pool stays one encoded
-feature matrix from the draw to the front: the filter is a boolean mask,
-and only the front rows are decoded to configuration tuples
+configurations through :func:`~dse.space.distinct_rows`, which keys each
+drawn row once and drops repeats and evaluated configurations by row key.
+The pool stays one column-major feature matrix from the draw to the front:
+the filter keeps its survivors by column, both forests read it by feature
+without a copy, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 
 The archive of evaluated configurations is encoded once, when its batch
@@ -62,8 +63,9 @@ class RunResult:
 
 
 def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
-    """k encoded rows drawn uniformly, one generator call per parameter."""
-    X = np.empty((k, len(space.parameters)))
+    """k encoded rows drawn uniformly, one generator call per parameter,
+    column-major: one contiguous column per parameter."""
+    X = np.empty((k, len(space.parameters)), order="F")
     for j, p in enumerate(space.parameters):
         if p.kind == REAL:
             X[:, j] = p.lower + gen.random(k) * (p.upper - p.lower)
@@ -76,7 +78,11 @@ def candidate_pool(space: DesignSpace, s: int, X: np.ndarray, rng: RngState) -> 
     """The encoded candidate set a prediction pass ranks: s distinct uniform
     samples, none equal to a row of the encoded archive ``X``, or the
     enumeration without the archive when that leaves at most s points. Priors
-    play no role here; their influence ends with warm-up and batch fill."""
+    play no role here; their influence ends with warm-up and batch fill.
+
+    The pool is one column-major buffer: drawn in one block that loses no
+    row, it is that block itself. Each archive and drawn row is keyed once
+    (:func:`~dse.space.distinct_rows`)."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
     return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng,
@@ -110,10 +116,12 @@ def predict_pareto(space: DesignSpace, pool: np.ndarray, regressor: Forest,
 
     Rows the classifier (if any) predicts feasible with probability below
     ``threshold`` are dropped; the front is computed over what remains, and
-    only its rows are decoded.
+    only its rows are decoded. The survivors are kept by column, so a
+    column-major pool stays column-major and neither forest copies it to
+    read it by feature; the pool's rows are never keyed here.
     """
     if classifier is not None:
-        pool = pool[classifier.predict_batch(pool) >= threshold]
+        pool = pool.T.compress(classifier.predict_batch(pool) >= threshold, axis=1).T
     return decode_matrix(space, pool[pareto_front(regressor.predict_batch(pool))])
 
 
@@ -121,7 +129,8 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarr
                  rng: RngState) -> list[tuple]:
     """Pick at most m configurations to evaluate next.
 
-    Predictions equal to a row of the encoded archive ``X`` are dropped.
+    Predictions equal to a row of the encoded archive ``X`` or to an
+    earlier prediction are dropped.
     More predictions left than the budget: a uniform random m-subset. Fewer:
     all of them plus fresh prior-drawn samples, distinct from each other and
     from the predictions and the archive (the exploration half of the
@@ -132,7 +141,7 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarr
     if m < 1:
         raise ValueError("batch budget must be >= 1")
     P = encode_matrix(space, predicted)
-    new = first_equal(space, np.concatenate([X, P]))[len(X):] >= len(X)
+    new = first_equal(space, np.concatenate([X, P]))[len(X):] == np.arange(len(X), len(X) + len(P))
     fresh = [c for c, keep in zip(predicted, new.tolist()) if keep]
     if len(fresh) > m:
         gen = rng.generator
@@ -185,10 +194,11 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                                                    classify=predicting)
             if not predicting:
                 break
-            pool = candidate_pool(space, scenario.pareto_prediction_samples, X,
-                                  root.substream(_STREAM_POOL).substream(i))
-            predicted = predict_pareto(space, pool, regressor, classifier,
-                                       scenario.feasibility_threshold)
+            # no name here holds the pool, so the filter's survivors replace it
+            predicted = predict_pareto(
+                space, candidate_pool(space, scenario.pareto_prediction_samples, X,
+                                      root.substream(_STREAM_POOL).substream(i)),
+                regressor, classifier, scenario.feasibility_threshold)
             if not predicted:
                 break
             batch = select_batch(predicted, scenario.evaluations_per_iteration, space, X,

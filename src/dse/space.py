@@ -296,29 +296,30 @@ def _radix(space: DesignSpace) -> np.ndarray | None:
 
 
 def rank_rows(space: DesignSpace, ranks: np.ndarray) -> np.ndarray:
-    """The encoded rows at the given positions of the enumeration order;
-    ``rank_rows(space, arange(cardinality))`` encodes :func:`enumerate_space`."""
-    X = np.empty((len(ranks), len(space.parameters)))
+    """The encoded rows at the given positions of the enumeration order,
+    column-major; ``rank_rows(space, arange(cardinality))`` encodes
+    :func:`enumerate_space`."""
+    X = np.empty((len(ranks), len(space.parameters)), order="F")
     for j, (p, place) in enumerate(zip(space.parameters, _radix(space))):
         X[:, j] = p.code_levels(ranks // place % p.domain_size())
     return X
 
 
 def row_keys(space: DesignSpace, X: np.ndarray) -> np.ndarray:
-    """One integer per encoded row, equal for equal rows. In a finite space
-    of cardinality below 2**63 the key is exact: the row's position in the
-    enumeration order, a mixed-radix number over its level indices. Other
-    spaces get a uint64 hash of the row's bits, which distinct rows may share."""
+    """One integer per encoded row, equal for equal rows, computed column by
+    column. In a finite space of cardinality below 2**63 the key is exact:
+    the row's position in the enumeration order, a mixed-radix number over
+    its level indices. Other spaces get a uint64 hash of the row's bits,
+    which distinct rows may share."""
     places = _radix(space)
     if places is not None:
         keys = np.zeros(len(X), dtype=np.int64)
         for p, place, col in zip(space.parameters, places, X.T):
             keys += p.column_levels(col) * place
         return keys
-    bits = (X + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0, which equals it
     keys = np.zeros(len(X), dtype=np.uint64)
-    for col in bits.T:
-        keys ^= col
+    for col in X.T:
+        keys ^= (col + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0, which equals it
         keys *= 0x9E3779B97F4A7C15
         keys ^= keys >> 29
     return keys
@@ -348,36 +349,84 @@ def first_equal(space: DesignSpace, X: np.ndarray) -> np.ndarray:
     return first
 
 
+def _sift(known: np.ndarray, seen: tuple | None, X: np.ndarray, keys: np.ndarray):
+    """Which rows of X, keyed ``keys``, are new: equal to no row so far and
+    to no earlier row of X. ``known`` holds the sorted keys of the rows so
+    far, looked up with ``searchsorted``. Exact keys decide alone (``seen``
+    is None). For hashed keys ``seen`` holds the rows so far and their keys,
+    and a row whose key is known or repeats is compared with the rows that
+    share it, so distinct rows are kept. Returns a boolean mask over X."""
+    ks = np.sort(keys)
+    new = np.empty(len(ks), dtype=bool)
+    new[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
+    if len(known):
+        new &= known.take(known.searchsorted(ks), mode="clip") != ks
+    if new.all():  # then the order of X does not matter
+        return new
+    keep = np.empty(len(ks), dtype=bool)
+    keep[keys.argsort(kind="stable")] = new  # of equal keys, the earliest drawn is new
+    if seen is not None:
+        rows, seen_keys = seen
+        for key in np.unique(ks[~new]):
+            owner = set(map(tuple, rows[seen_keys == key].tolist()))
+            for i in np.flatnonzero(keys == key).tolist():
+                row = tuple(X[i].tolist())
+                keep[i] = row not in owner
+                owner.add(row)
+    return keep
+
+
+def _merge(known: np.ndarray, seen: tuple | None, X: np.ndarray, keys: np.ndarray):
+    """``known`` and ``seen`` (see :func:`_sift`) with the rows X, keyed ``keys``, added."""
+    known = np.sort(np.concatenate([known, keys]))
+    return known, None if seen is None else (np.concatenate([seen[0], X]),
+                                             np.concatenate([seen[1], keys]))
+
+
 def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], rng,
                   taken: np.ndarray | None = None, limit: int | None = None) -> np.ndarray:
     """Up to n distinct encoded rows, none equal to a row of ``taken`` (in
     whatever order those come). When n covers what a finite space has left
     untaken, that comes back in enumeration order, and nothing is drawn.
     Otherwise ``draw(k)`` supplies blocks of k rows, k never more than the
-    rows still missing, and :func:`first_equal` drops rows equal to a taken
-    or earlier row. After ``limit`` drawn rows (default 100*n) a finite space
-    is topped up with a ``rng.generator.permutation`` of the ranks neither
-    taken nor kept, so the result is short only when the space runs out."""
+    rows still missing, and each row of ``taken`` and of every block is
+    keyed once (:func:`row_keys`): a block's rows equal to an earlier row of
+    the block, or whose key is among the sorted keys of the taken and kept
+    rows (hashed keys: whose row equals one of those), are dropped. A block
+    that loses no row is returned as drawn, not copied, so a pool drawn in
+    one column-major block stays that one buffer. After ``limit`` drawn rows
+    (default 100*n) a finite space is topped up with a
+    ``rng.generator.permutation`` of the ranks neither taken nor kept, read
+    off the same keys, so the result is short only when the space runs out."""
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
-    A = np.empty((0, len(space.parameters))) if taken is None else taken
-    A = A[first_equal(space, A) == np.arange(len(A))]  # distinct taken rows, then kept draws
-    t = len(A)
-    whole = finite and n >= card - t
+    taken = np.empty((0, len(space.parameters))) if taken is None else taken
+    keys = row_keys(space, taken)
+    seen = (taken[:0], keys[:0]) if keys.dtype == np.uint64 else None
+    keep = _sift(keys[:0], seen, taken, keys)
+    known, seen = _merge(keys[:0], seen, taken[keep], keys[keep])
+    whole = finite and n >= card - len(known)
+    kept, missing = [], n
     left = 0 if whole else 100 * n if limit is None else limit
-    while len(A) - t < n and left > 0:
-        k = min(n + t - len(A), left)
+    while missing > 0 and left > 0:
+        k = min(missing, left)
         left -= k
-        A = np.concatenate([A, draw(k)])
-        A = A[first_equal(space, A) == np.arange(len(A))]
-    if len(A) - t < n and finite:
+        X = draw(k)
+        keys = row_keys(space, X)
+        keep = _sift(known, seen, X, keys)
+        kept.append(X if keep.all() else X.T.compress(keep, axis=1).T)  # column-major
+        missing -= len(kept[-1])
+        if missing > 0:
+            known, seen = _merge(known, seen, kept[-1], keys[keep])
+    if missing > 0 and finite:
         used = np.zeros(card, dtype=bool)
-        used[row_keys(space, A)] = True
+        used[known] = True
         unused = np.flatnonzero(~used)
         if not whole:
             unused = unused[rng.generator.permutation(len(unused))]
-        A = np.concatenate([A, rank_rows(space, unused[: n + t - len(A)])])
-    return A[t:]
+        kept.append(rank_rows(space, unused[:missing]))
+    return kept[0] if len(kept) == 1 else np.concatenate(kept or [taken[:0]])
 
 
 def enumerate_space(space: DesignSpace) -> Iterator[tuple]:

@@ -62,6 +62,27 @@ def test_target_matrix_shape_is_a_fit_error(y):
         fit_regressor([[1.0], [2.0]], y, ForestHyperparams(), RngState(0))
 
 
+@pytest.mark.parametrize("fit", [fit_regressor, fit_classifier], ids=["regressor", "classifier"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["feature", "target"])
+def test_non_finite_data_is_a_fit_error(fit, bad, where):
+    X, y = [[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 0.0, 1.0, 1.0]
+    if where == "feature":
+        X[2][1] = bad
+    else:
+        y[2] = bad
+    with pytest.raises(FitError, match="sample 2 has a non-finite feature or target"):
+        fit(X, y, ForestHyperparams(), RngState(0))
+
+
+def test_first_non_finite_sample_is_named():
+    with pytest.raises(FitError, match="sample 1 "):
+        fit_regressor([[0], [1], [2], [3]], [1, np.nan, 2, 3], ForestHyperparams(), RngState(0))
+    with pytest.raises(FitError, match="sample 1 "):
+        fit_regressor([[0], [np.inf], [2], [3]], [[1, 1], [1, 1], [1, np.nan], [1, 1]],
+                      ForestHyperparams(), RngState(0))
+
+
 def test_prediction_dimension_mismatch():
     forest = fit_regressor([[1.0], [2.0]], [1.0, 2.0], ForestHyperparams(), RngState(0))
     with pytest.raises(ValueError):

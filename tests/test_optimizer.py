@@ -223,7 +223,7 @@ def unused_in_random_order(space, taken, seed):
     return [remaining[i] for i in np.random.default_rng(seed).permutation(len(remaining))]
 
 
-@pytest.mark.parametrize("space, taken, draws, n, limit, expected", [
+DISTINCT_CASES = [
     pytest.param(ORD, [(8, 0)], [(8.0, 0), (1, 0), (8.0, 1)], 2, None, [(1, 0), (8, 1)],
                  id="ordinal-8-vs-8.0"),
     pytest.param(REAL_CAT, [(-0.0, "a")], [(0.0, "a"), (0.5, "a"), (-0.0, "b")], 2, None,
@@ -243,8 +243,26 @@ def unused_in_random_order(space, taken, seed):
                  id="whole-space-but-taken"),
     pytest.param(ORD, [(8, 1), (1, 0)], [], 4, None, [(1, 1), (5, 0), (5, 1), (8, 0)],
                  id="all-that-is-left"),
-])
+]
+
+
+@pytest.mark.parametrize("space, taken, draws, n, limit, expected", DISTINCT_CASES)
 def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, expected):
+    check_distinct_rows(space, taken, draws, n, limit, expected)
+
+
+@pytest.mark.parametrize("space, taken, draws, n, limit, expected",
+                         [case for case in DISTINCT_CASES
+                          if case.id in ("real-minus-zero", "hashed-keys")])
+def test_distinct_rows_compares_rows_that_share_a_hash(monkeypatch, space, taken, draws, n,
+                                                       limit, expected):
+    import dse.space
+
+    monkeypatch.setattr(dse.space, "row_keys", lambda space, X: np.zeros(len(X), dtype=np.uint64))
+    check_distinct_rows(space, taken, draws, n, limit, expected)
+
+
+def check_distinct_rows(space, taken, draws, n, limit, expected):
     for order in (taken, taken[::-1]):
         script = iter(draws)
 
@@ -257,6 +275,45 @@ def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, 
                                                  taken=encode_matrix(space, order), limit=limit))
         assert got == expected
         assert next(script, None) is None  # blocks of exactly the rows still missing
+
+
+def test_each_drawn_row_is_keyed_once(monkeypatch):
+    import dse.optimizer
+    import dse.space
+
+    # a pool that barely fills its space: about 300 small blocks of draws
+    space = DesignSpace((Parameter("x", "integer", lower=0, upper=299),))
+    evaluated = encode_matrix(space, [(i,) for i in range(0, 294, 6)])
+    keyed, drawn = [], []
+    row_keys, uniform_rows = dse.space.row_keys, dse.optimizer._uniform_rows
+    monkeypatch.setattr(dse.space, "row_keys",
+                        lambda space, X: keyed.append(len(X)) or row_keys(space, X))
+    monkeypatch.setattr(dse.optimizer, "_uniform_rows",
+                        lambda space, k, gen: drawn.append(k) or uniform_rows(space, k, gen))
+    pool = decode_matrix(space, candidate_pool(space, 250, evaluated, RngState(0)))
+    assert len(set(pool)) == 250 and not set(pool) & set(decode_matrix(space, evaluated))
+    assert len(drawn) > 100
+    assert sum(keyed) <= len(evaluated) + sum(drawn)
+
+
+def test_pool_drawn_in_one_block_is_column_major():
+    pool = candidate_pool(MIXED, 500, encode_matrix(MIXED, [(0.5, 1, 8, "b", 0.0)]), RngState(6))
+    assert pool.shape == (500, 5)
+    assert pool.flags.f_contiguous
+
+
+def test_predict_pareto_hands_the_forests_column_major_rows(monkeypatch):
+    from dse.forest import Forest
+
+    layouts, original = [], Forest.predict_batch
+    monkeypatch.setattr(Forest, "predict_batch",
+                        lambda self, X: layouts.append(X.T.flags.c_contiguous) or original(self, X))
+    X = candidate_pool(MIXED, 40, encode_matrix(MIXED, []), RngState(1))
+    regressor = fit_regressor(X, np.c_[X[:, 0], -X[:, 1]], ForestHyperparams(), RngState(2))
+    classifier = fit_classifier(X, X[:, 0] > 0.0, ForestHyperparams(), RngState(3))
+    pool = candidate_pool(MIXED, 300, X, RngState(4))
+    assert predict_pareto(MIXED, pool, regressor, classifier, 0.5)
+    assert layouts == [True, True]
 
 
 # --- predict_pareto ----------------------------------------------------------------
@@ -311,6 +368,18 @@ def test_batch_passes_through_when_sizes_match(toy_scenario):
     predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(6)))[:5]
     batch = select_batch(predicted, 5, space, nothing, RngState(7))
     assert batch == predicted
+
+
+def test_batch_keeps_one_of_equal_predictions(toy_scenario):
+    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    predicted = [(2, 1, "true", 1), (2, 1, "true", 1), (4, 2, "false", 3)]
+    batch = select_batch(predicted, 5, space, nothing, RngState(7))
+    assert batch[:2] == [(2, 1, "true", 1), (4, 2, "false", 3)]
+    assert len(set(batch)) == len(batch) == 5
+    # a repeat of an archive row is dropped with it
+    batch = select_batch(predicted, 2, space, encode_matrix(space, predicted[:1]), RngState(7))
+    assert batch[0] == (4, 2, "false", 3) and len(set(batch)) == 2
+    assert (2, 1, "true", 1) not in batch
 
 
 def test_batch_fills_with_fresh_prior_samples(toy_scenario):
