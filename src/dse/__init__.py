@@ -33,6 +33,7 @@ from .space import (
     EnumerationError,
     Parameter,
     Prior,
+    RowSet,
     Scenario,
     ValidationError,
     decode_matrix,
@@ -52,7 +53,7 @@ from .optimizer import candidate_pool, predict_pareto, run, select_batch
 __all__ = [
     "DesignSpace", "DomainError", "EnumerationError", "EvaluationError",
     "EvaluationRecord", "EvaluatorSpec", "Forest", "ForestHyperparams",
-    "Parameter", "Prior", "RngState", "Scenario", "ValidationError",
+    "Parameter", "Prior", "RngState", "RowSet", "Scenario", "ValidationError",
     "beta_pdf", "brute_force_front", "candidate_pool", "constrained_front",
     "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
     "evaluate_batch", "feature_importance", "fit_classifier",

@@ -15,10 +15,10 @@ the filter keeps its survivors by column, both forests read it by feature
 without a copy, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 
-The archive of evaluated configurations is encoded once, when its batch
-returns: :func:`run` grows one matrix with the records, which
-:func:`fit_surrogates` fits on and :func:`candidate_pool` and
-:func:`select_batch` draw around.
+The archive of evaluated configurations is encoded and keyed once, when its
+batch returns: :func:`run` grows one matrix with the records, which
+:func:`fit_surrogates` fits on, and one :class:`~dse.space.RowSet` of their
+keys, which :func:`candidate_pool` and :func:`select_batch` draw around.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .rng import RngState
 from .space import (
     REAL,
     DesignSpace,
+    RowSet,
     Scenario,
     decode_matrix,
     distinct_rows,
     encode_matrix,
-    first_equal,
+    row_keys,
 )
 
 # fixed substream tags so artifact bytes do not depend on code path details
@@ -74,19 +75,19 @@ def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
     return X
 
 
-def candidate_pool(space: DesignSpace, s: int, X: np.ndarray, rng: RngState) -> np.ndarray:
+def candidate_pool(space: DesignSpace, s: int, evaluated: RowSet, rng: RngState) -> np.ndarray:
     """The encoded candidate set a prediction pass ranks: s distinct uniform
-    samples, none equal to a row of the encoded archive ``X``, or the
-    enumeration without the archive when that leaves at most s points. Priors
-    play no role here; their influence ends with warm-up and batch fill.
+    samples, none in the set of ``evaluated`` rows, or the enumeration
+    without them when that leaves at most s points. Priors play no role
+    here; their influence ends with warm-up and batch fill.
 
     The pool is one column-major buffer: drawn in one block that loses no
-    row, it is that block itself. Each archive and drawn row is keyed once
-    (:func:`~dse.space.distinct_rows`)."""
+    row, it is that block itself. Each drawn row is keyed once
+    (:func:`~dse.space.distinct_rows`); the evaluated rows are keyed already."""
     if s < 1:
         raise ValueError("pool size must be >= 1")
     return distinct_rows(space, s, lambda k: _uniform_rows(space, k, rng.generator), rng,
-                         taken=X)
+                         taken=evaluated)
 
 
 def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Scenario,
@@ -125,30 +126,32 @@ def predict_pareto(space: DesignSpace, pool: np.ndarray, regressor: Forest,
     return decode_matrix(space, pool[pareto_front(regressor.predict_batch(pool))])
 
 
-def select_batch(predicted: list[tuple], m: int, space: DesignSpace, X: np.ndarray,
+def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: RowSet,
                  rng: RngState) -> list[tuple]:
     """Pick at most m configurations to evaluate next.
 
-    Predictions equal to a row of the encoded archive ``X`` or to an
-    earlier prediction are dropped.
-    More predictions left than the budget: a uniform random m-subset. Fewer:
-    all of them plus fresh prior-drawn samples, distinct from each other and
-    from the predictions and the archive (the exploration half of the
-    epsilon-greedy trade-off). On a finite space that is almost exhausted
-    the batch may come back short or empty; empty means the search is done.
+    The predictions are keyed once; those in the set of ``evaluated`` rows
+    or equal to an earlier prediction are dropped.
+    At least as many predictions left as the budget: a uniform random
+    m-subset. Fewer: all of them plus fresh prior-drawn samples, distinct
+    from each other and from the predictions and the evaluated rows (the
+    exploration half of the epsilon-greedy trade-off). On a finite space
+    that is almost exhausted the batch may come back short or empty; empty
+    means the search is done.
     A predicted configuration outside the domain raises a DomainError.
     """
     if m < 1:
         raise ValueError("batch budget must be >= 1")
     P = encode_matrix(space, predicted)
-    new = first_equal(space, np.concatenate([X, P]))[len(X):] == np.arange(len(X), len(X) + len(P))
+    keys = row_keys(space, P)
+    new = evaluated.new(P, keys)
     fresh = [c for c, keep in zip(predicted, new.tolist()) if keep]
-    if len(fresh) > m:
+    if len(fresh) >= m:
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
     fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng,
-                         taken=np.concatenate([X, P[new]]), limit=100 * m)
+                         taken=evaluated.union(P[new], keys[new]), limit=100 * m)
     return fresh + decode_matrix(space, fill)
 
 
@@ -160,9 +163,10 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     after optimization_iterations batches, predict the front over a fresh
     pool that holds nothing evaluated, and evaluate a batch of at most
     evaluations_per_iteration of it. The loop stops early when the
-    prediction or the batch comes back empty. The archive is encoded once,
-    when its batch returns: one matrix grows with the records, and the
-    refit, the pool and the batch selection all read it. Only a refit
+    prediction or the batch comes back empty. The archive is encoded and
+    keyed once, when its batch returns: one matrix grows with the records
+    for the refit, and one row set grows with their keys for the pool and
+    the batch selection. Only a refit
     that a prediction follows fits the classifier; the last refit's
     regressor is returned (its importances are reported).
 
@@ -187,6 +191,7 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     try:
         records += evaluate_batch(spec, space, warm, iteration_tag=-1)
         X = encode_matrix(space, [r.config for r in records])
+        evaluated = RowSet.of(space, X)
         fit_rng = root.substream(_STREAM_FIT)
         while True:
             predicting = i < scenario.optimization_iterations
@@ -196,18 +201,20 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
                 break
             # no name here holds the pool, so the filter's survivors replace it
             predicted = predict_pareto(
-                space, candidate_pool(space, scenario.pareto_prediction_samples, X,
+                space, candidate_pool(space, scenario.pareto_prediction_samples, evaluated,
                                       root.substream(_STREAM_POOL).substream(i)),
                 regressor, classifier, scenario.feasibility_threshold)
             if not predicted:
                 break
-            batch = select_batch(predicted, scenario.evaluations_per_iteration, space, X,
-                                 root.substream(_STREAM_BATCH).substream(i))
+            batch = select_batch(predicted, scenario.evaluations_per_iteration, space,
+                                 evaluated, root.substream(_STREAM_BATCH).substream(i))
             if not batch:
                 break
-            evaluated = evaluate_batch(spec, space, batch, iteration_tag=i)
-            records += evaluated
-            X = np.concatenate([X, encode_matrix(space, [r.config for r in evaluated])])
+            returned = evaluate_batch(spec, space, batch, iteration_tag=i)
+            records += returned
+            B = encode_matrix(space, [r.config for r in returned])
+            X = np.concatenate([X, B])
+            evaluated = evaluated.union(B, row_keys(space, B))
             i += 1
     except EvaluationError as e:
         e.partial_records = records

@@ -325,88 +325,79 @@ def row_keys(space: DesignSpace, X: np.ndarray) -> np.ndarray:
     return keys
 
 
-def first_equal(space: DesignSpace, X: np.ndarray) -> np.ndarray:
-    """For every row of an encoded matrix, the index of the first row equal
-    to it; the rows where it equals ``arange(len(X))`` are the first
-    occurrences. Rows are grouped by :func:`row_keys`, and rows that share a
-    hashed key are compared, so distinct rows are never merged."""
-    n = len(X)
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-    keys = row_keys(space, X)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    first = np.empty(n, dtype=np.intp)
-    first[order] = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=n))
-    if keys.dtype == np.uint64:  # hashed keys: compare each repeat with its first row
-        later = np.flatnonzero(first != np.arange(n))
-        clash = later[(X[later] != X[first[later]]).any(axis=1)]
-        for key in set(keys[clash].tolist()):  # distinct rows with one hash
-            owner: dict[tuple, int] = {}
-            for i in np.flatnonzero(keys == key).tolist():
-                first[i] = owner.setdefault(tuple(X[i].tolist()), i)
-    return first
+@dataclass(frozen=True, eq=False)  # array fields: equality is identity
+class RowSet:
+    """An immutable set of encoded rows: ``known`` holds their sorted
+    :func:`row_keys`, looked up with ``searchsorted``. Exact keys decide
+    alone (``seen`` is None). For hashed keys ``seen`` holds the rows and
+    their keys, and a row whose key is known or repeats is compared with the
+    rows that share it, so distinct rows are never merged. A run keeps one
+    for its archive and grows it with each batch."""
 
+    known: np.ndarray
+    seen: tuple[np.ndarray, np.ndarray] | None
 
-def _sift(known: np.ndarray, seen: tuple | None, X: np.ndarray, keys: np.ndarray):
-    """Which rows of X, keyed ``keys``, are new: equal to no row so far and
-    to no earlier row of X. ``known`` holds the sorted keys of the rows so
-    far, looked up with ``searchsorted``. Exact keys decide alone (``seen``
-    is None). For hashed keys ``seen`` holds the rows so far and their keys,
-    and a row whose key is known or repeats is compared with the rows that
-    share it, so distinct rows are kept. Returns a boolean mask over X."""
-    ks = np.sort(keys)
-    new = np.empty(len(ks), dtype=bool)
-    new[:1] = True
-    np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    if len(known):
-        new &= known.take(known.searchsorted(ks), mode="clip") != ks
-    if new.all():  # then the order of X does not matter
-        return new
-    keep = np.empty(len(ks), dtype=bool)
-    keep[keys.argsort(kind="stable")] = new  # of equal keys, the earliest drawn is new
-    if seen is not None:
-        rows, seen_keys = seen
-        for key in np.unique(ks[~new]):
-            owner = set(map(tuple, rows[seen_keys == key].tolist()))
-            for i in np.flatnonzero(keys == key).tolist():
-                row = tuple(X[i].tolist())
-                keep[i] = row not in owner
-                owner.add(row)
-    return keep
+    @classmethod
+    def of(cls, space: DesignSpace, X: np.ndarray) -> RowSet:
+        """The distinct rows of an encoded matrix, each keyed once."""
+        keys = row_keys(space, X)
+        empty = cls(keys[:0], (X[:0], keys[:0]) if keys.dtype == np.uint64 else None)
+        keep = empty.new(X, keys)
+        return empty.union(X[keep], keys[keep])
 
+    def __len__(self) -> int:
+        return len(self.known)
 
-def _merge(known: np.ndarray, seen: tuple | None, X: np.ndarray, keys: np.ndarray):
-    """``known`` and ``seen`` (see :func:`_sift`) with the rows X, keyed ``keys``, added."""
-    known = np.sort(np.concatenate([known, keys]))
-    return known, None if seen is None else (np.concatenate([seen[0], X]),
-                                             np.concatenate([seen[1], keys]))
+    def new(self, X: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Which rows of X, keyed ``keys``, are new: equal to no row of the
+        set and to no earlier row of X. Returns a boolean mask over X."""
+        ks = np.sort(keys)
+        new = np.empty(len(ks), dtype=bool)
+        new[:1] = True
+        np.not_equal(ks[1:], ks[:-1], out=new[1:])
+        if len(self):
+            new &= self.known.take(self.known.searchsorted(ks), mode="clip") != ks
+        if new.all():  # then the order of X does not matter
+            return new
+        keep = np.empty(len(ks), dtype=bool)
+        keep[keys.argsort(kind="stable")] = new  # of equal keys, the earliest drawn is new
+        if self.seen is not None:
+            rows, seen_keys = self.seen
+            for key in np.unique(ks[~new]):
+                owner = set(map(tuple, rows[seen_keys == key].tolist()))
+                for i in np.flatnonzero(keys == key).tolist():
+                    row = tuple(X[i].tolist())
+                    keep[i] = row not in owner
+                    owner.add(row)
+        return keep
+
+    def union(self, X: np.ndarray, keys: np.ndarray) -> RowSet:
+        """The set with the new rows X (see :meth:`new`), keyed ``keys``, added."""
+        seen = self.seen
+        return RowSet(np.sort(np.concatenate([self.known, keys])),
+                      None if seen is None else (np.concatenate([seen[0], X]),
+                                                 np.concatenate([seen[1], keys])))
 
 
 def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], rng,
-                  taken: np.ndarray | None = None, limit: int | None = None) -> np.ndarray:
-    """Up to n distinct encoded rows, none equal to a row of ``taken`` (in
-    whatever order those come). When n covers what a finite space has left
-    untaken, that comes back in enumeration order, and nothing is drawn.
-    Otherwise ``draw(k)`` supplies blocks of k rows, k never more than the
-    rows still missing, and each row of ``taken`` and of every block is
-    keyed once (:func:`row_keys`): a block's rows equal to an earlier row of
-    the block, or whose key is among the sorted keys of the taken and kept
-    rows (hashed keys: whose row equals one of those), are dropped. A block
-    that loses no row is returned as drawn, not copied, so a pool drawn in
-    one column-major block stays that one buffer. After ``limit`` drawn rows
-    (default 100*n) a finite space is topped up with a
+                  taken: RowSet | None = None, limit: int | None = None) -> np.ndarray:
+    """Up to n distinct encoded rows, none in the set ``taken`` (None:
+    nothing taken). When n covers what a finite space has left untaken, that
+    comes back in enumeration order, and nothing is drawn. Otherwise
+    ``draw(k)`` supplies blocks of k rows, k never more than the rows still
+    missing, and each block is keyed once (:func:`row_keys`): its rows that
+    are not :meth:`RowSet.new` against the taken and kept rows are dropped. A
+    block that loses no row is returned as drawn, not copied, so a pool drawn
+    in one column-major block stays that one buffer; the kept rows join the
+    set only when another block or the top-up follows. After ``limit`` drawn
+    rows (default 100*n) a finite space is topped up with a
     ``rng.generator.permutation`` of the ranks neither taken nor kept, read
-    off the same keys, so the result is short only when the space runs out."""
+    off the set's keys, so the result is short only when the space runs out."""
     card = space.cardinality()
     finite = card is not None and card <= ENUMERATION_CAP
-    taken = np.empty((0, len(space.parameters))) if taken is None else taken
-    keys = row_keys(space, taken)
-    seen = (taken[:0], keys[:0]) if keys.dtype == np.uint64 else None
-    keep = _sift(keys[:0], seen, taken, keys)
-    known, seen = _merge(keys[:0], seen, taken[keep], keys[keep])
-    whole = finite and n >= card - len(known)
+    nothing = np.empty((0, len(space.parameters)))
+    taken = RowSet.of(space, nothing) if taken is None else taken
+    whole = finite and n >= card - len(taken)
     kept, missing = [], n
     left = 0 if whole else 100 * n if limit is None else limit
     while missing > 0 and left > 0:
@@ -414,19 +405,19 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
         left -= k
         X = draw(k)
         keys = row_keys(space, X)
-        keep = _sift(known, seen, X, keys)
+        keep = taken.new(X, keys)
         kept.append(X if keep.all() else X.T.compress(keep, axis=1).T)  # column-major
         missing -= len(kept[-1])
         if missing > 0:
-            known, seen = _merge(known, seen, kept[-1], keys[keep])
+            taken = taken.union(kept[-1], keys[keep])
     if missing > 0 and finite:
         used = np.zeros(card, dtype=bool)
-        used[known] = True
+        used[taken.known] = True
         unused = np.flatnonzero(~used)
         if not whole:
             unused = unused[rng.generator.permutation(len(unused))]
         kept.append(rank_rows(space, unused[:missing]))
-    return kept[0] if len(kept) == 1 else np.concatenate(kept or [taken[:0]])
+    return kept[0] if len(kept) == 1 else np.concatenate(kept or [nothing])
 
 
 def enumerate_space(space: DesignSpace) -> Iterator[tuple]:

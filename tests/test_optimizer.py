@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from dse import (
     select_batch,
 )
 from dse.pareto import dominates, feasible_front
-from dse.space import decode_matrix, distinct_rows, encode_matrix, enumerate_space, first_equal
+from dse.space import RowSet, decode_matrix, distinct_rows, encode_matrix, enumerate_space
 
 from conftest import scenario_with
 from oracles import pairwise_front, tuple_pool
@@ -30,17 +31,45 @@ PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
                               bootstrap=False)
 
 
+def count_rows(monkeypatch, original, rows):
+    """Wrap ``original`` in every dse module that binds it, so a call through
+    any of them is seen; each call appends ``rows(args, result)`` to the
+    returned list."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counts.append(rows(args, result))
+        return result
+
+    name = original.__name__
+    bound = [module for key, module in list(sys.modules.items())
+             if key.split(".")[0] == "dse" and getattr(module, name, None) is original]
+    assert sys.modules[original.__module__] in bound
+    for module in bound:
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def count_keyed_rows(monkeypatch):
+    """The row count of every :func:`dse.space.row_keys` call, through every binding."""
+    import dse.space
+
+    return count_rows(monkeypatch, dse.space.row_keys, lambda args, keys: len(keys))
+
+
 # --- candidate_pool ---------------------------------------------------------------
 
 def test_pool_enumerates_small_spaces(toy_scenario):
-    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    space = toy_scenario.space
+    nothing = RowSet.of(space, encode_matrix(space, []))
     pool = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(1)))
     assert len(pool) == 240
     assert len(set(pool)) == 240
 
 
 def test_enumerated_pool_builds_no_generator(toy_scenario):
-    rng, nothing = RngState(1), encode_matrix(toy_scenario.space, [])
+    rng, nothing = RngState(1), RowSet.of(toy_scenario.space, encode_matrix(toy_scenario.space, []))
     candidate_pool(toy_scenario.space, 240, nothing, rng)
     assert rng._gen is None  # the generator is built only when the pool is drawn
     candidate_pool(toy_scenario.space, 239, nothing, rng)
@@ -51,14 +80,16 @@ def test_pool_samples_large_spaces_distinctly():
     space = DesignSpace(tuple(
         Parameter(f"p{i}", "integer", lower=1, upper=1000) for i in range(3)))
     assert space.cardinality() == 10 ** 9
-    pool = decode_matrix(space, candidate_pool(space, 1000, encode_matrix(space, []), RngState(2)))
+    nothing = RowSet.of(space, encode_matrix(space, []))
+    pool = decode_matrix(space, candidate_pool(space, 1000, nothing, RngState(2)))
     assert len(pool) == 1000
     assert len(set(pool)) == 1000
 
 
 def test_pool_of_one():
     space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),))
-    assert len(candidate_pool(space, 1, encode_matrix(space, []), RngState(3))) == 1
+    nothing = RowSet.of(space, encode_matrix(space, []))
+    assert len(candidate_pool(space, 1, nothing, RngState(3))) == 1
 
 
 @pytest.mark.parametrize("lower, upper", [
@@ -67,7 +98,7 @@ def test_pool_of_one():
 ])
 def test_uniform_pool_draws_integers_as_numpy_does(lower, upper):
     space = DesignSpace((Parameter("x", "integer", lower=lower, upper=upper),))
-    pool = candidate_pool(space, 200, encode_matrix(space, []), RngState(5, 3))
+    pool = candidate_pool(space, 200, RowSet.of(space, encode_matrix(space, [])), RngState(5, 3))
     expected = RngState(5, 3).generator.integers(lower, upper + 1, size=200)
     assert len(set(expected.tolist())) == 200  # no repeat, so the pool draws no second block
     assert pool[:, 0].tolist() == expected.astype(float).tolist()
@@ -118,7 +149,8 @@ class NarrowDraws:
     pytest.param(MIXED, 5000, lambda: RngState(6), id="mixed"),
 ])
 def test_pool_matrix_decodes_to_the_tuple_stream(space, s, make_rng):
-    got = decode_matrix(space, candidate_pool(space, s, encode_matrix(space, []), make_rng()))
+    nothing = RowSet.of(space, encode_matrix(space, []))
+    got = decode_matrix(space, candidate_pool(space, s, nothing, make_rng()))
     want = tuple_pool(space, s, make_rng())
     assert len(want) == min(s, space.cardinality() or s)
     assert got == want
@@ -138,7 +170,8 @@ def test_pool_matrix_decodes_to_the_tuple_stream(space, s, make_rng):
 def test_pool_never_holds_an_archive_row(space, s, make_rng):
     # the archive takes every third row the pool would hold without it
     archive = tuple_pool(space, s, make_rng())[::3]
-    got = decode_matrix(space, candidate_pool(space, s, encode_matrix(space, archive), make_rng()))
+    evaluated = RowSet.of(space, encode_matrix(space, archive))
+    got = decode_matrix(space, candidate_pool(space, s, evaluated, make_rng()))
     assert got == tuple_pool(space, s, make_rng(), taken=archive)
     assert not set(got) & set(archive)
     assert len(set(got)) == len(got) == min(s, (space.cardinality() or s + len(archive))
@@ -146,15 +179,15 @@ def test_pool_never_holds_an_archive_row(space, s, make_rng):
 
 
 def test_mixed_pool_is_the_parents_pool_then_exclusion():
-    nothing = encode_matrix(MIXED, [])
+    nothing = RowSet.of(MIXED, encode_matrix(MIXED, []))
     pool = decode_matrix(MIXED, candidate_pool(MIXED, 3000, nothing, RngState(6)))
     archive = decode_matrix(MIXED, candidate_pool(MIXED, 500, nothing, RngState(7)))
-    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, encode_matrix(MIXED, archive),
-                                              RngState(6)))
+    evaluated = RowSet.of(MIXED, encode_matrix(MIXED, archive))
+    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, evaluated, RngState(6)))
     assert got == [c for c in pool if c not in set(archive)] == pool  # no draw hits the archive
     # an archive row that is drawn is replaced by a later draw, not left as a gap
-    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, encode_matrix(MIXED, pool[:10]),
-                                              RngState(6)))
+    evaluated = RowSet.of(MIXED, encode_matrix(MIXED, pool[:10]))
+    got = decode_matrix(MIXED, candidate_pool(MIXED, 3000, evaluated, RngState(6)))
     assert got[:2990] == pool[10:] and len(set(got)) == 3000 and not set(got) & set(pool[:10])
 
 
@@ -186,12 +219,13 @@ def test_pool_keeps_rows_one_ulp_apart():
     space = DesignSpace((Parameter("x", "real", lower=0.0, upper=1.0),
                          Parameter("c", "categorical", values=("a", "b"))))
     half, above = 0.5, float(np.nextafter(0.5, 1.0))
-    pool = candidate_pool(space, 3, encode_matrix(space, []), FixedDraws([half, above]))
+    pool = candidate_pool(space, 3, RowSet.of(space, encode_matrix(space, [])),
+                          FixedDraws([half, above]))
     assert decode_matrix(space, pool) == [(half, "a"), (above, "a")]  # the repeats are dropped
 
     flat = fit_regressor(pool, [[1.0, 1.0], [1.0, 1.0]], PURE_TREE, RngState(0))
     for evaluated, rest in [(half, above), (above, half)]:
-        X = encode_matrix(space, [(evaluated, "a")])
+        X = RowSet.of(space, encode_matrix(space, [(evaluated, "a")]))
         fresh = candidate_pool(space, 3, X, FixedDraws([half, above]))
         assert predict_pareto(space, fresh, flat, None, 0.5) == [(rest, "a")]
 
@@ -202,10 +236,18 @@ def test_rows_that_share_a_hash_are_compared(monkeypatch):
     space = DesignSpace((Parameter("x", "real", lower=-1.0, upper=1.0),
                          Parameter("c", "categorical", values=("a", "b"))))
     X = np.array([[0.5, 0], [0.25, 1], [0.5, 0], [-0.0, 1], [0.0, 1], [0.25, 1], [0.5, 1]])
-    expected = [0, 1, 0, 3, 3, 1, 6]
-    assert first_equal(space, X).tolist() == expected
+
+    def check():
+        keys = dse.space.row_keys(space, X)
+        new = RowSet.of(space, X[:0]).new(X, keys)
+        assert new.tolist() == [True, True, False, True, False, False, True]
+        rows = RowSet.of(space, X)
+        assert len(rows) == 4
+        assert not rows.new(X, keys).any()
+
+    check()
     monkeypatch.setattr(dse.space, "row_keys", lambda space, X: np.zeros(len(X), dtype=np.uint64))
-    assert first_equal(space, X).tolist() == expected
+    check()
 
 
 # --- distinct_rows ----------------------------------------------------------------
@@ -271,8 +313,8 @@ def check_distinct_rows(space, taken, draws, n, limit, expected):
             return encode_matrix(space, [next(script) for _ in range(k)])
 
         rng = SimpleNamespace(generator=np.random.default_rng(7))
-        got = decode_matrix(space, distinct_rows(space, n, draw, rng,
-                                                 taken=encode_matrix(space, order), limit=limit))
+        taken = RowSet.of(space, encode_matrix(space, order))
+        got = decode_matrix(space, distinct_rows(space, n, draw, rng, taken=taken, limit=limit))
         assert got == expected
         assert next(script, None) is None  # blocks of exactly the rows still missing
 
@@ -290,14 +332,16 @@ def test_each_drawn_row_is_keyed_once(monkeypatch):
                         lambda space, X: keyed.append(len(X)) or row_keys(space, X))
     monkeypatch.setattr(dse.optimizer, "_uniform_rows",
                         lambda space, k, gen: drawn.append(k) or uniform_rows(space, k, gen))
-    pool = decode_matrix(space, candidate_pool(space, 250, evaluated, RngState(0)))
+    pool = decode_matrix(space, candidate_pool(space, 250, RowSet.of(space, evaluated),
+                                               RngState(0)))
     assert len(set(pool)) == 250 and not set(pool) & set(decode_matrix(space, evaluated))
     assert len(drawn) > 100
     assert sum(keyed) <= len(evaluated) + sum(drawn)
 
 
 def test_pool_drawn_in_one_block_is_column_major():
-    pool = candidate_pool(MIXED, 500, encode_matrix(MIXED, [(0.5, 1, 8, "b", 0.0)]), RngState(6))
+    evaluated = RowSet.of(MIXED, encode_matrix(MIXED, [(0.5, 1, 8, "b", 0.0)]))
+    pool = candidate_pool(MIXED, 500, evaluated, RngState(6))
     assert pool.shape == (500, 5)
     assert pool.flags.f_contiguous
 
@@ -308,10 +352,10 @@ def test_predict_pareto_hands_the_forests_column_major_rows(monkeypatch):
     layouts, original = [], Forest.predict_batch
     monkeypatch.setattr(Forest, "predict_batch",
                         lambda self, X: layouts.append(X.T.flags.c_contiguous) or original(self, X))
-    X = candidate_pool(MIXED, 40, encode_matrix(MIXED, []), RngState(1))
+    X = candidate_pool(MIXED, 40, RowSet.of(MIXED, encode_matrix(MIXED, [])), RngState(1))
     regressor = fit_regressor(X, np.c_[X[:, 0], -X[:, 1]], ForestHyperparams(), RngState(2))
     classifier = fit_classifier(X, X[:, 0] > 0.0, ForestHyperparams(), RngState(3))
-    pool = candidate_pool(MIXED, 300, X, RngState(4))
+    pool = candidate_pool(MIXED, 300, RowSet.of(MIXED, X), RngState(4))
     assert predict_pareto(MIXED, pool, regressor, classifier, 0.5)
     assert layouts == [True, True]
 
@@ -335,24 +379,19 @@ def test_predict_pareto_returns_nondominated_configs():
 
 def test_predict_pareto_excludes_evaluated_configs():
     space, _, pool, regressor = four_point_regressor()
-    fresh = candidate_pool(space, 4, pool, RngState(0))
+    fresh = candidate_pool(space, 4, RowSet.of(space, pool), RngState(0))
     assert len(fresh) == 0
     assert predict_pareto(space, fresh, regressor, None, 0.5) == []
 
 
 def test_predict_pareto_keys_no_rows(monkeypatch):
-    import dse.optimizer
-    import dse.space
-
-    calls = []
-    original = dse.space.first_equal
-    for module in (dse.optimizer, dse.space):
-        monkeypatch.setattr(module, "first_equal",
-                            lambda space, X: calls.append(len(X)) or original(space, X))
+    keyed = count_keyed_rows(monkeypatch)
     space, configs, pool, regressor = four_point_regressor()
     classifier = fit_classifier(pool, [True] * 4, ForestHyperparams(), RngState(5))
     assert predict_pareto(space, pool, regressor, classifier, 0.5) == configs[:3]
-    assert calls == []
+    assert keyed == []
+    RowSet.of(space, pool)
+    assert keyed == [4]  # the spy sees a keying
 
 
 def test_predict_pareto_filters_predicted_infeasible():
@@ -364,29 +403,48 @@ def test_predict_pareto_filters_predicted_infeasible():
 # --- select_batch -----------------------------------------------------------------
 
 def test_batch_passes_through_when_sizes_match(toy_scenario):
-    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    space = toy_scenario.space
+    nothing = RowSet.of(space, encode_matrix(space, []))
     predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(6)))[:5]
     batch = select_batch(predicted, 5, space, nothing, RngState(7))
     assert batch == predicted
 
 
+def test_a_batch_the_predictions_fill_keys_nothing_else(toy_scenario, monkeypatch):
+    import dse.optimizer
+
+    space = toy_scenario.space
+    nothing = RowSet.of(space, encode_matrix(space, []))
+    predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(6)))[:6]
+    evaluated = RowSet.of(space, encode_matrix(space, predicted[2:3]))
+    keyed = count_keyed_rows(monkeypatch)
+    fills = count_rows(monkeypatch, dse.optimizer.distinct_rows, lambda args, X: len(X))
+    batch = select_batch(predicted, 5, space, evaluated, RngState(7))
+    assert batch == predicted[:2] + predicted[3:]
+    assert keyed == [6]  # the predictions, once
+    assert fills == []
+
+
 def test_batch_keeps_one_of_equal_predictions(toy_scenario):
-    space, nothing = toy_scenario.space, encode_matrix(toy_scenario.space, [])
+    space = toy_scenario.space
+    nothing = RowSet.of(space, encode_matrix(space, []))
     predicted = [(2, 1, "true", 1), (2, 1, "true", 1), (4, 2, "false", 3)]
     batch = select_batch(predicted, 5, space, nothing, RngState(7))
     assert batch[:2] == [(2, 1, "true", 1), (4, 2, "false", 3)]
     assert len(set(batch)) == len(batch) == 5
     # a repeat of an archive row is dropped with it
-    batch = select_batch(predicted, 2, space, encode_matrix(space, predicted[:1]), RngState(7))
+    batch = select_batch(predicted, 2, space, RowSet.of(space, encode_matrix(space, predicted[:1])),
+                         RngState(7))
     assert batch[0] == (4, 2, "false", 3) and len(set(batch)) == 2
     assert (2, 1, "true", 1) not in batch
 
 
 def test_batch_fills_with_fresh_prior_samples(toy_scenario):
     space = toy_scenario.space
-    pool = candidate_pool(space, 100_000, encode_matrix(space, []), RngState(8))
+    pool = candidate_pool(space, 100_000, RowSet.of(space, encode_matrix(space, [])), RngState(8))
     archive = set(decode_matrix(space, pool)[:30])
-    batch = select_batch([], 3, space, encode_matrix(space, list(archive)), RngState(9))
+    batch = select_batch([], 3, space, RowSet.of(space, encode_matrix(space, list(archive))),
+                         RngState(9))
     assert len(batch) == 3
     assert len(set(batch)) == 3
     assert not set(batch) & archive
@@ -394,7 +452,7 @@ def test_batch_fills_with_fresh_prior_samples(toy_scenario):
 
 def test_batch_subset_is_deterministic(toy_scenario):
     space = toy_scenario.space
-    nothing = encode_matrix(space, [])
+    nothing = RowSet.of(space, encode_matrix(space, []))
     predicted = decode_matrix(space, candidate_pool(space, 100_000, nothing, RngState(10)))[:10]
     a = select_batch(predicted, 4, space, nothing, RngState(11, 2))
     b = select_batch(predicted, 4, space, nothing, RngState(11, 2))
@@ -411,7 +469,8 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
         Parameter("n", "integer", lower=0, upper=1),
     ))
     archive = {("a", 0), ("a", 1)}
-    batch = select_batch([], 2, space, encode_matrix(space, list(archive)), RngState(13))
+    batch = select_batch([], 2, space, RowSet.of(space, encode_matrix(space, list(archive))),
+                         RngState(13))
     assert len(batch) == 2
     assert set(batch) == {("b", 0), ("b", 1)}
 
@@ -419,7 +478,8 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
 def test_batch_returns_short_when_space_is_exhausted():
     space = DesignSpace((Parameter("x", "integer", lower=0, upper=3),))
     everything = {(i,) for i in range(4)}
-    batch = select_batch([], 5, space, encode_matrix(space, list(everything)), RngState(12))
+    batch = select_batch([], 5, space, RowSet.of(space, encode_matrix(space, list(everything))),
+                         RngState(12))
     assert batch == []
 
 
@@ -430,7 +490,8 @@ def test_batch_rejects_an_evaluated_configuration_outside_the_domain(predicted, 
     with pytest.raises(DomainError, match="value 7 outside domain"):
         encode_matrix(space, [(1,), (7,)])
     with pytest.raises(DomainError, match="value 7 outside domain"):
-        select_batch(predicted + [(7,)], m, space, encode_matrix(space, [(1,)]), RngState(12))
+        select_batch(predicted + [(7,)], m, space, RowSet.of(space, encode_matrix(space, [(1,)])),
+                     RngState(12))
 
 
 # --- run --------------------------------------------------------------------------
@@ -607,6 +668,20 @@ def test_each_evaluated_configuration_is_encoded_once(toy_scenario_doc, monkeypa
     assert len(calls) == 1 + 2 * iterations
     assert [name for name, _ in calls].count("select_batch") == iterations
     assert sum(rows for name, rows in calls if name == "run") == len(result.records)
+
+
+def test_a_run_keys_each_row_once(toy_scenario_doc, monkeypatch):
+    import dse.optimizer
+    import dse.priors
+
+    keyed = count_keyed_rows(monkeypatch)
+    prior = count_rows(monkeypatch, dse.priors.prior_rows, lambda args, X: len(X))
+    uniform = count_rows(monkeypatch, dse.optimizer._uniform_rows, lambda args, X: len(X))
+    predicted = count_rows(monkeypatch, dse.optimizer.select_batch, lambda args, _: len(args[0]))
+    result = run(scenario_with(toy_scenario_doc, seed=1))
+    assert result.meta["iterations_run"] > 0 and prior and predicted
+    # each drawn row, each prediction and each evaluated configuration at most once
+    assert sum(keyed) <= sum(prior) + sum(uniform) + sum(predicted) + len(result.records)
 
 
 # --- mono-objective ----------------------------------------------------------------

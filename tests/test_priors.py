@@ -18,7 +18,7 @@ from dse import (
     warmup_sample,
 )
 from dse.priors import prior_rows
-from dse.space import UNIFORM_PRIOR
+from dse.space import UNIFORM_PRIOR, RowSet
 
 from oracles import prior_config
 
@@ -299,7 +299,7 @@ def test_warmup_and_batch_fill_follow_the_sequential_prior_stream(toy_scenario, 
     m = n - len(archive) + 1
     expected = predicted[-1:] + sequential_distinct(space, m - 1, RngState(14),
                                                     taken=archive | set(predicted), limit=100 * m)
-    X = encode_matrix(space, list(archive))
+    X = RowSet.of(space, encode_matrix(space, list(archive)))
     assert select_batch(predicted, m, space, X, RngState(14)) == expected
 
 
@@ -307,8 +307,8 @@ def test_uniform_pool_is_uniform_per_parameter_kind():
     from dse.optimizer import candidate_pool
     from dse.space import decode_matrix
 
-    pool = decode_matrix(MIXED, candidate_pool(MIXED, 20_000, encode_matrix(MIXED, []),
-                                               RngState(21, 3)))
+    nothing = RowSet.of(MIXED, encode_matrix(MIXED, []))
+    pool = decode_matrix(MIXED, candidate_pool(MIXED, 20_000, nothing, RngState(21, 3)))
     assert len(set(pool)) == len(pool) == 20_000
     columns = list(zip(*pool))
     x = np.array(columns[0])
