@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dse import brute_force_front, constrained_front, hvi, objective_stddevs, parse_scenario, run
+from dse.pareto import feasible_hvi
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
 
@@ -32,7 +33,7 @@ def main() -> int:
     print(f"space: {scenario.space.cardinality()} points, "
           f"{sum(r.feasible for r in all_records)} feasible")
 
-    result = run(scenario, reference_front=ref)
+    result = run(scenario)
     front = constrained_front(result.records)
     sigma = objective_stddevs([r.objectives for r in result.records] + ref)
     gap = hvi([r.objectives for r in front], ref, sigma)
@@ -46,7 +47,12 @@ def main() -> int:
         name = ", ".join(f"{k}={v}" for k, v in zip(scenario.space.names, r.config))
         print(f"{name:<28} {r.objectives[0]:>9.0f} {r.objectives[1]:>7.0f}  "
               f"{'yes' if r.objectives in truth else 'no'}")
-    print("hvi trace:", " ".join(f"{tag}:{value:.3f}" for tag, value in result.hvi_trace))
+    trace = []
+    for tag in sorted({r.iteration_tag for r in result.records}):
+        upto = [r for r in result.records if r.iteration_tag <= tag]
+        value = feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto], ref, sigma)
+        trace.append(f"{tag}:{value:.3f}")
+    print("hvi trace:", " ".join(trace))
     return 0
 
 

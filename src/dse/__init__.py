@@ -3,6 +3,8 @@
 Prior-guided warm-up sampling, per-objective random-forest surrogates, a
 random-forest feasibility filter, and an active-learning loop that peels
 successive predicted Pareto layers while never re-evaluating a point.
+A run returns its records; their hypervolume indicator (HVI) against a
+reference front is computed from them, for any number of objectives.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +22,7 @@ from .pareto import (
     constrained_front,
     dominates,
     hvi,
-    hypervolume_2d,
+    hypervolume,
     objective_stddevs,
     pareto_front,
     reference_front,
@@ -57,7 +59,7 @@ __all__ = [
     "beta_pdf", "brute_force_front", "candidate_pool", "constrained_front",
     "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
     "evaluate_batch", "feature_importance", "fit_classifier",
-    "fit_regressor", "hvi", "hypervolume_2d", "kfold_recall",
+    "fit_regressor", "hvi", "hypervolume", "kfold_recall",
     "objective_stddevs", "parse_scenario", "pareto_front", "predict_pareto",
     "reference_front", "run", "sample_beta", "select_batch",
     "toy_fpga", "warmup_sample",

@@ -116,9 +116,11 @@ def read_points_csv(path: Path, objectives: Sequence[str]
         points, feasible = [], []
         for row in reader:
             where = f"{path} line {reader.line_num}"
-            if None in row.values():
-                # csv.DictReader fills the cells a short row lacks with None
-                raise ValidationError(f"{where}: row has fewer cells than the header")
+            # csv.DictReader files a long row's extra cells under the key None
+            # and fills the cells a short row lacks with None
+            if None in row or None in row.values():
+                count = "more" if None in row else "fewer"
+                raise ValidationError(f"{where}: row has {count} cells than the header")
             points.append(tuple(_finite_cell(row[o], f"{where}, column {o!r}")
                                 for o in objectives))
             feasible.append(row.get("feasible", "true") == "true")
@@ -177,18 +179,26 @@ def load_scenario(path: str, overrides: Sequence[str] = (), seed: int | None = N
 
 
 def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
-                        reference_path: str | None) -> None:
+                        reference_path: str | None,
+                        reference: list[tuple[float, ...]] | None) -> None:
+    """Write a run's artifacts; with ``reference`` (read from ``reference_path``)
+    hvi_trace.csv holds the HVI of the records up to each iteration tag."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    space, objectives = scenario.space, scenario.objectives
+    space, objectives, records = scenario.space, scenario.objectives, result.records
     (out_dir / "samples.csv").write_text(
-        records_to_csv(space, objectives, result.records), encoding="utf-8")
+        records_to_csv(space, objectives, records), encoding="utf-8")
     (out_dir / "pareto.csv").write_text(
-        records_to_csv(space, objectives, constrained_front(result.records)), encoding="utf-8")
+        records_to_csv(space, objectives, constrained_front(records)), encoding="utf-8")
 
     trace = io.StringIO()
     trace.write("iteration,hvi\n")
-    for tag, value in result.hvi_trace:
-        trace.write(f"{tag},{canonical_str(float(value))}\n")
+    if reference is not None:
+        sigma = objective_stddevs([r.objectives for r in records] + reference)
+        for tag in sorted({r.iteration_tag for r in records}):
+            upto = [r for r in records if r.iteration_tag <= tag]
+            value = feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto],
+                                 reference, sigma)
+            trace.write(f"{tag},{canonical_str(value)}\n")
     (out_dir / "hvi_trace.csv").write_text(trace.getvalue(), encoding="utf-8")
 
     imp = io.StringIO()
@@ -211,6 +221,8 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
         },
         **result.meta,
     }
+    if reference is not None:
+        meta["hvi_stddevs"] = dict(zip(objectives, sigma.tolist()))
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
 
@@ -221,7 +233,7 @@ def cmd_run(args) -> int:
         reference = read_front_csv(Path(args.reference_front), scenario.objectives)
     out_dir = Path(scenario.output_dir)
     try:
-        result = run(scenario, reference_front=reference)
+        result = run(scenario)
     except EvaluationError as e:
         partial = getattr(e, "partial_records", [])
         if partial:
@@ -231,7 +243,7 @@ def cmd_run(args) -> int:
                 encoding="utf-8")
         print(f"error: EvaluationError: {e}", file=sys.stderr)
         return 1
-    write_run_artifacts(out_dir, scenario, result, args.reference_front)
+    write_run_artifacts(out_dir, scenario, result, args.reference_front, reference)
     front = constrained_front(result.records)
     if not front:
         print("warning: no feasible point found; pareto.csv is empty", file=sys.stderr)
@@ -305,8 +317,6 @@ def cmd_report(args) -> int:
     if len(objective_sets) != 1:
         raise ReportError("runs disagree on objective sets")
     objectives = list(objective_sets.pop())
-    if len(objectives) != 2:
-        raise ReportError("the hypervolume report needs exactly two objectives")
 
     per_run = [read_points_csv(d / "samples.csv", objectives) for d in run_dirs]
     all_points = [p for points, _ in per_run for p in points]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
-from .pareto import EvaluationRecord, feasible_hvi, objective_stddevs, pareto_front
+from .pareto import EvaluationRecord, pareto_front
 from .priors import prior_rows
 from .rng import RngState
 from .space import (
@@ -54,12 +54,11 @@ _STREAM_BATCH = 4
 @dataclass
 class RunResult:
     """Every evaluation record in order, the regressor of the run's last
-    refit (the forest whose feature importances the CLI writes), the HVI
-    trace and the run's metadata."""
+    refit (the forest whose feature importances the CLI writes) and the
+    run's metadata."""
 
     records: list[EvaluationRecord]
     regressor: Forest
-    hvi_trace: list[tuple[int, float]]
     meta: dict
 
 
@@ -155,7 +154,7 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: 
     return fresh + decode_matrix(space, fill)
 
 
-def run(scenario: Scenario, reference_front=None) -> RunResult:
+def run(scenario: Scenario) -> RunResult:
     """Execute the full search for a scenario.
 
     Warm-up with doe_samples prior-drawn distinct configurations and
@@ -168,18 +167,13 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
     for the refit, and one row set grows with their keys for the pool and
     the batch selection. Only a refit
     that a prediction follows fits the classifier; the last refit's
-    regressor is returned (its importances are reported).
-
-    ``reference_front`` (optional list of objective vectors) enables the
-    per-iteration HVI trace; it requires a bi-objective scenario.
+    regressor is returned (its importances are reported). Each record carries
+    its iteration tag, so the HVI trace is computed from the records.
     """
     # imported at call time: perfbench's tracer wraps dse.priors.warmup_sample,
     # and a module-level import would bind the unwrapped function
     from .priors import warmup_sample
 
-    if reference_front is not None and len(scenario.objectives) != 2:
-        raise ValueError(f"the HVI trace needs exactly two objectives, "
-                         f"the scenario has {len(scenario.objectives)}")
     t0 = time.perf_counter()
     space = scenario.space
     root = RngState(scenario.seed)
@@ -220,18 +214,8 @@ def run(scenario: Scenario, reference_front=None) -> RunResult:
         e.partial_records = records
         raise
 
-    meta: dict = {
+    return RunResult(records=records, regressor=regressor, meta={
         "iterations_run": i,
         "evaluations": len(records),
         "duration_seconds": time.perf_counter() - t0,
-    }
-    hvi_trace: list[tuple[int, float]] = []
-    if reference_front is not None:
-        ref = [tuple(map(float, p)) for p in reference_front]
-        sigma = objective_stddevs([r.objectives for r in records] + ref)
-        meta["hvi_stddevs"] = dict(zip(scenario.objectives, sigma.tolist()))
-        for tag in sorted({r.iteration_tag for r in records}):
-            upto = [r for r in records if r.iteration_tag <= tag]
-            hvi_trace.append((tag, feasible_hvi([r.objectives for r in upto],
-                                                [r.feasible for r in upto], ref, sigma)))
-    return RunResult(records=records, regressor=regressor, hvi_trace=hvi_trace, meta=meta)
+    })

@@ -99,21 +99,29 @@ def constrained_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRec
     return [records[i] for i in idx]
 
 
-def hypervolume_2d(front: Sequence[ObjectiveVector], ref: ObjectiveVector) -> float:
-    """Exact area dominated by a bi-objective front inside the box bounded
-    by ``ref``. Points beyond the reference are clipped out."""
-    if len(ref) != 2 or any(len(p) != 2 for p in front):
-        raise ValueError("hypervolume_2d handles exactly two objectives")
-    pts = [(float(p[0]), float(p[1])) for p in front
-           if p[0] <= ref[0] and p[1] <= ref[1]]
-    if not pts:
+def hypervolume(front: Sequence[ObjectiveVector], ref: ObjectiveVector) -> float:
+    """Exact volume a front of any number of objectives dominates inside the
+    box bounded by ``ref`` (points beyond it are clipped out), by slicing
+    objectives (While, Hingston, Barone & Huband, IEEE TEVC 2006): sweep the
+    non-dominated points in ascending order; each slab, up to the next
+    point's first objective or ``ref[0]``, adds its width times what the
+    points so far dominate in the other objectives."""
+    R, P = np.asarray(ref, dtype=float), np.asarray(front, dtype=float)
+    if len(P) == 0:
         return 0.0
-    nd = sorted({pts[i] for i in pareto_front(pts)})
-    area = 0.0
-    for j, (x, y) in enumerate(nd):
-        next_x = nd[j + 1][0] if j + 1 < len(nd) else float(ref[0])
-        area += (next_x - x) * (float(ref[1]) - y)
-    return area
+    if P.shape[1:] != R.shape:
+        raise ValueError(f"hypervolume: points of shape {P.shape[1:]}, ref of shape {R.shape}")
+    P = P[(P <= R).all(axis=1)]
+    P = P[np.lexsort(P.T[::-1])]
+    nd = P[pareto_front(P)]  # a duplicate point only adds a slab of width 0
+    if len(nd) == 0:
+        return 0.0
+    width = np.append(nd[1:, 0], R[0]) - nd[:, 0]
+    if R.size > 2:
+        dominated = np.array([hypervolume(nd[:j + 1, 1:], R[1:]) for j in range(len(nd))])
+    else:  # ref[1] - y of the slab's point at two objectives, 1 at one
+        dominated = R[1] - nd[:, 1] if R.size == 2 else 1.0
+    return float(np.cumsum(width * dominated)[-1])  # sweep order: np.sum's pairing moves bits
 
 
 def objective_stddevs(objectives: Sequence[ObjectiveVector]) -> np.ndarray:
@@ -134,21 +142,19 @@ def hvi(approx_front: Sequence[ObjectiveVector],
     max over both scaled fronts plus a small margin, and the result is
     HV(reference) - HV(approximation), floored at zero.
     """
-    if len(approx_front) == 0 or len(reference_front) == 0:
-        raise ValueError("hvi requires two non-empty fronts")
-    scale = np.asarray(stddevs, dtype=float).copy()
+    A, R = np.asarray(approx_front, dtype=float), np.asarray(reference_front, dtype=float)
+    scale = np.array(stddevs, dtype=float)
+    if not (len(A) and len(R) and scale.ndim == 1 and A.shape[1:] == R.shape[1:] == scale.shape):
+        raise ValueError(f"hvi requires two non-empty fronts and one stddev per objective, got "
+                         f"shapes {A.shape}, {R.shape} and {scale.shape}")
     zero = scale <= 0.0
     if zero.any():
         log.warning("zero standard deviation in objective(s) %s; left unscaled",
                     np.nonzero(zero)[0].tolist())
         scale[zero] = 1.0
-    A = np.asarray(approx_front, dtype=float) / scale
-    R = np.asarray(reference_front, dtype=float) / scale
-    if A.shape[1] != 2 or R.shape[1] != 2:
-        raise ValueError("hvi handles exactly two objectives")
+    A, R = A / scale, R / scale
     ref_point = np.maximum(A.max(axis=0), R.max(axis=0)) + 1e-6
-    value = hypervolume_2d(R, ref_point) - hypervolume_2d(A, ref_point)
-    return max(0.0, value)
+    return max(0.0, hypervolume(R, ref_point) - hypervolume(A, ref_point))
 
 
 def feasible_hvi(points: Sequence[ObjectiveVector], feasible: Sequence[bool],
@@ -165,7 +171,4 @@ def reference_front(runs: Sequence[Sequence[EvaluationRecord]]) -> list[Evaluati
     across all runs of an experiment."""
     if not runs:
         raise ValueError("reference_front requires at least one run")
-    union: list[EvaluationRecord] = []
-    for records in runs:
-        union.extend(records)
-    return constrained_front(union)
+    return constrained_front([r for records in runs for r in records])

@@ -3,6 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Hypothesis's built-in "ci" profile (derandomized, no deadline, no example
+# database), which GitHub Actions loads by itself: a local run draws the
+# examples CI draws, so a CI failure reproduces here.
+settings.load_profile("ci")
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"

@@ -10,10 +10,14 @@ the uniform candidate pool is drawn as value tuples deduplicated through
 a set, not as an encoded matrix with row keys, a prior draw snaps and picks
 one value at a time with plain loops, not column by column with
 ``searchsorted``, and a forest predicts by walking its linked TreeNode view,
-not its node arrays.
+not its node arrays, and the hypervolume is the inclusion-exclusion sum over
+every subset of the points, not a sweep.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -36,6 +40,18 @@ def pairwise_front(points) -> set[int]:
         lt |= col[:, None] < col[None, :]
     dominated = (le & lt).any(axis=0)
     return {int(i) for i in np.nonzero(~dominated)[0]}
+
+
+def inclusion_exclusion_hypervolume(points, ref) -> float:
+    """Volume dominated by ``points`` inside the box bounded by ``ref``: the
+    alternating sum, over every non-empty subset, of the box between the
+    subset's component-wise max and ``ref`` (empty where the max passes it)."""
+    total = 0.0
+    for k in range(1, len(points) + 1):
+        for subset in itertools.combinations(points, k):
+            corner = [max(column) for column in zip(*subset)]
+            total += (-1) ** (k + 1) * math.prod(max(0.0, r - c) for r, c in zip(ref, corner))
+    return total
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)

@@ -23,7 +23,7 @@ from dse import (
     fit_regressor,
     feature_importance,
     hvi,
-    hypervolume_2d,
+    hypervolume,
     kfold_recall,
     pareto_front,
     run,
@@ -194,9 +194,9 @@ def test_acceptance_7_hvi_properties():
     for _ in range(1000):
         pts = gen.random((5, 2)) * 10
         ref = (11.0, 11.0)
-        if hypervolume_2d(pts.tolist(), ref) < hypervolume_2d(pts[:-1].tolist(), ref) - 1e-12:
+        if hypervolume(pts.tolist(), ref) < hypervolume(pts[:-1].tolist(), ref) - 1e-12:
             monotone_ok = False
-    hand_ok = hypervolume_2d([(0, 1), (1, 0)], (2, 2)) == 3.0
+    hand_ok = hypervolume([(0, 1), (1, 0)], (2, 2)) == 3.0
     criterion(7, "hvi identity, monotonicity, hand-computed value",
               identity_ok and monotone_ok and hand_ok)
 

@@ -1,5 +1,6 @@
-import json
 import csv
+import json
+import math
 
 import pytest
 
@@ -314,25 +315,54 @@ def test_non_finite_objective_aborts_run_and_keeps_partial_archive(tmp_path, cap
     assert len(read_rows(out / "samples.csv")) == 30
 
 
+def test_one_objective_hvi_trace_has_one_row_per_stage(tmp_path, truth_dir):
+    # the reference is the cycles column of the two-objective true front
+    out = tmp_path / "cycles"
+    assert run_cli("run", TOY, "--set", f"output_dir={out}",
+                   "--set", 'optimization_objectives=["cycles"]',
+                   "--reference-front", truth_dir / "true_front.csv") == 0
+    stages = sorted({int(r["iteration_tag"]) for r in read_rows(out / "samples.csv")})
+    rows = read_rows(out / "hvi_trace.csv")
+    assert [int(r["iteration"]) for r in rows] == stages
+    assert all(0.0 <= float(r["hvi"]) < math.inf for r in rows)
+    assert list(json.loads((out / "run_meta.json").read_text())["hvi_stddevs"]) == ["cycles"]
+
+
+# the toy cost model plus a third objective, power, over the CSV protocol
+TOY_WITH_POWER = """\
+import csv, math, sys
+rows = [r for r in csv.reader(sys.stdin) if r]
+idx = {name: i for i, name in enumerate(rows[0])}
+out = csv.writer(sys.stdout, lineterminator="\\n")
+out.writerow(rows[0] + ["cycles", "logic", "power", "feasible"])
+for row in rows[1:]:
+    t, p, b = int(row[idx["T"]]), int(row[idx["P"]]), int(row[idx["B"]])
+    s = row[idx["S"]] == "true"
+    cycles = math.ceil(4096 / t) * math.ceil(t / p) * (1 if s else 2) + 64 * b
+    logic = 5 * p + 3 * t * (2 if s else 1) + 7 * b
+    out.writerow(row + [repr(float(cycles)), repr(float(logic)), repr(float(p * t / b)),
+                        "true" if logic <= 120 else "false"])
+"""
+
+
 @pytest.mark.parametrize("objectives", [["cycles"], ["cycles", "logic", "power"]])
-def test_reference_front_needs_two_objectives(tmp_path, capsys, objectives):
+def test_report_over_any_objective_count(tmp_path, objectives):
     import sys as _sys
 
-    marker = tmp_path / "evaluated"
-    script = tmp_path / "touch.py"
-    script.write_text(f"import pathlib, sys\npathlib.Path({str(marker)!r}).touch()\nsys.exit(3)\n")
-    reference = tmp_path / "ref.csv"
-    reference.write_text(",".join(objectives) + "\n" + ",".join("1.0" for _ in objectives) + "\n")
-    evaluator = json.dumps({"command": f"{_sys.executable} {script}"})
-    code = run_cli("run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
-                   "--set", f"optimization_objectives={json.dumps(objectives)}",
-                   "--set", f"evaluator={evaluator}",
-                   "--reference-front", reference)
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: ValueError:") and "two objectives" in err
-    assert "\n" not in err
-    assert not marker.exists()
+    overrides = ["--set", f"optimization_objectives={json.dumps(objectives)}"]
+    if "power" in objectives:
+        script = tmp_path / "toy_with_power.py"
+        script.write_text(TOY_WITH_POWER)
+        evaluator = json.dumps({"command": f"{_sys.executable} {script}"})
+        overrides += ["--set", f"evaluator={evaluator}"]
+    dirs = [tmp_path / "s1", tmp_path / "s2"]
+    for seed, out in enumerate(dirs, start=1):
+        assert run_cli("run", TOY, "--seed", seed, "--set", f"output_dir={out}", *overrides) == 0
+    report = tmp_path / "report.csv"
+    assert run_cli("report", *dirs, "--output", report) == 0
+    rows = list(csv.reader(open(report)))
+    assert [r[0] for r in rows] == ["run", *map(str, dirs), "mean", "ci80_half_width"]
+    assert all(0.0 <= float(r[1]) < math.inf for r in rows[1:])
 
 
 def test_report_identical_runs_have_zero_ci(tmp_path, truth_dir):
@@ -422,15 +452,19 @@ def test_reference_front_without_feasible_rows_fails_alike(tmp_path, run_dir, ca
 
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_short_csv_row_fails_with_file_and_line(tmp_path, run_dir, capsys, command):
+    # a long row fails alike: an unquoted comma must not shift a point unnoticed
     reference = tmp_path / "ref.csv"
-    reference.write_text("cycles,logic,feasible\n10.0,2.0,true\n12.0\n")
     if command == "run":
         args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
     else:
         args = ["report", run_dir, "--output", tmp_path / "report.csv"]
-    assert run_cli(*args, "--reference-front", reference) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: ValidationError: {reference} line 3: row has fewer cells than the header\n"
+    for row, count in [("12.0", "fewer"), ("1,5,0.3,true", "more")]:
+        reference.write_text(f"cycles,logic,feasible\n10.0,2.0,true\n{row}\n")
+        assert run_cli(*args, "--reference-front", reference) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: ValidationError: {reference} line 3: "
+                       f"row has {count} cells than the header\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])

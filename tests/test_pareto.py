@@ -10,13 +10,13 @@ from dse import (
     constrained_front,
     dominates,
     hvi,
-    hypervolume_2d,
+    hypervolume,
     objective_stddevs,
     pareto_front,
     reference_front,
 )
 from dse.pareto import feasible_front, feasible_hvi
-from oracles import pairwise_front
+from oracles import inclusion_exclusion_hypervolume, pairwise_front
 
 
 def rec(objectives, feasible=True, tag=-1, key=None):
@@ -146,24 +146,41 @@ def test_archive_front_members_are_feasible(toy_truth):
 # --- hypervolume -------------------------------------------------------------------
 
 def test_hypervolume_full_box():
-    assert hypervolume_2d([(0, 0)], (2, 2)) == 4.0
+    assert hypervolume([(0, 0)], (2, 2)) == 4.0
 
 
 def test_hypervolume_single_inner_point():
-    assert hypervolume_2d([(1, 1)], (2, 2)) == 1.0
+    assert hypervolume([(1, 1)], (2, 2)) == 1.0
 
 
 def test_hypervolume_two_point_union():
-    assert hypervolume_2d([(0, 1), (1, 0)], (2, 2)) == 3.0
+    assert hypervolume([(0, 1), (1, 0)], (2, 2)) == 3.0
 
 
 def test_hypervolume_clips_points_beyond_reference():
-    assert hypervolume_2d([(0, 1), (3, 0)], (2, 2)) == 2.0
+    assert hypervolume([(0, 1), (3, 0)], (2, 2)) == 2.0
 
 
-def test_hypervolume_rejects_other_dimensions():
+@pytest.mark.parametrize("front, ref", [
+    ([(0, 0, 0)], (1, 1)),
+    ([(0, 0)], (1, 1, 1)),
+    ([(0, 0), (0, 0, 0)], (1, 1)),
+    ([0, 0, 1, 1], (2, 2)),
+    ([(0, 0)], [(1, 1)]),
+], ids=["longer-points", "shorter-points", "ragged-front", "flat-list-not-refolded",
+        "ref-not-a-point"])
+def test_hypervolume_rejects_a_point_whose_length_differs_from_ref(front, ref):
     with pytest.raises(ValueError):
-        hypervolume_2d([(0, 0, 0)], (1, 1, 1))
+        hypervolume(front, ref)
+
+
+@given(st.integers(1, 4).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.lists(st.integers(0, 5), min_size=p, max_size=p), max_size=7))))
+@settings(max_examples=200, deadline=None)
+def test_hypervolume_matches_inclusion_exclusion(case):
+    p, points = case
+    ref = (5,) * p
+    assert hypervolume(points, ref) == inclusion_exclusion_hypervolume(points, ref)
 
 
 def test_hypervolume_monotone_under_point_addition():
@@ -171,8 +188,8 @@ def test_hypervolume_monotone_under_point_addition():
     for _ in range(200):
         pts = gen.random((6, 2)) * 10
         ref = (12.0, 12.0)
-        base = hypervolume_2d(pts[:-1].tolist(), ref)
-        extended = hypervolume_2d(pts.tolist(), ref)
+        base = hypervolume(pts[:-1].tolist(), ref)
+        extended = hypervolume(pts.tolist(), ref)
         assert extended >= base - 1e-12
 
 
@@ -217,6 +234,17 @@ def test_hvi_treats_zero_stddev_as_unscaled(caplog):
 def test_hvi_requires_non_empty_fronts():
     with pytest.raises(ValueError):
         hvi([], [(0.0, 0.0)], (1.0, 1.0))
+
+
+@pytest.mark.parametrize("approx, reference, stddevs", [
+    ([(1.0, 2.0)], [(1.0, 2.0, 3.0)], (1.0, 1.0)),
+    ([(1.0, 2.0, 3.0)], [(1.0, 2.0)], (1.0, 1.0, 1.0)),
+    ([(1.0, 2.0)], [(0.0, 1.0)], (1.0,)),
+    ([(1.0, 2.0)], [(0.0, 1.0)], (1.0, 1.0, 1.0)),
+], ids=["reference-longer", "approx-longer", "one-stddev-not-broadcast", "extra-stddev"])
+def test_hvi_rejects_mismatched_objective_counts(approx, reference, stddevs):
+    with pytest.raises(ValueError):
+        hvi(approx, reference, stddevs)
 
 
 def test_feasible_hvi_scores_the_feasible_front_and_inf_without_one():
