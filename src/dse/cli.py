@@ -21,7 +21,7 @@ import math
 import platform
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,17 +86,15 @@ def parse_value(param: Parameter, text: str) -> Any:
 
 def read_records_csv(path: Path, space: DesignSpace,
                      objectives: Sequence[str]) -> list[EvaluationRecord]:
-    """Parse a records CSV back into typed EvaluationRecords."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    records = []
-    for row in rows:
-        values = tuple(parse_value(p, row[p.name]) for p in space.parameters)
-        objs = tuple(float(row[o]) for o in objectives)
-        feasible = row["feasible"] == "true"
-        tag = int(row["iteration_tag"]) if "iteration_tag" in row and row["iteration_tag"] else -1
-        records.append(EvaluationRecord(values, objs, feasible, tag))
-    return records
+    """The typed records of a CSV with every parameter, objective and
+    ``feasible`` column, checked as :func:`read_points_csv` checks its rows;
+    tags must be integers (-1 without an ``iteration_tag`` column)."""
+    return [EvaluationRecord(
+        tuple(parse_value(p, row[p.name]) for p in space.parameters),
+        tuple(_cell(row, o, where, _finite, "a finite number") for o in objectives),
+        _cell(row, "feasible", where, {"true": True, "false": False}.get, "true or false"),
+        _cell(row, "iteration_tag", where, int, "an integer") if "iteration_tag" in row else -1)
+        for where, row in _csv_rows(path, [*space.names, *objectives, "feasible"])]
 
 
 class ReferenceFrontError(ValueError):
@@ -105,15 +103,24 @@ class ReferenceFrontError(ValueError):
 
 def read_points_csv(path: Path, objectives: Sequence[str]
                     ) -> tuple[list[tuple[float, ...]], list[bool]]:
-    """Objective vectors and feasibility flags of a records CSV; a file with
-    no ``feasible`` column counts every row as feasible. Every objective
-    cell must hold a finite number."""
+    """Objective vectors and feasibility flags of a records CSV (all feasible
+    without a ``feasible`` column). Rows must be as long as the header,
+    objectives finite numbers and feasible cells ``true`` or ``false``."""
+    points, feasible = [], []
+    for where, row in _csv_rows(path, objectives):
+        points.append(tuple(_cell(row, o, where, _finite, "a finite number") for o in objectives))
+        feasible.append("feasible" not in row or _cell(
+            row, "feasible", where, {"true": True, "false": False}.get, "true or false"))
+    return points, feasible
+
+
+def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, dict]]:
+    """Each row, after its "<path> line <n>", of a CSV file that has ``columns``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [o for o in objectives if o not in (reader.fieldnames or ())]
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError(f"{path} has no column {missing[0]!r}")
-        points, feasible = [], []
         for row in reader:
             where = f"{path} line {reader.line_num}"
             # csv.DictReader files a long row's extra cells under the key None
@@ -121,20 +128,23 @@ def read_points_csv(path: Path, objectives: Sequence[str]
             if None in row or None in row.values():
                 count = "more" if None in row else "fewer"
                 raise ValidationError(f"{where}: row has {count} cells than the header")
-            points.append(tuple(_finite_cell(row[o], f"{where}, column {o!r}")
-                                for o in objectives))
-            feasible.append(row.get("feasible", "true") == "true")
-    return points, feasible
+            yield where, row
 
 
-def _finite_cell(cell: str, where: str) -> float:
+def _finite(cell: str) -> float | None:
     # NaN and inf pass float() but break dominance and the hypervolume
+    value = float(cell)
+    return value if math.isfinite(value) else None
+
+
+def _cell(row: dict, column: str, where: str, parse: Callable[[str], Any], kind: str) -> Any:
+    """``parse(row[column])``; a cell it rejects (ValueError or None) fails."""
     try:
-        value = float(cell)
+        value = parse(row[column])
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: {cell!r} is not a finite number")
+        value = None
+    if value is None:
+        raise ValidationError(f"{where}, column {column!r}: {row[column]!r} is not {kind}")
     return value
 
 
@@ -235,11 +245,10 @@ def cmd_run(args) -> int:
     try:
         result = run(scenario)
     except EvaluationError as e:
-        partial = getattr(e, "partial_records", [])
-        if partial:
+        if e.partial_records:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "samples.csv").write_text(
-                records_to_csv(scenario.space, scenario.objectives, partial),
+                records_to_csv(scenario.space, scenario.objectives, e.partial_records),
                 encoding="utf-8")
         print(f"error: EvaluationError: {e}", file=sys.stderr)
         return 1

@@ -43,6 +43,7 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, raw_output: str = ""):
         super().__init__(message)
         self.raw_output = raw_output
+        self.partial_records: list[EvaluationRecord] = []  # run's records before the failure
 
 
 @dataclass(frozen=True)

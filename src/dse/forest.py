@@ -422,14 +422,17 @@ class Forest:
     a linked TreeNode view, built on first read; no run step reads it."""
 
     kind: str  # "regressor" | "classifier"
-    n_features: int
-    unordered: tuple[bool, ...]
+    unordered: tuple[bool, ...]  # one flag per feature
     n_trees: int
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
     value: np.ndarray
     raw_importance: np.ndarray  # mean per-feature impurity decrease over trees: (d,) or (p, d)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.unordered)
 
     @cached_property
     def trees(self) -> tuple[TreeNode, ...]:
@@ -545,9 +548,9 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
     builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k)
     feature, threshold, child, value = builder.build()
     importance = builder.importance.reshape(len(rngs), hp.n_estimators, d).mean(axis=1)
-    return Forest(kind="classifier" if classifier else "regressor", n_features=d,
-                  unordered=unordered, n_trees=len(gens), feature=feature, threshold=threshold,
-                  child=child, value=value, raw_importance=importance[0] if vector else importance)
+    return Forest(kind="classifier" if classifier else "regressor", unordered=unordered,
+                  n_trees=len(gens), feature=feature, threshold=threshold, child=child,
+                  value=value, raw_importance=importance[0] if vector else importance)
 
 
 def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,

@@ -15,10 +15,12 @@ the filter keeps its survivors by column, both forests read it by feature
 without a copy, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 
-The archive of evaluated configurations is encoded and keyed once, when its
-batch returns: :func:`run` grows one matrix with the records, which
-:func:`fit_surrogates` fits on, and one :class:`~dse.space.RowSet` of their
-keys, which :func:`candidate_pool` and :func:`select_batch` draw around.
+The archive of evaluated configurations is one :class:`~dse.space.RowSet`
+that :func:`run` grows with each batch when it returns, encoding and keying
+its records once: its rows, in record order, are the matrix
+:func:`fit_surrogates` fits on, and its keys are what :func:`candidate_pool`
+and :func:`select_batch` draw around. The warm-up is the first batch of the
+same cycle.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import priors
 from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
 from .pareto import EvaluationRecord, pareto_front
-from .priors import prior_rows
 from .rng import RngState
 from .space import (
     REAL,
@@ -149,7 +151,7 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: 
         gen = rng.generator
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
-    fill = distinct_rows(space, m - len(fresh), lambda k: prior_rows(space, k, rng), rng,
+    fill = distinct_rows(space, m - len(fresh), lambda k: priors.prior_rows(space, k, rng), rng,
                          taken=evaluated.union(P[new], keys[new]), limit=100 * m)
     return fresh + decode_matrix(space, fill)
 
@@ -157,40 +159,33 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: 
 def run(scenario: Scenario) -> RunResult:
     """Execute the full search for a scenario.
 
-    Warm-up with doe_samples prior-drawn distinct configurations and
-    evaluate them. Then loop: refit the surrogates on every record, stop
-    after optimization_iterations batches, predict the front over a fresh
-    pool that holds nothing evaluated, and evaluate a batch of at most
-    evaluations_per_iteration of it. The loop stops early when the
-    prediction or the batch comes back empty. The archive is encoded and
-    keyed once, when its batch returns: one matrix grows with the records
-    for the refit, and one row set grows with their keys for the pool and
-    the batch selection. Only a refit
-    that a prediction follows fits the classifier; the last refit's
-    regressor is returned (its importances are reported). Each record carries
-    its iteration tag, so the HVI trace is computed from the records.
+    Every batch, the warm-up of doe_samples prior-drawn configurations first
+    (tag -1), goes through one cycle: evaluate it, encode and key it once into
+    the archive's row set, and refit on the set's rows; then stop after
+    optimization_iterations batches or at an empty prediction or batch, or
+    predict the front over a fresh pool without evaluated rows and select at
+    most evaluations_per_iteration of it. Only a refit that a prediction
+    follows fits the classifier; the last refit's regressor is returned.
     """
-    # imported at call time: perfbench's tracer wraps dse.priors.warmup_sample,
-    # and a module-level import would bind the unwrapped function
-    from .priors import warmup_sample
-
     t0 = time.perf_counter()
     space = scenario.space
     root = RngState(scenario.seed)
+    fit_rng = root.substream(_STREAM_FIT)
     spec = scenario.evaluator
 
-    warm = warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
+    batch = priors.warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
     records: list[EvaluationRecord] = []
-    i = 0
+    evaluated = RowSet.of(space, np.empty((0, len(space.parameters))))
+    i = -1
     try:
-        records += evaluate_batch(spec, space, warm, iteration_tag=-1)
-        X = encode_matrix(space, [r.config for r in records])
-        evaluated = RowSet.of(space, X)
-        fit_rng = root.substream(_STREAM_FIT)
         while True:
+            records += evaluate_batch(spec, space, batch, iteration_tag=i)
+            B = encode_matrix(space, batch)  # the new records' configurations, in order
+            evaluated = evaluated.union(B, row_keys(space, B))
+            i += 1
             predicting = i < scenario.optimization_iterations
-            regressor, classifier = fit_surrogates(X, records, scenario, fit_rng.substream(i),
-                                                   classify=predicting)
+            regressor, classifier = fit_surrogates(evaluated.rows, records, scenario,
+                                                   fit_rng.substream(i), classify=predicting)
             if not predicting:
                 break
             # no name here holds the pool, so the filter's survivors replace it
@@ -204,12 +199,6 @@ def run(scenario: Scenario) -> RunResult:
                                  evaluated, root.substream(_STREAM_BATCH).substream(i))
             if not batch:
                 break
-            returned = evaluate_batch(spec, space, batch, iteration_tag=i)
-            records += returned
-            B = encode_matrix(space, [r.config for r in returned])
-            X = np.concatenate([X, B])
-            evaluated = evaluated.union(B, row_keys(space, B))
-            i += 1
     except EvaluationError as e:
         e.partial_records = records
         raise

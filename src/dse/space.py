@@ -327,21 +327,21 @@ def row_keys(space: DesignSpace, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # array fields: equality is identity
 class RowSet:
-    """An immutable set of encoded rows: ``known`` holds their sorted
-    :func:`row_keys`, looked up with ``searchsorted``. Exact keys decide
-    alone (``seen`` is None). For hashed keys ``seen`` holds the rows and
-    their keys, and a row whose key is known or repeats is compared with the
-    rows that share it, so distinct rows are never merged. A run keeps one
-    for its archive and grows it with each batch."""
+    """An immutable set of encoded rows: ``rows`` in the order they joined,
+    ``keys`` their :func:`row_keys` in that order, and ``known`` the keys
+    sorted for ``searchsorted``. Exact keys decide alone; rows that share a
+    hashed (uint64) key are compared, so distinct rows are never merged. A
+    run's archive is one, grown by each batch; its rows are the fit matrix."""
 
+    rows: np.ndarray
+    keys: np.ndarray
     known: np.ndarray
-    seen: tuple[np.ndarray, np.ndarray] | None
 
     @classmethod
     def of(cls, space: DesignSpace, X: np.ndarray) -> RowSet:
-        """The distinct rows of an encoded matrix, each keyed once."""
+        """X's distinct rows in first-occurrence order, each keyed once."""
         keys = row_keys(space, X)
-        empty = cls(keys[:0], (X[:0], keys[:0]) if keys.dtype == np.uint64 else None)
+        empty = cls(X[:0], keys[:0], keys[:0])
         keep = empty.new(X, keys)
         return empty.union(X[keep], keys[keep])
 
@@ -361,10 +361,9 @@ class RowSet:
             return new
         keep = np.empty(len(ks), dtype=bool)
         keep[keys.argsort(kind="stable")] = new  # of equal keys, the earliest drawn is new
-        if self.seen is not None:
-            rows, seen_keys = self.seen
+        if keys.dtype == np.uint64:
             for key in np.unique(ks[~new]):
-                owner = set(map(tuple, rows[seen_keys == key].tolist()))
+                owner = set(map(tuple, self.rows[self.keys == key].tolist()))
                 for i in np.flatnonzero(keys == key).tolist():
                     row = tuple(X[i].tolist())
                     keep[i] = row not in owner
@@ -372,11 +371,9 @@ class RowSet:
         return keep
 
     def union(self, X: np.ndarray, keys: np.ndarray) -> RowSet:
-        """The set with the new rows X (see :meth:`new`), keyed ``keys``, added."""
-        seen = self.seen
-        return RowSet(np.sort(np.concatenate([self.known, keys])),
-                      None if seen is None else (np.concatenate([seen[0], X]),
-                                                 np.concatenate([seen[1], keys])))
+        """The set with the new rows X (see :meth:`new`), keyed ``keys``, appended."""
+        return RowSet(np.concatenate([self.rows, X]), np.concatenate([self.keys, keys]),
+                      np.sort(np.concatenate([self.known, keys])))
 
 
 def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], rng,

@@ -255,7 +255,7 @@ def tree_walk(forest, X) -> np.ndarray:
     return out
 
 
-def forest_of_trees(kind, n_features, unordered, trees, raw_importance) -> Forest:
+def forest_of_trees(kind, unordered, trees, raw_importance) -> Forest:
     """A Forest of linked TreeNodes, flattened into node arrays: the roots,
     then each inner node's right and left child in the order the inner
     nodes are numbered."""
@@ -264,7 +264,7 @@ def forest_of_trees(kind, n_features, unordered, trees, raw_importance) -> Fores
         child.append(-1 if node.is_leaf else len(nodes))
         if not node.is_leaf:
             nodes += [node.right, node.left]
-    return Forest(kind=kind, n_features=n_features, unordered=unordered, n_trees=len(trees),
+    return Forest(kind=kind, unordered=unordered, n_trees=len(trees),
                   feature=np.array([n.feature for n in nodes]),
                   threshold=np.array([n.threshold for n in nodes], dtype=float),
                   child=np.array(child), value=np.array([n.value for n in nodes], dtype=float),

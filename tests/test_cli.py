@@ -467,6 +467,55 @@ def test_short_csv_row_fails_with_file_and_line(tmp_path, run_dir, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_reference_feasible_cell_must_be_true_or_false(tmp_path, run_dir, capsys, command):
+    reference = tmp_path / "ref.csv"
+    reference.write_text("cycles,logic,feasible\n10.0,2.0,true\n12.0,3.0,yes\n")
+    if command == "run":
+        args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
+    else:
+        args = ["report", run_dir, "--output", tmp_path / "report.csv"]
+    assert run_cli(*args, "--reference-front", reference) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: ValidationError: {reference} line 3, column 'feasible': "
+                   f"'yes' is not true or false\n")
+    assert not (tmp_path / "out").exists()
+
+
+TOY_RECORDS_HEADER = "T,P,S,B,cycles,logic,feasible,iteration_tag\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,1,true,1,100.0,5.0,true,-1,9", "line 3: row has more cells than the header"),
+    ("2,1,true,1,100.0,5.0,true", "line 3: row has fewer cells than the header"),
+    ("2,1,true,1,nan,5.0,true,-1", "line 3, column 'cycles': 'nan' is not a finite number"),
+    ("2,1,true,1,100.0,5.0,yes,-1",
+     "line 3, column 'feasible': 'yes' is not true or false"),
+    ("2,1,true,1,100.0,5.0,true,0.5",
+     "line 3, column 'iteration_tag': '0.5' is not an integer"),
+], ids=["extra cell", "no tag cell", "nan objective", "feasible yes", "fractional tag"])
+def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
+    scenario = parse_scenario(open(TOY).read())
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{TOY_RECORDS_HEADER}4,2,false,3,50.0,2.0,false,0\n{row}\n")
+    with pytest.raises(ValidationError) as info:
+        read_records_csv(path, scenario.space, scenario.objectives)
+    assert str(info.value) == f"{path} {message}"
+
+
+def test_records_csv_needs_every_column_but_the_tag(tmp_path):
+    scenario = parse_scenario(open(TOY).read())
+    path = tmp_path / "points.csv"
+    path.write_text("T,P,S,B,cycles,logic,feasible\n4,2,false,3,50.0,2.0,false\n")
+    records = read_records_csv(path, scenario.space, scenario.objectives)
+    assert [(r.config, r.objectives, r.feasible, r.iteration_tag) for r in records] == [
+        ((4, 2, "false", 3), (50.0, 2.0), False, -1)]
+    path.write_text("T,P,S,B,cycles,feasible\n4,2,false,3,50.0,false\n")
+    with pytest.raises(ValidationError) as info:
+        read_records_csv(path, scenario.space, scenario.objectives)
+    assert str(info.value) == f"{path} has no column 'logic'"
+
+
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_non_finite_reference_cell_fails_with_file_line_and_column(

@@ -90,14 +90,14 @@ def test_prediction_dimension_mismatch():
 
 
 def test_mean_of_two_manual_trees():
-    forest = forest_of_trees(kind="regressor", n_features=1, unordered=(False,),
+    forest = forest_of_trees(kind="regressor", unordered=(False,),
                              trees=(TreeNode(value=2.0), TreeNode(value=4.0)),
                              raw_importance=np.zeros(1))
     assert forest.predict_batch([[0.0]])[0] == 3.0
 
 
 def test_mean_of_two_manual_classifier_leaves():
-    forest = forest_of_trees(kind="classifier", n_features=1, unordered=(False,),
+    forest = forest_of_trees(kind="classifier", unordered=(False,),
                              trees=(TreeNode(value=0.2), TreeNode(value=0.6)),
                              raw_importance=np.zeros(1))
     assert forest.predict_batch([[0.0]])[0] == pytest.approx(0.4)

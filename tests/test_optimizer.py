@@ -686,6 +686,68 @@ def test_a_run_keys_each_row_once(toy_scenario_doc, monkeypatch):
     assert sum(keyed) <= sum(prior) + sum(uniform) + sum(predicted) + len(result.records)
 
 
+MIXED_RUN = {
+    "application_name": "mixed",
+    "optimization_objectives": ["f1", "f2"],
+    "feasible_output": {"name": "feasible"},
+    "input_parameters": {
+        "x": {"parameter_type": "real", "values": [0.0, 1.0]},
+        "c": {"parameter_type": "categorical", "values": ["a", "b", "c"]},
+        "o": {"parameter_type": "ordinal", "values": [1, 2.5, 4]},
+        "k": {"parameter_type": "integer", "values": [1, 64]},
+    },
+    "design_of_experiment": {"number_of_samples": 20},
+    "optimization_iterations": 3,
+    "evaluations_per_optimization_iteration": 5,
+    "pareto_prediction_samples": 2000,
+    "evaluator": {"builtin": "mixed"},
+}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["toy_fpga", "mixed"])
+def test_each_refit_reads_the_archive_in_record_order(toy_scenario_doc, monkeypatch, mixed):
+    import dse.optimizer as optimizer
+    from dse import evaluators
+
+    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "mixed", lambda v: {
+        "f1": v["x"] + v["k"], "f2": (1.0 - v["x"]) * v["o"], "feasible": v["c"] != "b"})
+    scenario = scenario_with(MIXED_RUN if mixed else toy_scenario_doc, seed=1)
+    fitted, original = [], optimizer.fit_surrogates
+
+    def captured(X, *args, **kwargs):
+        fitted.append(X.copy())
+        return original(X, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "fit_surrogates", captured)
+    result = run(scenario)
+    records, iterations = result.records, result.meta["iterations_run"]
+    assert iterations == scenario.optimization_iterations
+    # first the warm-up rows, then one more batch per refit
+    assert [len(X) for X in fitted] == [sum(r.iteration_tag <= tag for r in records)
+                                        for tag in range(-1, iterations)]
+    for X in fitted:
+        assert np.array_equal(X, encode_matrix(scenario.space,
+                                               [r.config for r in records[:len(X)]]))
+
+
+@pytest.mark.parametrize("space, hashed", [(FIFTY, False), (MIXED, True)],
+                         ids=["exact", "hashed"])
+def test_row_set_holds_first_occurrences_in_order(space, hashed):
+    from dse.space import row_keys
+
+    X = candidate_pool(space, 8, RowSet.of(space, encode_matrix(space, [])), RngState(2))
+    order = [5, 2, 5, 0, 7, 2, 2, 1, 0, 6, 3, 4, 7]
+    grown, rest = RowSet.of(space, X[order[:4]]), X[order[4:]]
+    keys = row_keys(space, rest)
+    keep = grown.new(rest, keys)
+    grown = grown.union(rest[keep], keys[keep])
+    for rows in (RowSet.of(space, X[order]), grown):  # in one step, and in two
+        assert (rows.keys.dtype == np.uint64) == hashed
+        assert np.array_equal(rows.rows, X[[5, 2, 0, 7, 1, 6, 3, 4]])
+        assert np.array_equal(rows.keys, row_keys(space, rows.rows))
+        assert np.array_equal(rows.known, np.sort(rows.keys))
+
+
 # --- mono-objective ----------------------------------------------------------------
 
 def record(value, feasible=True, key=None, tag=-1):
