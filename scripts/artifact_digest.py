@@ -61,7 +61,7 @@ ZDT_BUILTIN = "perfbench_zdt"
 def run_set(tmp: Path):
     """(label, scenario path, extra CLI arguments) of every run."""
     fpga = parse_scenario(TOY_FPGA.read_text(encoding="utf-8"))
-    true_front, _ = brute_force_front(fpga.space, fpga.evaluator)
+    true_front, _ = brute_force_front(fpga)
     fpga_ref = tmp / "toy_fpga_front.csv"
     fpga_ref.write_text(records_to_csv(fpga.space, fpga.objectives, true_front, with_tag=False),
                         encoding="utf-8")

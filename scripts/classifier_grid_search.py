@@ -56,7 +56,7 @@ def main() -> int:
     scenario = parse_scenario(SCENARIO.read_text())
     space = scenario.space
     configs = warmup_sample(space, args.samples, RngState(args.seed, 1))
-    records = evaluate_batch(scenario.evaluator, space, configs)
+    records = evaluate_batch(scenario, configs)
     X = encode_matrix(space, [r.config for r in records])
     labels = [r.feasible for r in records]
     print(f"training data: {len(records)} samples, "

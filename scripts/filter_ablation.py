@@ -30,7 +30,7 @@ def main() -> int:
 
     base = json.loads(SCENARIO.read_text())
     scenario0 = parse_scenario(json.dumps(base))
-    true_front, _ = brute_force_front(scenario0.space, scenario0.evaluator)
+    true_front, _ = brute_force_front(scenario0)
     ref = [r.objectives for r in true_front]
 
     print(f"{'seed':>4} {'hvi on':>8} {'hvi off':>8} {'infeas on':>10} {'infeas off':>11}")

@@ -81,7 +81,7 @@ def main() -> int:
 
     doc = json.loads(SCENARIO.read_text())
     scenario = scenario_for(doc, 0)
-    truth = brute_force_front(scenario.space, scenario.evaluator)[1]
+    truth = brute_force_front(scenario)[1]
     passed, whole = {}, {}
     for seed in args.seeds:
         initial, final, whole[seed] = recalls(scenario_for(doc, seed), seed, truth)

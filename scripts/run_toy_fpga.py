@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dse import brute_force_front, constrained_front, hvi, objective_stddevs, parse_scenario, run
-from dse.pareto import feasible_hvi
+from dse.pareto import hvi_trace
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
 
@@ -28,7 +28,7 @@ def main() -> int:
     doc["seed"] = args.seed
     scenario = parse_scenario(json.dumps(doc))
 
-    true_front, all_records = brute_force_front(scenario.space, scenario.evaluator)
+    true_front, all_records = brute_force_front(scenario)
     ref = [r.objectives for r in true_front]
     print(f"space: {scenario.space.cardinality()} points, "
           f"{sum(r.feasible for r in all_records)} feasible")
@@ -47,12 +47,8 @@ def main() -> int:
         name = ", ".join(f"{k}={v}" for k, v in zip(scenario.space.names, r.config))
         print(f"{name:<28} {r.objectives[0]:>9.0f} {r.objectives[1]:>7.0f}  "
               f"{'yes' if r.objectives in truth else 'no'}")
-    trace = []
-    for tag in sorted({r.iteration_tag for r in result.records}):
-        upto = [r for r in result.records if r.iteration_tag <= tag]
-        value = feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto], ref, sigma)
-        trace.append(f"{tag}:{value:.3f}")
-    print("hvi trace:", " ".join(trace))
+    trace = hvi_trace(result.records, ref, sigma)
+    print("hvi trace:", " ".join(f"{tag}:{value:.3f}" for tag, value in trace))
     return 0
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import platform
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -30,14 +31,13 @@ from .evaluators import EvaluationError, brute_force_front
 from .forest import feature_importance
 from .optimizer import RunResult, run
 from .pareto import (
-    EvaluationRecord, constrained_front, feasible_front, feasible_hvi, objective_stddevs,
+    EvaluationRecord, constrained_front, feasible_front, feasible_hvi, hvi_trace, objective_stddevs,
 )
 from .space import (
-    CATEGORICAL,
     INTEGER,
     ORDINAL,
+    REAL,
     DesignSpace,
-    DomainError,
     Parameter,
     Scenario,
     ValidationError,
@@ -69,28 +69,30 @@ def records_to_csv(space: DesignSpace, objectives: Sequence[str],
 
 
 def parse_value(param: Parameter, text: str) -> Any:
-    """Invert canonical_str for one parameter value."""
-    if param.kind == CATEGORICAL:
-        if text not in param.values:
-            raise DomainError(f"{param.name}: unknown level {text!r}")
-        return text
+    """Invert canonical_str for one parameter value. A value outside the
+    domain raises the DomainError ``encode_matrix`` would raise; a number
+    that does not parse, a ValueError."""
     if param.kind == INTEGER:
-        return int(text)
-    if param.kind == ORDINAL:
-        for v in param.values:
-            if canonical_str(v) == text:
-                return v
-        raise DomainError(f"{param.name}: {text!r} is not an allowed ordinal value")
-    return float(text)
+        value = int(text)
+    elif param.kind == REAL:
+        value = float(text)
+    elif param.kind == ORDINAL:  # the value written as text, if there is one
+        value = next((v for v in param.values if canonical_str(v) == text), text)
+    else:
+        value = text
+    param.encode_column([value])
+    return value
 
 
 def read_records_csv(path: Path, space: DesignSpace,
                      objectives: Sequence[str]) -> list[EvaluationRecord]:
     """The typed records of a CSV with every parameter, objective and
     ``feasible`` column, checked as :func:`read_points_csv` checks its rows;
-    tags must be integers (-1 without an ``iteration_tag`` column)."""
+    parameter cells must lie in the space (:func:`parse_value`) and tags
+    must be integers (-1 without an ``iteration_tag`` column)."""
     return [EvaluationRecord(
-        tuple(parse_value(p, row[p.name]) for p in space.parameters),
+        tuple(_cell(row, p.name, where, partial(parse_value, p), "in the parameter's domain")
+              for p in space.parameters),
         tuple(_cell(row, o, where, _finite, "a finite number") for o in objectives),
         _cell(row, "feasible", where, {"true": True, "false": False}.get, "true or false"),
         _cell(row, "iteration_tag", where, int, "an integer") if "iteration_tag" in row else -1)
@@ -204,10 +206,7 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
     trace.write("iteration,hvi\n")
     if reference is not None:
         sigma = objective_stddevs([r.objectives for r in records] + reference)
-        for tag in sorted({r.iteration_tag for r in records}):
-            upto = [r for r in records if r.iteration_tag <= tag]
-            value = feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto],
-                                 reference, sigma)
+        for tag, value in hvi_trace(records, reference, sigma):
             trace.write(f"{tag},{canonical_str(value)}\n")
     (out_dir / "hvi_trace.csv").write_text(trace.getvalue(), encoding="utf-8")
 
@@ -222,7 +221,7 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
         "seed": scenario.seed,
         "parameters": list(space.names),
         "objectives": list(objectives),
-        "feasibility_filter": scenario.use_feasibility_filter and scenario.feasibility is not None,
+        "feasibility_filter": scenario.filters_feasibility,
         "reference_front": reference_path,
         "versions": {
             "package": __version__,
@@ -274,7 +273,7 @@ def cmd_run(args) -> int:
 
 def cmd_brute_force(args) -> int:
     scenario = load_scenario(args.scenario, args.set or [], None)
-    front, records = brute_force_front(scenario.space, scenario.evaluator)
+    front, records = brute_force_front(scenario)
     out_dir = Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "all_points.csv").write_text(

@@ -11,7 +11,8 @@ A builtin's result dict and a child's response row are read by the same
 rules (:func:`_records`): every objective and the named feasibility output
 must be present, objectives must be finite numbers, and a configuration is
 feasible iff its feasibility output, in canonical form, equals
-``true_value``. Anything else fails the batch with an ``EvaluationError``.
+``true_value``. Anything else fails the batch with an ``EvaluationError``,
+and so does an exception a builtin raises.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .pareto import EvaluationRecord, constrained_front
 from .space import (
     DesignSpace,
     DomainError,
-    FeasibleOutput,
+    Scenario,
     ValidationError,
     canonical_str,
     enumerate_space,
@@ -48,29 +49,26 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvaluatorSpec:
-    """How to evaluate a batch: an in-process builtin or a child command."""
+    """How to run the evaluator: exactly one of the builtin ``name`` (in-process)
+    and the child ``command``. What it measures is the scenario's to say."""
 
-    mode: str  # "builtin" | "subprocess"
     name: str | None = None
     command: str | None = None
     working_dir: str | None = None
     timeout_seconds: float = 300.0
-    objectives: tuple[str, ...] = ()
-    feasibility: FeasibleOutput | None = None
 
     def __post_init__(self):
-        if self.mode not in ("builtin", "subprocess"):
-            raise ValueError(f"unknown evaluator mode {self.mode!r}")
-        if self.mode == "builtin" and self.name not in BUILTIN_EVALUATORS:
+        if (self.name is None) == (self.command is None):
+            raise ValueError("evaluator needs exactly one of a builtin name and a command")
+        if self.name is not None and self.name not in BUILTIN_EVALUATORS:
             raise ValueError(f"unknown builtin evaluator {self.name!r}")
-        if self.mode == "subprocess" and not self.command:
-            raise ValueError("subprocess evaluator needs a command line")
+        if self.command is not None and not shlex.split(self.command):  # unbalanced quotes raise
+            raise ValueError("evaluator command line is empty")
         if not 0 < self.timeout_seconds < math.inf:  # NaN too
             raise ValueError("evaluator timeout must be positive and finite")
 
 
-def parse_evaluator(raw: Any, objectives: tuple[str, ...],
-                    feasibility: FeasibleOutput | None) -> EvaluatorSpec:
+def parse_evaluator(raw: Any) -> EvaluatorSpec:
     """Evaluator section of the scenario JSON: either {"builtin": name} or
     {"command": "...", "working_dir": "...", "timeout_seconds": s}."""
     if not isinstance(raw, dict):
@@ -85,20 +83,19 @@ def parse_evaluator(raw: Any, objectives: tuple[str, ...],
     if extra:
         raise ValidationError(f"evaluator: unknown key {sorted(extra)[0]!r}")
     if "builtin" in raw:
-        kwargs = {"mode": "builtin", "name": require_str(raw["builtin"], "evaluator.builtin")}
+        kwargs = {"name": require_str(raw["builtin"], "evaluator.builtin")}
     else:
         working_dir = raw.get("working_dir")
         if working_dir is not None:
             require_str(working_dir, "evaluator.working_dir")
         kwargs = {
-            "mode": "subprocess",
             "command": require_str(raw["command"], "evaluator.command"),
             "working_dir": working_dir,
             "timeout_seconds": require_number(raw.get("timeout_seconds", 300.0),
                                               "evaluator.timeout_seconds"),
         }
     try:
-        return EvaluatorSpec(**kwargs, objectives=objectives, feasibility=feasibility)
+        return EvaluatorSpec(**kwargs)
     except ValueError as e:
         raise ValidationError(f"evaluator: {e}") from e
 
@@ -200,12 +197,12 @@ def _response_rows(space: DesignSpace, batch: Sequence[tuple], text: str) -> lis
     return answers
 
 
-def _records(spec: EvaluatorSpec, batch: Sequence[tuple], outputs: Iterable[Mapping[str, Any]],
+def _records(scenario: Scenario, batch: Sequence[tuple], outputs: Iterable[Mapping[str, Any]],
              iteration_tag: int, raw_output: str = "") -> list[EvaluationRecord]:
     """One record per configuration of ``batch`` from its output mapping (a
     builtin's result or a child's response row), by the module's rules."""
-    fea = spec.feasibility
-    required = spec.objectives + ((fea.name,) if fea is not None else ())
+    objective_names, fea = scenario.objectives, scenario.feasibility
+    required = objective_names + ((fea.name,) if fea is not None else ())
     records = []
     for config, out in zip(batch, outputs):
         missing = [name for name in required if name not in out]
@@ -213,12 +210,12 @@ def _records(spec: EvaluatorSpec, batch: Sequence[tuple], outputs: Iterable[Mapp
             raise EvaluationError(f"evaluator output is missing column {missing[0]!r} "
                                   f"for configuration {_config_key(config)}", raw_output)
         try:
-            objectives = tuple(float(out[o]) for o in spec.objectives)
+            objectives = tuple(float(out[o]) for o in objective_names)
         except (TypeError, ValueError) as e:
             raise EvaluationError(
                 f"unparseable objective value for {_config_key(config)}: {e}", raw_output)
         # a NaN is never dominated and would land on the front unnoticed
-        for name, value in zip(spec.objectives, objectives):
+        for name, value in zip(objective_names, objectives):
             if not math.isfinite(value):
                 raise EvaluationError(f"non-finite objective {name}={value!r} for "
                                       f"configuration {_config_key(config)}", raw_output)
@@ -227,21 +224,31 @@ def _records(spec: EvaluatorSpec, batch: Sequence[tuple], outputs: Iterable[Mapp
     return records
 
 
-def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
-                   batch: Sequence[tuple],
-                   iteration_tag: int = -1) -> list[EvaluationRecord]:
-    """Evaluate a batch of configurations, one record per configuration.
+def _builtin_outputs(name: str, space: DesignSpace,
+                     batch: Sequence[tuple]) -> Iterator[Mapping[str, Any]]:
+    """The builtin's result for each configuration, computed as it is read;
+    an exception the builtin raises fails the batch, naming the configuration."""
+    fn = BUILTIN_EVALUATORS[name]
+    for config in batch:
+        try:
+            yield fn(dict(zip(space.names, config)))
+        except Exception as e:
+            raise EvaluationError(f"builtin evaluator {name!r} failed on configuration "
+                                  f"{_config_key(config)}: {type(e).__name__}: {e}") from e
 
-    Builtin mode computes in-process; subprocess mode ships the whole batch
-    to one child and joins the answer by parameter columns. Every requested
-    configuration must come back exactly once.
+
+def evaluate_batch(scenario: Scenario, batch: Sequence[tuple],
+                   iteration_tag: int = -1) -> list[EvaluationRecord]:
+    """One record per configuration of ``batch``, by the scenario's evaluator,
+    objectives and feasibility output. A builtin computes in-process; a
+    command gets the whole batch in one child, whose answer is joined back
+    by parameter columns. Every requested configuration must come back once.
     """
     if not batch:
         raise EvaluationError("evaluate_batch requires a non-empty batch")
-    if spec.mode == "builtin":
-        fn, names = BUILTIN_EVALUATORS[spec.name], space.names
-        # a generator, so each call is followed by its own record
-        return _records(spec, batch, (fn(dict(zip(names, c))) for c in batch), iteration_tag)
+    spec, space = scenario.evaluator, scenario.space
+    if spec.name is not None:
+        return _records(scenario, batch, _builtin_outputs(spec.name, space, batch), iteration_tag)
 
     request = request_csv(space, batch)
     try:
@@ -266,16 +273,15 @@ def evaluate_batch(spec: EvaluatorSpec, space: DesignSpace,
             f"evaluator exited with status {proc.returncode}",
             proc.stdout + proc.stderr,
         )
-    return _records(spec, batch, _response_rows(space, batch, proc.stdout),
+    return _records(scenario, batch, _response_rows(space, batch, proc.stdout),
                     iteration_tag, proc.stdout)
 
 
-def brute_force_front(space: DesignSpace, spec: EvaluatorSpec):
-    """Evaluate the whole (finite) space; the ground-truth oracle.
+def brute_force_front(scenario: Scenario):
+    """Evaluate the scenario's whole (finite) space; the ground-truth oracle.
 
     Returns (front_records, all_records). Raises EnumerationError when the
     space has real parameters or exceeds the enumeration cap.
     """
-    configs = list(enumerate_space(space))
-    records = evaluate_batch(spec, space, configs, iteration_tag=-1)
+    records = evaluate_batch(scenario, list(enumerate_space(scenario.space)))
     return constrained_front(records), records

@@ -597,9 +597,9 @@ def feature_importance(forest: Forest) -> np.ndarray:
 
 
 def kfold_recall(X, labels, hp: ForestHyperparams, k: int, rng: RngState,
-                 unordered: Sequence[bool] | None = None,
-                 threshold: float = 0.5) -> float:
-    """Mean held-out recall (TP / (TP + FN)) over k shuffled folds.
+                 unordered: Sequence[bool] | None = None) -> float:
+    """Mean held-out recall (TP / (TP + FN)) over k shuffled folds; a
+    positive is recalled when its predicted probability is at least 0.5.
 
     Folds that contain no positive sample contribute recall 1.0 (there is
     nothing to miss).
@@ -626,6 +626,6 @@ def kfold_recall(X, labels, hp: ForestHyperparams, k: int, rng: RngState,
             recalls.append(1.0)
             continue
         probs = forest.predict_batch(X[positives])
-        tp = int((probs >= threshold).sum())
+        tp = int((probs >= 0.5).sum())
         recalls.append(tp / positives.size)
     return float(np.mean(recalls))

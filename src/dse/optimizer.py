@@ -105,7 +105,7 @@ def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Sce
     regressor = fit_regressor(X, [r.objectives for r in records], scenario.regressor_hp, rng,
                               unordered)
     classifier = None
-    if classify and scenario.feasibility is not None and scenario.use_feasibility_filter:
+    if classify and scenario.filters_feasibility:
         classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
                                     rng.substream(p), unordered)
     return regressor, classifier
@@ -171,7 +171,6 @@ def run(scenario: Scenario) -> RunResult:
     space = scenario.space
     root = RngState(scenario.seed)
     fit_rng = root.substream(_STREAM_FIT)
-    spec = scenario.evaluator
 
     batch = priors.warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
     records: list[EvaluationRecord] = []
@@ -179,7 +178,7 @@ def run(scenario: Scenario) -> RunResult:
     i = -1
     try:
         while True:
-            records += evaluate_batch(spec, space, batch, iteration_tag=i)
+            records += evaluate_batch(scenario, batch, iteration_tag=i)
             B = encode_matrix(space, batch)  # the new records' configurations, in order
             evaluated = evaluated.union(B, row_keys(space, B))
             i += 1

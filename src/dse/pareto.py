@@ -166,6 +166,18 @@ def feasible_hvi(points: Sequence[ObjectiveVector], feasible: Sequence[bool],
     return hvi(front, reference_front, stddevs) if front else math.inf
 
 
+def hvi_trace(records: Sequence[EvaluationRecord], reference_front: Sequence[ObjectiveVector],
+              stddevs: Sequence[float]) -> list[tuple[int, float]]:
+    """(tag, :func:`feasible_hvi` of the records tagged up to it) for each
+    iteration tag of ``records``, ascending."""
+    trace = []
+    for tag in sorted({r.iteration_tag for r in records}):
+        upto = [r for r in records if r.iteration_tag <= tag]
+        trace.append((tag, feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto],
+                                        reference_front, stddevs)))
+    return trace
+
+
 def reference_front(runs: Sequence[Sequence[EvaluationRecord]]) -> list[EvaluationRecord]:
     """Best-known front: the constrained front of every record accumulated
     across all runs of an experiment."""

@@ -474,6 +474,11 @@ class Scenario:
         if not (0.0 < self.feasibility_threshold < 1.0):
             raise ValidationError("feasibility_threshold must lie in (0, 1)")
 
+    @property
+    def filters_feasibility(self) -> bool:
+        """Whether a run drops the candidates predicted infeasible."""
+        return self.use_feasibility_filter and self.feasibility is not None
+
 
 _TOP_LEVEL_KEYS = {
     "application_name", "optimization_objectives", "feasible_output",
@@ -664,7 +669,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
     regressor_hp = parse_hyperparams(surrogate.get("regressor", {}), classifier=False)
     classifier_hp = parse_hyperparams(surrogate.get("classifier", {}), classifier=True)
 
-    evaluator = parse_evaluator(doc["evaluator"], tuple(objectives), feasibility)
+    evaluator = parse_evaluator(doc["evaluator"])
 
     return Scenario(
         application_name=require_str(doc["application_name"], "application_name"),

@@ -39,7 +39,7 @@ def toy_scenario(toy_scenario_doc):
 @pytest.fixture(scope="session")
 def toy_truth(toy_scenario):
     """Exhaustive evaluation of the 240-point toy space: (front, records)."""
-    return brute_force_front(toy_scenario.space, toy_scenario.evaluator)
+    return brute_force_front(toy_scenario)
 
 
 def scenario_with(doc: dict, **changes):

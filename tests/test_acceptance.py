@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dse import (
 )
 from dse.evaluators import brute_force_front, evaluate_batch
 from dse.pareto import objective_stddevs
-from dse.space import FeasibleOutput, encode_matrix
+from dse.space import encode_matrix
 
 from conftest import ACCEPTANCE_SEEDS, ROOT, SCENARIO_DIR, scenario_with
 from oracles import beta_cdf_numeric, pairwise_front
@@ -297,37 +298,33 @@ EXTERNAL_TOY = textwrap.dedent("""\
 def test_acceptance_10_subprocess_protocol(tmp_path, toy_scenario, toy_truth):
     from dse import EvaluationError
 
-    space = toy_scenario.space
-    fea = FeasibleOutput("feasible", "true")
-
     def spec_for(body, name):
         path = tmp_path / name
         path.write_text(body)
-        return EvaluatorSpec("subprocess", command=f"{sys.executable} {path}",
-                             objectives=("cycles", "logic"), feasibility=fea,
-                             timeout_seconds=120)
+        return replace(toy_scenario, evaluator=EvaluatorSpec(
+            command=f"{sys.executable} {path}", timeout_seconds=120))
 
     batch = [(2, 1, "true", 1), (8, 4, "false", 3),
              (64, 16, "true", 1)]
 
-    echoed = evaluate_batch(spec_for(ECHO, "echo.py"), space, batch, iteration_tag=2)
+    echoed = evaluate_batch(spec_for(ECHO, "echo.py"), batch, iteration_tag=2)
     echo_ok = all(r.objectives == (7.5, 3.25) and r.feasible for r in echoed) \
         and [r.config for r in echoed] == batch
 
     _, builtin_records = toy_truth
-    _, external_records = brute_force_front(space, spec_for(EXTERNAL_TOY, "toy.py"))
+    _, external_records = brute_force_front(spec_for(EXTERNAL_TOY, "toy.py"))
     external_ok = external_records == builtin_records
 
     missing = spec_for(ECHO.replace("rows[1:]", "rows[1:-1]"), "missing.py")
     try:
-        evaluate_batch(missing, space, batch)
+        evaluate_batch(missing, batch)
         missing_ok = False
     except EvaluationError as e:
         missing_ok = "omitted" in str(e)
 
     failing = spec_for("import sys; sys.exit(9)", "failing.py")
     try:
-        evaluate_batch(failing, space, batch)
+        evaluate_batch(failing, batch)
         exit_ok = False
     except EvaluationError as e:
         exit_ok = "status 9" in str(e)

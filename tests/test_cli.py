@@ -315,6 +315,46 @@ def test_non_finite_objective_aborts_run_and_keeps_partial_archive(tmp_path, cap
     assert len(read_rows(out / "samples.csv")) == 30
 
 
+def test_failing_builtin_aborts_run_and_keeps_partial_archive(tmp_path, capsys, monkeypatch):
+    from dse import evaluators
+
+    calls = []
+
+    def flaky(values):  # answers the 30-row warm-up, dies inside the first batch
+        calls.append(values)
+        if len(calls) == 41:
+            return 1 / 0
+        return evaluators.toy_fpga(values)
+
+    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "toy_fpga", flaky)
+    out = tmp_path / "flaky"
+    assert run_cli("run", TOY, "--set", f"output_dir={out}") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: EvaluationError: builtin evaluator 'toy_fpga' failed on "
+                          "configuration (")
+    assert err.endswith("): ZeroDivisionError: division by zero\n")
+    rows = read_rows(out / "samples.csv")
+    assert len(rows) == 30 and {r["iteration_tag"] for r in rows} == {"-1"}
+
+
+def test_reordered_objectives_write_each_column_its_own_values(tmp_path, toy_scenario):
+    from dataclasses import replace
+
+    from dse.cli import write_run_artifacts
+    from dse.evaluators import toy_fpga
+    from dse.optimizer import run
+
+    scenario = replace(toy_scenario, objectives=("logic", "cycles"), optimization_iterations=1)
+    write_run_artifacts(tmp_path, scenario, run(scenario), None, None)
+    rows = read_rows(tmp_path / "samples.csv")
+    assert len(rows) == 50 and list(rows[0])[4:6] == ["logic", "cycles"]
+    for row in rows:
+        truth = toy_fpga({"T": int(row["T"]), "P": int(row["P"]), "S": row["S"],
+                          "B": int(row["B"])})
+        assert (float(row["logic"]), float(row["cycles"])) == (truth["logic"], truth["cycles"])
+
+
 def test_one_objective_hvi_trace_has_one_row_per_stage(tmp_path, truth_dir):
     # the reference is the cycles column of the two-objective true front
     out = tmp_path / "cycles"
@@ -501,6 +541,24 @@ def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
     with pytest.raises(ValidationError) as info:
         read_records_csv(path, scenario.space, scenario.objectives)
     assert str(info.value) == f"{path} {message}"
+
+
+@pytest.mark.parametrize("row, column, cell", [
+    ("4,2,false,9,50.0,2.0,false,0", "B", "9"),
+    ("4,2,false,x,50.0,2.0,false,0", "B", "x"),
+    ("4,2,false,2.0,50.0,2.0,false,0", "B", "2.0"),
+    ("3,2,false,2,50.0,2.0,false,0", "T", "3"),
+    ("4,2,maybe,2,50.0,2.0,false,0", "S", "maybe"),
+], ids=["integer out of range", "integer not a number", "integer written as a float",
+        "ordinal not a value", "categorical not a level"])
+def test_records_parameter_cell_outside_the_space_fails(tmp_path, row, column, cell):
+    scenario = parse_scenario(open(TOY).read())
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{TOY_RECORDS_HEADER}4,2,false,3,50.0,2.0,false,0\n{row}\n")
+    with pytest.raises(ValidationError) as info:
+        read_records_csv(path, scenario.space, scenario.objectives)
+    assert str(info.value) == (f"{path} line 3, column {column!r}: {cell!r} is not in the "
+                               f"parameter's domain")
 
 
 def test_records_csv_needs_every_column_but_the_tag(tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import textwrap
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from dse import (
 from dse import evaluators
 from dse.space import DomainError, FeasibleOutput, canonical_str
 
+from conftest import SCENARIO_DIR
+
 FEA = FeasibleOutput("feasible", "true")
+TOY = parse_scenario((SCENARIO_DIR / "toy_fpga.json").read_text())
+
+
+def scenario_of(space, objectives, feasibility, **evaluator):
+    """The toy scenario over ``space``, measuring ``objectives`` and
+    ``feasibility`` with the evaluator ``EvaluatorSpec(**evaluator)``."""
+    return replace(TOY, space=space, objectives=objectives, feasibility=feasibility,
+                   evaluator=EvaluatorSpec(**evaluator))
 
 
 # --- builtin cost model -----------------------------------------------------------
@@ -47,10 +58,9 @@ def test_toy_fpga_rejects_out_of_domain_values():
 
 
 def test_toy_fpga_is_pure(toy_scenario):
-    spec = toy_scenario.evaluator
     cfg = (4, 2, "true", 2)
-    first = evaluate_batch(spec, toy_scenario.space, [cfg])
-    second = evaluate_batch(spec, toy_scenario.space, [cfg])
+    first = evaluate_batch(toy_scenario, [cfg])
+    second = evaluate_batch(toy_scenario, [cfg])
     assert first == second
 
 
@@ -70,9 +80,8 @@ def test_brute_force_all_infeasible_space():
         Parameter("S", "categorical", values=("true",)),
         Parameter("B", "integer", lower=1, upper=4),
     ))
-    spec = EvaluatorSpec("builtin", name="toy_fpga",
-                         objectives=("cycles", "logic"), feasibility=FEA)
-    front, records = brute_force_front(space, spec)
+    front, records = brute_force_front(scenario_of(space, ("cycles", "logic"), FEA,
+                                                   name="toy_fpga"))
     assert front == []
     assert len(records) == 4
 
@@ -84,9 +93,8 @@ def test_brute_force_single_point_space():
         Parameter("S", "categorical", values=("true",)),
         Parameter("B", "integer", lower=1, upper=1),
     ))
-    spec = EvaluatorSpec("builtin", name="toy_fpga",
-                         objectives=("cycles", "logic"), feasibility=FEA)
-    front, records = brute_force_front(space, spec)
+    front, records = brute_force_front(scenario_of(space, ("cycles", "logic"), FEA,
+                                                   name="toy_fpga"))
     assert len(records) == 1
     assert [r.objectives for r in front] == [(4160.0, 24.0)]
 
@@ -140,10 +148,10 @@ def small_space():
 
 def test_echo_evaluator_roundtrip(tmp_path):
     space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "echo.py", ECHO_EVALUATOR),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
+    scenario = scenario_of(space, ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "echo.py", ECHO_EVALUATOR))
     batch = [(2, 1, "true", 1), (4, 2, "false", 2)]
-    records = evaluate_batch(spec, space, batch, iteration_tag=3)
+    records = evaluate_batch(scenario, batch, iteration_tag=3)
     assert [r.config for r in records] == batch
     assert all(r.objectives == (42.5,) and r.feasible and r.iteration_tag == 3
                for r in records)
@@ -152,11 +160,9 @@ def test_echo_evaluator_roundtrip(tmp_path):
 def test_external_reimplementation_matches_builtin(tmp_path, toy_scenario, toy_truth):
     _, builtin_records = toy_truth
     space = toy_scenario.space
-    spec = EvaluatorSpec("subprocess",
-                         command=write_script(tmp_path, "toy.py", EXTERNAL_TOY),
-                         objectives=("cycles", "logic"), feasibility=FEA,
-                         timeout_seconds=120)
-    front, records = brute_force_front(space, spec)
+    scenario = scenario_of(space, ("cycles", "logic"), FEA, timeout_seconds=120,
+                           command=write_script(tmp_path, "toy.py", EXTERNAL_TOY))
+    front, records = brute_force_front(scenario)
     assert records == builtin_records
 
 
@@ -171,11 +177,11 @@ def test_child_omitting_a_row_is_a_protocol_error(tmp_path):
                 out.writerow(row + ["1.0", "true"])
     """)
     space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "partial.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
+    scenario = scenario_of(space, ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "partial.py", body))
     batch = [(2, 1, "true", 1), (4, 2, "false", 2)]
     with pytest.raises(EvaluationError, match="omitted"):
-        evaluate_batch(spec, space, batch)
+        evaluate_batch(scenario, batch)
 
 
 def test_duplicate_row_is_a_protocol_error(tmp_path):
@@ -190,37 +196,37 @@ def test_duplicate_row_is_a_protocol_error(tmp_path):
                 out.writerow(row + ["1.0", "true"])
     """)
     space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "dups.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
+    scenario = scenario_of(space, ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "dups.py", body))
     with pytest.raises(EvaluationError, match="duplicate"):
-        evaluate_batch(spec, space, [(2, 1, "true", 1)])
+        evaluate_batch(scenario, [(2, 1, "true", 1)])
 
 
 def test_nonzero_exit_carries_child_output(tmp_path):
     body = "import sys; sys.stderr.write('boom\\n'); sys.exit(2)"
     space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "fail.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=60)
+    scenario = scenario_of(space, ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "fail.py", body))
     with pytest.raises(EvaluationError, match="status 2") as err:
-        evaluate_batch(spec, space, [(2, 1, "true", 1)])
+        evaluate_batch(scenario, [(2, 1, "true", 1)])
     assert "boom" in err.value.raw_output
 
 
 @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
 def test_evaluator_timeout_must_be_positive_and_finite(timeout):
     with pytest.raises(ValueError, match="^evaluator timeout must be positive and finite$"):
-        EvaluatorSpec("subprocess", command="true", timeout_seconds=timeout)
-    assert EvaluatorSpec("subprocess", command="true", timeout_seconds=1e-3).timeout_seconds == 1e-3
+        EvaluatorSpec(command="true", timeout_seconds=timeout)
+    assert EvaluatorSpec(command="true", timeout_seconds=1e-3).timeout_seconds == 1e-3
 
 
 @pytest.mark.parametrize("printed", ["T,P,S,B\n", ""])
 def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed):
     body = f"import sys, time; sys.stdout.write({printed!r}); sys.stdout.flush(); time.sleep(30)"
     space = small_space()
-    spec = EvaluatorSpec("subprocess", command=write_script(tmp_path, "hang.py", body),
-                         objectives=("cost",), feasibility=FEA, timeout_seconds=0.5)
+    scenario = scenario_of(space, ("cost",), FEA, timeout_seconds=0.5,
+                           command=write_script(tmp_path, "hang.py", body))
     with pytest.raises(EvaluationError, match="timed out after 0.5s") as err:
-        evaluate_batch(spec, space, [(2, 1, "true", 1)])
+        evaluate_batch(scenario, [(2, 1, "true", 1)])
     assert err.value.raw_output == printed
 
 
@@ -276,25 +282,76 @@ def test_builtin_and_child_outputs_are_read_by_the_same_rules(tmp_path, monkeypa
         where = {"command": write_script(tmp_path, "fixed.py",
                                          FIXED_OUTPUT_CHILD.format(cells=cells)),
                  "timeout_seconds": 60}
-    spec = EvaluatorSpec(mode, **where, objectives=("cost",), feasibility=feasibility)
+    scenario = scenario_of(small_space(), ("cost",), feasibility, **where)
     batch = [CONFIG, (4, 2, "false", 2)]
     if isinstance(expected, str):
         with pytest.raises(EvaluationError, match=expected):
-            evaluate_batch(spec, small_space(), batch)
+            evaluate_batch(scenario, batch)
     else:
-        records = evaluate_batch(spec, small_space(), batch)
+        records = evaluate_batch(scenario, batch)
         assert [r.feasible for r in records] == [expected, expected]
         assert records[0].objectives == (float(outputs["cost"]),)
 
 
 def test_empty_batch_rejected(toy_scenario):
     with pytest.raises(EvaluationError):
-        evaluate_batch(toy_scenario.evaluator, toy_scenario.space, [])
+        evaluate_batch(toy_scenario, [])
 
 
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError, match="unknown builtin"):
-        EvaluatorSpec("builtin", name="nope")
+        EvaluatorSpec(name="nope")
+
+
+@pytest.mark.parametrize("where", [{"name": "toy_fpga", "command": "python3 eval.py"}, {}],
+                         ids=["both", "neither"])
+def test_evaluator_is_a_builtin_or_a_command(where):
+    with pytest.raises(ValueError, match="^evaluator needs exactly one of a builtin name "
+                                         "and a command$"):
+        EvaluatorSpec(**where)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("", "evaluator command line is empty"),
+    (" \t", "evaluator command line is empty"),
+    ('python3 "eval.py', "No closing quotation"),
+], ids=["empty", "blank", "unbalanced quote"])
+def test_evaluator_command_must_split_into_a_program(command, message):
+    with pytest.raises(ValueError, match=message):
+        EvaluatorSpec(command=command)
+
+
+def test_evaluator_spec_says_only_how_to_run_the_evaluator():
+    assert [f.name for f in fields(EvaluatorSpec)] == [
+        "name", "command", "working_dir", "timeout_seconds"]
+
+
+def test_the_scenario_says_what_is_measured(toy_scenario):
+    """The objectives and the feasibility output a batch is read by are
+    the scenario's, so a scenario cannot carry one its evaluation ignores."""
+    config = (64, 16, "true", 1)  # logic 471: infeasible
+    truth = toy_fpga(dict(zip(toy_scenario.space.names, config)))
+    [record] = evaluate_batch(replace(toy_scenario, objectives=("logic", "cycles")), [config])
+    assert record.objectives == (truth["logic"], truth["cycles"])
+    assert not record.feasible
+    unconstrained = replace(toy_scenario, feasibility=None)
+    assert evaluate_batch(unconstrained, [config])[0].feasible
+    assert not unconstrained.filters_feasibility and toy_scenario.filters_feasibility
+    with pytest.raises(EvaluationError, match="missing column 'fits'"):
+        evaluate_batch(replace(toy_scenario, feasibility=FITS), [config])
+
+
+def test_builtin_exception_is_an_evaluation_error_naming_the_configuration(monkeypatch):
+    def broken(values):
+        return {"cost": 1.0 / (values["B"] - 2), "feasible": True}
+
+    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "broken", broken)
+    scenario = scenario_of(small_space(), ("cost",), FEA, name="broken")
+    assert len(evaluate_batch(scenario, [CONFIG])) == 1
+    with pytest.raises(EvaluationError, match=r"^builtin evaluator 'broken' failed on "
+                       r"configuration \('4', '2', 'false', '2'\): ZeroDivisionError: ") as info:
+        evaluate_batch(scenario, [CONFIG, (4, 2, "false", 2)])
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_scenario_objective_mismatch_is_reported():
@@ -309,4 +366,4 @@ def test_scenario_objective_mismatch_is_reported():
     }
     scenario = parse_scenario(json.dumps(doc))
     with pytest.raises(EvaluationError, match="watts"):
-        evaluate_batch(scenario.evaluator, scenario.space, [(2, 1, "true", 1)])
+        evaluate_batch(scenario, [(2, 1, "true", 1)])

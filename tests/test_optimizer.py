@@ -571,7 +571,7 @@ def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
     """Against a fixed reference box, the hypervolume of the archive front
     never shrinks as records accumulate (the raw hvi trace can tick up when
     a fresh extreme trade-off point widens its data-driven reference box)."""
-    from dse.pareto import constrained_front, feasible_hvi, hypervolume, objective_stddevs
+    from dse.pareto import constrained_front, hvi_trace, hypervolume, objective_stddevs
 
     front, all_records = toy_truth
     ref = [r.objectives for r in front]
@@ -580,13 +580,11 @@ def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
         scenario = scenario_with(toy_scenario_doc, seed=seed)
         result = run(scenario)
         sigma = objective_stddevs([r.objectives for r in result.records] + ref)
-        volumes, trace = [], []
+        trace = [value for _, value in hvi_trace(result.records, ref, sigma)]
+        volumes = []
         for tag in sorted({r.iteration_tag for r in result.records}):
-            upto = [r for r in result.records if r.iteration_tag <= tag]
-            fr = constrained_front(upto)
+            fr = constrained_front([r for r in result.records if r.iteration_tag <= tag])
             volumes.append(hypervolume([r.objectives for r in fr], box))
-            trace.append(feasible_hvi([r.objectives for r in upto],
-                                      [r.feasible for r in upto], ref, sigma))
         assert all(b >= a - 1e-9 for a, b in zip(volumes, volumes[1:]))
         assert trace[-1] <= trace[0]
 

@@ -346,8 +346,8 @@ def test_scenario_parses_every_prior_and_evaluator_kind():
     assert (o.values, o.prior) == ((1, 5, 8), Prior("gaussian", 3.0, 3.0))
     assert (c.values, c.prior) == (("x", "y", "z"), Prior("categorical", probs=(0.2, 0.3, 0.5)))
     ev = s.evaluator
-    assert (ev.mode, ev.command, ev.working_dir, ev.timeout_seconds) == (
-        "subprocess", "python eval.py", "/tmp", 12.5)
+    assert (ev.name, ev.command, ev.working_dir, ev.timeout_seconds) == (
+        None, "python eval.py", "/tmp", 12.5)
     assert s.feasibility == FeasibleOutput("ok", "yes")
     assert (s.classifier_hp.class_weight, s.classifier_hp.max_depth) == ((0.9, 0.1), 4)
 
