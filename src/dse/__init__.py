@@ -36,12 +36,10 @@ from .space import (
     Parameter,
     Prior,
     RowSet,
-    Scenario,
     ValidationError,
     decode_matrix,
     encode_matrix,
     enumerate_space,
-    parse_scenario,
 )
 from .evaluators import (
     EvaluationError,
@@ -50,6 +48,7 @@ from .evaluators import (
     evaluate_batch,
     toy_fpga,
 )
+from .scenario import Scenario, parse_scenario
 from .optimizer import candidate_pool, predict_pareto, run, select_batch
 
 __all__ = [

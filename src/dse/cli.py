@@ -33,18 +33,8 @@ from .optimizer import RunResult, run
 from .pareto import (
     EvaluationRecord, constrained_front, feasible_front, feasible_hvi, hvi_trace, objective_stddevs,
 )
-from .space import (
-    INTEGER,
-    ORDINAL,
-    REAL,
-    DesignSpace,
-    Parameter,
-    Scenario,
-    ValidationError,
-    canonical_str,
-    decode_scenario,
-    scenario_from_doc,
-)
+from .scenario import Scenario, decode_scenario, scenario_from_doc
+from .space import INTEGER, ORDINAL, REAL, DesignSpace, Parameter, ValidationError, canonical_str
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +58,21 @@ def records_to_csv(space: DesignSpace, objectives: Sequence[str],
     return buf.getvalue()
 
 
+def _canonical_int(cell: str) -> int:
+    """The integer ``canonical_str`` wrote as ``cell``, else a ValueError:
+    ``int`` alone also reads ``0_2`` and `` 2 `` as 2."""
+    value = int(cell)
+    if canonical_str(value) != cell:
+        raise ValueError(f"{cell!r} is not an integer in canonical form")
+    return value
+
+
 def parse_value(param: Parameter, text: str) -> Any:
     """Invert canonical_str for one parameter value. A value outside the
     domain raises the DomainError ``encode_matrix`` would raise; a number
-    that does not parse, a ValueError."""
+    that does not parse, or an integer not in canonical form, a ValueError."""
     if param.kind == INTEGER:
-        value = int(text)
+        value = _canonical_int(text)
     elif param.kind == REAL:
         value = float(text)
     elif param.kind == ORDINAL:  # the value written as text, if there is one
@@ -89,13 +88,15 @@ def read_records_csv(path: Path, space: DesignSpace,
     """The typed records of a CSV with every parameter, objective and
     ``feasible`` column, checked as :func:`read_points_csv` checks its rows;
     parameter cells must lie in the space (:func:`parse_value`) and tags
-    must be integers (-1 without an ``iteration_tag`` column)."""
+    must be integers in canonical form (-1 without an ``iteration_tag``
+    column)."""
     return [EvaluationRecord(
         tuple(_cell(row, p.name, where, partial(parse_value, p), "in the parameter's domain")
               for p in space.parameters),
         tuple(_cell(row, o, where, _finite, "a finite number") for o in objectives),
         _cell(row, "feasible", where, {"true": True, "false": False}.get, "true or false"),
-        _cell(row, "iteration_tag", where, int, "an integer") if "iteration_tag" in row else -1)
+        _cell(row, "iteration_tag", where, _canonical_int, "an integer")
+        if "iteration_tag" in row else -1)
         for where, row in _csv_rows(path, [*space.names, *objectives, "feasible"])]
 
 

@@ -23,19 +23,13 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .pareto import EvaluationRecord, constrained_front
-from .space import (
-    DesignSpace,
-    DomainError,
-    Scenario,
-    ValidationError,
-    canonical_str,
-    enumerate_space,
-    require_number,
-    require_str,
-)
+from .space import DesignSpace, DomainError, canonical_str, enumerate_space
+
+if TYPE_CHECKING:  # the scenario reader builds an EvaluatorSpec, so it imports this module
+    from .scenario import Scenario
 
 
 class EvaluationError(RuntimeError):
@@ -50,7 +44,9 @@ class EvaluationError(RuntimeError):
 @dataclass(frozen=True)
 class EvaluatorSpec:
     """How to run the evaluator: exactly one of the builtin ``name`` (in-process)
-    and the child ``command``. What it measures is the scenario's to say."""
+    and the child ``command``; ``working_dir`` and a ``timeout_seconds`` other
+    than the default apply to a command only. What it measures is the
+    scenario's to say."""
 
     name: str | None = None
     command: str | None = None
@@ -60,44 +56,17 @@ class EvaluatorSpec:
     def __post_init__(self):
         if (self.name is None) == (self.command is None):
             raise ValueError("evaluator needs exactly one of a builtin name and a command")
-        if self.name is not None and self.name not in BUILTIN_EVALUATORS:
-            raise ValueError(f"unknown builtin evaluator {self.name!r}")
+        if self.name is not None:
+            if self.name not in BUILTIN_EVALUATORS:
+                raise ValueError(f"unknown builtin evaluator {self.name!r}")
+            default = EvaluatorSpec.timeout_seconds  # the class attribute holds the field's default
+            if self.working_dir is not None or self.timeout_seconds != default:
+                raise ValueError("a builtin evaluator runs in-process and takes no working_dir "
+                                 "or timeout_seconds")
         if self.command is not None and not shlex.split(self.command):  # unbalanced quotes raise
             raise ValueError("evaluator command line is empty")
         if not 0 < self.timeout_seconds < math.inf:  # NaN too
             raise ValueError("evaluator timeout must be positive and finite")
-
-
-def parse_evaluator(raw: Any) -> EvaluatorSpec:
-    """Evaluator section of the scenario JSON: either {"builtin": name} or
-    {"command": "...", "working_dir": "...", "timeout_seconds": s}."""
-    if not isinstance(raw, dict):
-        raise ValidationError("evaluator must be an object")
-    if "builtin" in raw:
-        allowed = {"builtin"}
-    elif "command" in raw:
-        allowed = {"command", "working_dir", "timeout_seconds"}
-    else:
-        raise ValidationError("evaluator needs either a 'builtin' name or a 'command'")
-    extra = set(raw) - allowed
-    if extra:
-        raise ValidationError(f"evaluator: unknown key {sorted(extra)[0]!r}")
-    if "builtin" in raw:
-        kwargs = {"name": require_str(raw["builtin"], "evaluator.builtin")}
-    else:
-        working_dir = raw.get("working_dir")
-        if working_dir is not None:
-            require_str(working_dir, "evaluator.working_dir")
-        kwargs = {
-            "command": require_str(raw["command"], "evaluator.command"),
-            "working_dir": working_dir,
-            "timeout_seconds": require_number(raw.get("timeout_seconds", 300.0),
-                                              "evaluator.timeout_seconds"),
-        }
-    try:
-        return EvaluatorSpec(**kwargs)
-    except ValueError as e:
-        raise ValidationError(f"evaluator: {e}") from e
 
 
 # ---------------------------------------------------------------------------

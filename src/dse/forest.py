@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .rng import RngState
-from .space import ValidationError, require_bool, require_int, require_number
 
 
 class FitError(ValueError):
@@ -86,40 +85,6 @@ class ForestHyperparams:
         if self.max_features == "auto":
             return int(math.ceil(math.sqrt(d))) if classifier else d
         return max(1, int(float(self.max_features) * d))
-
-
-def parse_hyperparams(raw: dict, classifier: bool) -> ForestHyperparams:
-    """Hyperparameters from the scenario JSON ``surrogate`` section."""
-    where = "surrogate.classifier" if classifier else "surrogate.regressor"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be an object")
-    allowed = {"n_estimators", "max_depth", "max_features", "bootstrap", "min_samples_split"}
-    if classifier:
-        allowed = allowed | {"class_weight"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-    kwargs: dict = {}
-    for key in ("n_estimators", "min_samples_split"):
-        if key in raw:
-            kwargs[key] = require_int(raw[key], f"{where}.{key}")
-    if raw.get("max_depth") is not None:
-        kwargs["max_depth"] = require_int(raw["max_depth"], f"{where}.max_depth")
-    if "max_features" in raw:
-        mf = raw["max_features"]
-        kwargs["max_features"] = mf if mf == "auto" else require_number(mf, f"{where}.max_features")
-    if "bootstrap" in raw:
-        kwargs["bootstrap"] = require_bool(raw["bootstrap"], f"{where}.bootstrap")
-    if "class_weight" in raw:
-        cw = raw["class_weight"]
-        if not isinstance(cw, dict) or set(cw) != {"true", "false"}:
-            raise ValidationError(f'{where}.class_weight must be {{"true": w, "false": w}}')
-        kwargs["class_weight"] = tuple(require_number(cw[k], f"{where}.class_weight.{k}")
-                                       for k in ("true", "false"))
-    try:
-        return ForestHyperparams(**kwargs)
-    except ValueError as e:
-        raise ValidationError(f"{where}: {e}") from e
 
 
 class TreeNode:

@@ -35,16 +35,8 @@ from .evaluators import EvaluationError, evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
 from .pareto import EvaluationRecord, pareto_front
 from .rng import RngState
-from .space import (
-    REAL,
-    DesignSpace,
-    RowSet,
-    Scenario,
-    decode_matrix,
-    distinct_rows,
-    encode_matrix,
-    row_keys,
-)
+from .scenario import Scenario
+from .space import REAL, DesignSpace, RowSet, decode_matrix, distinct_rows, encode_matrix, row_keys
 
 # fixed substream tags so artifact bytes do not depend on code path details
 _STREAM_WARMUP = 1

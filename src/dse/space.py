@@ -1,16 +1,18 @@
-"""Typed design spaces: parameters, priors, scenarios, and feature encoding.
+"""Typed design spaces: parameters, priors, feature encoding and row keys.
 
 A design space is an ordered list of typed parameters (real, integer,
 ordinal, categorical). The parameter order is canonical: configurations
 (plain tuples of values), feature vectors, CSV columns and enumeration order
-all follow it. Scenarios bundle a space with objectives, budgets, surrogate
-hyperparameters and an evaluator, and are read from a JSON setup file.
+all follow it. Each type checks its own invariants when it is built, so a
+library caller meets the rules a scenario file does; the file itself is read
+by :mod:`dse.scenario`. Encoded rows are keyed (:func:`row_keys`), held in a
+:class:`RowSet`, drawn distinct (:func:`distinct_rows`) and enumerated
+(:func:`enumerate_space`) here.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,26 @@ class DomainError(ValueError):
 
 class EnumerationError(ValueError):
     """The space cannot be exhaustively enumerated (reals or too large)."""
+
+
+def check_unpadded(text: str, field: str) -> None:
+    """Text without leading or trailing whitespace, else a ValidationError
+    naming the field: evaluator responses are read with their cells stripped,
+    so a padded name or value would never match its response cell."""
+    if text != text.strip():
+        raise ValidationError(f"{field}: {text!r} has leading or trailing whitespace")
+
+
+def check_column_name(name: str, field: str) -> None:
+    """A parameter or objective name that can head its own CSV column, else a
+    ValidationError naming the field. Records CSVs add the two columns
+    ``feasible`` and ``iteration_tag`` after the parameters and objectives."""
+    check_unpadded(name, field)
+    if name in ("feasible", "iteration_tag"):
+        raise ValidationError(f"{field}: name {name!r} is reserved for a records CSV column")
+    if any(ch in name for ch in CSV_RESERVED):
+        raise ValidationError(
+            f"{field}: name {name!r} contains a character reserved by the CSV protocol")
 
 
 def canonical_str(value: Any) -> str:
@@ -108,6 +130,9 @@ class Parameter:
       real / integer -> [lower, upper] bounds (inclusive);
       ordinal        -> ``values``: strictly increasing numeric tuple;
       categorical    -> ``values``: distinct level strings in declaration order.
+
+    The name heads a CSV column (:func:`check_column_name`), and levels may
+    not be padded with whitespace (:func:`check_unpadded`).
     """
 
     name: str
@@ -118,6 +143,7 @@ class Parameter:
     prior: Prior = UNIFORM_PRIOR
 
     def __post_init__(self):
+        check_column_name(self.name, self.name)
         if self.kind not in PARAMETER_KINDS:
             raise ValidationError(f"{self.name}: unknown parameter kind {self.kind!r}")
         if self.kind in (REAL, INTEGER):
@@ -149,6 +175,7 @@ class Parameter:
             for lv in self.values:
                 if not isinstance(lv, str):
                     raise ValidationError(f"{self.name}: categorical levels must be strings")
+                check_unpadded(lv, self.name)
                 if any(ch in lv for ch in CSV_RESERVED):
                     raise ValidationError(
                         f"{self.name}: level {lv!r} contains a character reserved by the CSV protocol"
@@ -426,271 +453,3 @@ def enumerate_space(space: DesignSpace) -> Iterator[tuple]:
     if card > ENUMERATION_CAP:
         raise EnumerationError(f"cardinality {card} exceeds enumeration cap {ENUMERATION_CAP}")
     return itertools.product(*(p.domain_values() for p in space.parameters))
-
-
-# ---------------------------------------------------------------------------
-# Scenario: the JSON setup file
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeasibleOutput:
-    name: str
-    true_value: str = "true"
-
-
-@dataclass(frozen=True)
-class Scenario:
-    application_name: str
-    objectives: tuple[str, ...]
-    space: DesignSpace
-    evaluator: "EvaluatorSpec"
-    feasibility: FeasibleOutput | None
-    doe_samples: int
-    optimization_iterations: int
-    evaluations_per_iteration: int
-    pareto_prediction_samples: int
-    regressor_hp: "ForestHyperparams"
-    classifier_hp: "ForestHyperparams"
-    seed: int
-    output_dir: str
-    use_feasibility_filter: bool
-    feasibility_threshold: float
-
-    def __post_init__(self):
-        if len(self.objectives) < 1:
-            raise ValidationError("at least one optimization objective is required")
-        if len(set(self.objectives)) != len(self.objectives):
-            raise ValidationError("objective names must be distinct")
-        if set(self.objectives) & set(self.space.names):
-            raise ValidationError("objective names must differ from parameter names")
-        if self.doe_samples < 1:
-            raise ValidationError("design_of_experiment.number_of_samples must be >= 1")
-        if self.optimization_iterations < 0:
-            raise ValidationError("optimization_iterations must be >= 0")
-        if self.evaluations_per_iteration < 1:
-            raise ValidationError("evaluations_per_optimization_iteration must be >= 1")
-        if self.pareto_prediction_samples < 1:
-            raise ValidationError("pareto_prediction_samples must be >= 1")
-        if not (0.0 < self.feasibility_threshold < 1.0):
-            raise ValidationError("feasibility_threshold must lie in (0, 1)")
-
-    @property
-    def filters_feasibility(self) -> bool:
-        """Whether a run drops the candidates predicted infeasible."""
-        return self.use_feasibility_filter and self.feasibility is not None
-
-
-_TOP_LEVEL_KEYS = {
-    "application_name", "optimization_objectives", "feasible_output",
-    "input_parameters", "design_of_experiment", "optimization_iterations",
-    "evaluations_per_optimization_iteration", "pareto_prediction_samples",
-    "seed", "output_dir", "evaluator", "surrogate",
-    "use_feasibility_filter", "feasibility_threshold",
-}
-_PARAM_KEYS = {"parameter_type", "values", "prior"}
-
-
-def require_int(value: Any, field: str) -> int:
-    """A JSON integer (booleans excluded), else a ValidationError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def require_bool(value: Any, field: str) -> bool:
-    """A JSON boolean, else a ValidationError naming the field."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{field} must be true or false, got {value!r}")
-    return value
-
-
-def require_str(value: Any, field: str) -> str:
-    """A JSON string, else a ValidationError naming the field."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def require_number(value: Any, field: str) -> float:
-    """A finite JSON number (booleans excluded), else a ValidationError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field} must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN too
-        raise ValidationError(f"{field} must be finite, got {value!r}")
-    return float(value)
-
-
-def _require_unpadded(text: str, field: str) -> None:
-    """Text without leading or trailing whitespace, else a ValidationError
-    naming the field: evaluator responses are read with their cells stripped,
-    so a padded name or value would never match its response cell."""
-    if text != text.strip():
-        raise ValidationError(f"{field}: {text!r} has leading or trailing whitespace")
-
-
-def _require_column_name(name: str, field: str) -> None:
-    """A parameter or objective name that can head its own CSV column, else a
-    ValidationError naming the field. Records CSVs add the two columns
-    ``feasible`` and ``iteration_tag`` after the parameters and objectives."""
-    _require_unpadded(name, field)
-    if name in ("feasible", "iteration_tag"):
-        raise ValidationError(f"{field}: name {name!r} is reserved for a records CSV column")
-    if any(ch in name for ch in CSV_RESERVED):
-        raise ValidationError(
-            f"{field}: name {name!r} contains a character reserved by the CSV protocol")
-
-
-def _parse_prior(raw: Any, kind: str, where: str) -> Prior:
-    """The prior of a JSON parameter entry. JSON types are checked here and
-    value rules by ``Prior`` (and ``Parameter``), whose messages get ``where``."""
-    if raw is None:
-        return UNIFORM_PRIOR
-    if isinstance(raw, str):
-        if raw not in BETA_SHAPES:
-            raise ValidationError(f"{where}: unknown prior shape {raw!r}")
-        return Prior(raw, *BETA_SHAPES[raw])
-    if not isinstance(raw, list):
-        raise ValidationError(f"{where}: unrecognized prior {raw!r}")
-    if kind != CATEGORICAL and len(raw) != 2:
-        raise ValidationError(f"{where}: Beta prior must be a two-element [alpha, beta] list")
-    numbers = tuple(require_number(v, f"{where}.prior") for v in raw)
-    try:
-        if kind == CATEGORICAL:
-            return Prior("categorical", probs=numbers)
-        return Prior("beta", *numbers)
-    except ValidationError as e:
-        raise ValidationError(f"{where}: {e}") from None
-
-
-def _parse_parameter(name: str, raw: Any) -> Parameter:
-    where = f"input_parameters.{name}"
-    _require_column_name(name, where)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: expected an object")
-    unknown = set(raw) - _PARAM_KEYS
-    if unknown:
-        raise ValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-    kind = raw.get("parameter_type")
-    if kind not in PARAMETER_KINDS:
-        raise ValidationError(f"{where}: unknown parameter kind {kind!r}")
-    values = raw.get("values")
-    if not isinstance(values, list) or not values:
-        raise ValidationError(f"{where}: 'values' must be a non-empty list")
-    prior = _parse_prior(raw.get("prior"), kind, where)
-
-    if kind in (REAL, INTEGER):
-        if len(values) != 2:
-            raise ValidationError(f"{where}: {kind} takes a [lower, upper] pair")
-        read = require_number if kind == REAL else require_int
-        lower, upper = (read(v, f"{where}.values") for v in values)
-        domain = {"lower": lower, "upper": upper}
-    elif kind == ORDINAL:  # the list may arrive unsorted; canonical order is ascending
-        for v in values:
-            require_number(v, f"{where}.values")
-        domain = {"values": tuple(sorted(values))}
-    else:  # categorical: canonicalize levels to strings, keep declaration order
-        domain = {"values": tuple(canonical_str(v) for v in values)}
-        for level in domain["values"]:
-            _require_unpadded(level, where)
-    try:
-        return Parameter(name, kind, prior=prior, **domain)
-    except ValidationError as e:  # its messages start with the parameter name
-        raise ValidationError(f"input_parameters.{e}") from None
-
-
-def decode_scenario(json_text: str) -> dict:
-    """The JSON object of a scenario document; malformed JSON is reported
-    with its line and column."""
-    try:
-        doc = json.loads(json_text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"scenario JSON parse error at line {e.lineno} column {e.colno}: {e.msg}")
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario document must be a JSON object")
-    return doc
-
-
-def parse_scenario(json_text: str) -> Scenario:
-    """Parse and validate a scenario JSON document (see :func:`scenario_from_doc`)."""
-    return scenario_from_doc(decode_scenario(json_text))
-
-
-def scenario_from_doc(doc: dict) -> Scenario:
-    """Validate a decoded scenario document.
-
-    Optional fields take the documented defaults; every parameter without a
-    prior gets the uniform one. Structural violations name the offending
-    field.
-    """
-    from .evaluators import parse_evaluator
-    from .forest import parse_hyperparams
-
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ValidationError(f"unknown scenario field {sorted(unknown)[0]!r}")
-    for req in ("application_name", "optimization_objectives", "input_parameters", "evaluator"):
-        if req not in doc:
-            raise ValidationError(f"missing required scenario field {req!r}")
-
-    objectives = doc["optimization_objectives"]
-    if not isinstance(objectives, list) or not all(isinstance(o, str) for o in objectives):
-        raise ValidationError("optimization_objectives must be a list of strings")
-    for name in objectives:
-        _require_column_name(name, "optimization_objectives")
-
-    raw_params = doc["input_parameters"]
-    if not isinstance(raw_params, dict) or not raw_params:
-        raise ValidationError("input_parameters must be a non-empty object")
-    params = tuple(_parse_parameter(name, raw) for name, raw in raw_params.items())
-    space = DesignSpace(params)
-
-    feasibility = None
-    if doc.get("feasible_output") is not None:
-        fo = doc["feasible_output"]
-        if not isinstance(fo, dict) or "name" not in fo:
-            raise ValidationError("feasible_output must be an object with a 'name'")
-        feasibility = FeasibleOutput(
-            require_str(fo["name"], "feasible_output.name"),
-            require_str(fo.get("true_value", "true"), "feasible_output.true_value"))
-        _require_unpadded(feasibility.name, "feasible_output.name")
-        _require_unpadded(feasibility.true_value, "feasible_output.true_value")
-        if feasibility.name in set(objectives) | set(space.names):
-            raise ValidationError("feasible_output.name clashes with another column name")
-
-    doe = doc.get("design_of_experiment", {})
-    if not isinstance(doe, dict):
-        raise ValidationError("design_of_experiment must be an object")
-    n_samples = require_int(doe.get("number_of_samples", 1000),
-                            "design_of_experiment.number_of_samples")
-
-    surrogate = doc.get("surrogate", {})
-    if not isinstance(surrogate, dict):
-        raise ValidationError("surrogate must be an object")
-    regressor_hp = parse_hyperparams(surrogate.get("regressor", {}), classifier=False)
-    classifier_hp = parse_hyperparams(surrogate.get("classifier", {}), classifier=True)
-
-    evaluator = parse_evaluator(doc["evaluator"])
-
-    return Scenario(
-        application_name=require_str(doc["application_name"], "application_name"),
-        objectives=tuple(objectives),
-        space=space,
-        evaluator=evaluator,
-        feasibility=feasibility,
-        doe_samples=n_samples,
-        optimization_iterations=require_int(doc.get("optimization_iterations", 50),
-                                            "optimization_iterations"),
-        evaluations_per_iteration=require_int(doc.get("evaluations_per_optimization_iteration", 100),
-                                              "evaluations_per_optimization_iteration"),
-        pareto_prediction_samples=require_int(doc.get("pareto_prediction_samples", 100_000),
-                                              "pareto_prediction_samples"),
-        regressor_hp=regressor_hp,
-        classifier_hp=classifier_hp,
-        seed=require_int(doc.get("seed", 0), "seed"),
-        output_dir=require_str(doc.get("output_dir", "dse_output"), "output_dir"),
-        use_feasibility_filter=require_bool(doc.get("use_feasibility_filter", True),
-                                            "use_feasibility_filter"),
-        feasibility_threshold=require_number(doc.get("feasibility_threshold", 0.5),
-                                             "feasibility_threshold"),
-    )
-

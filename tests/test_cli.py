@@ -6,7 +6,8 @@ import pytest
 
 from dse.cli import load_scenario, main, read_front_csv, read_records_csv
 from dse.pareto import constrained_front, dominates
-from dse.space import ValidationError, parse_scenario
+from dse.scenario import parse_scenario
+from dse.space import ValidationError
 
 from conftest import SCENARIO_DIR
 
@@ -211,6 +212,10 @@ def test_overrides_reach_the_scenario_fields():
     ('evaluator={"command": "true", "timeout_seconds": 0}',
      "evaluator: evaluator timeout must be positive"),
     ('evaluator={"builtin": "nope"}', "evaluator: unknown builtin evaluator 'nope'"),
+    ("design_of_experiment.number_of_sample=5",
+     "design_of_experiment: unknown key 'number_of_sample'"),
+    ('feasible_output.true_valeu="yes"', "feasible_output: unknown key 'true_valeu'"),
+    ("surrogate.regresor.n_estimators=3", "surrogate: unknown key 'regresor'"),
 ])
 def test_out_of_range_fields_fail_with_their_section_named(override, message, capsys):
     assert run_cli("run", TOY, "--set", override) == 1
@@ -533,7 +538,10 @@ TOY_RECORDS_HEADER = "T,P,S,B,cycles,logic,feasible,iteration_tag\n"
      "line 3, column 'feasible': 'yes' is not true or false"),
     ("2,1,true,1,100.0,5.0,true,0.5",
      "line 3, column 'iteration_tag': '0.5' is not an integer"),
-], ids=["extra cell", "no tag cell", "nan objective", "feasible yes", "fractional tag"])
+    ("2,1,true,1,100.0,5.0,true,1_0",
+     "line 3, column 'iteration_tag': '1_0' is not an integer"),
+], ids=["extra cell", "no tag cell", "nan objective", "feasible yes", "fractional tag",
+        "tag with an underscore"])
 def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
     scenario = parse_scenario(open(TOY).read())
     path = tmp_path / "samples.csv"
@@ -549,8 +557,11 @@ def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
     ("4,2,false,2.0,50.0,2.0,false,0", "B", "2.0"),
     ("3,2,false,2,50.0,2.0,false,0", "T", "3"),
     ("4,2,maybe,2,50.0,2.0,false,0", "S", "maybe"),
+    ("4,2,false,0_2,50.0,2.0,false,0", "B", "0_2"),
+    ("4,2,false, 2 ,50.0,2.0,false,0", "B", " 2 "),
 ], ids=["integer out of range", "integer not a number", "integer written as a float",
-        "ordinal not a value", "categorical not a level"])
+        "ordinal not a value", "categorical not a level", "integer with an underscore",
+        "integer padded"])
 def test_records_parameter_cell_outside_the_space_fails(tmp_path, row, column, cell):
     scenario = parse_scenario(open(TOY).read())
     path = tmp_path / "samples.csv"

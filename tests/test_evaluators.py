@@ -18,7 +18,8 @@ from dse import (
     toy_fpga,
 )
 from dse import evaluators
-from dse.space import DomainError, FeasibleOutput, canonical_str
+from dse.scenario import FeasibleOutput
+from dse.space import DomainError, canonical_str
 
 from conftest import SCENARIO_DIR
 
@@ -309,6 +310,16 @@ def test_evaluator_is_a_builtin_or_a_command(where):
     with pytest.raises(ValueError, match="^evaluator needs exactly one of a builtin name "
                                          "and a command$"):
         EvaluatorSpec(**where)
+
+
+@pytest.mark.parametrize("where", [{"working_dir": "/nonexistent"}, {"timeout_seconds": 1},
+                                   {"working_dir": ".", "timeout_seconds": 300.0}],
+                         ids=["working_dir", "timeout", "both"])
+def test_builtin_evaluator_takes_no_child_process_settings(where):
+    with pytest.raises(ValueError, match="^a builtin evaluator runs in-process and takes no "
+                                         "working_dir or timeout_seconds$"):
+        EvaluatorSpec(name="toy_fpga", **where)
+    assert EvaluatorSpec(name="toy_fpga", timeout_seconds=300.0).working_dir is None
 
 
 @pytest.mark.parametrize("command, message", [

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from dse import (
     enumerate_space,
     parse_scenario,
 )
-from dse.space import ENUMERATION_CAP, UNIFORM_PRIOR, FeasibleOutput, encode_matrix
+from dse.scenario import FeasibleOutput
+from dse.space import ENUMERATION_CAP, UNIFORM_PRIOR, encode_matrix
 
 MINIMAL = {
     "application_name": "demo",
@@ -151,6 +153,60 @@ def test_padded_feasibility_fields_are_rejected(key, value):
     with pytest.raises(ValidationError, match=rf"^feasible_output\.{key}: .*whitespace"):
         make_scenario(feasible_output=feasible)
     assert make_scenario(feasible_output={"name": "ok", "true_value": "true"}).feasibility.name == "ok"
+
+
+@pytest.mark.parametrize("section, change, key", [
+    ("scenario document", lambda doc: doc.update(typo_field=3), "typo_field"),
+    ("input_parameters.a", lambda doc: doc["input_parameters"]["a"].update(priors="decay"),
+     "priors"),
+    ("design_of_experiment", lambda doc: doc.update(design_of_experiment={"number_of_sample": 30}),
+     "number_of_sample"),
+    ("feasible_output",
+     lambda doc: doc.update(feasible_output={"name": "ok", "true_valeu": "yes"}), "true_valeu"),
+    ("surrogate", lambda doc: doc.update(surrogate={"regresor": {"n_estimators": 3}}), "regresor"),
+    ("surrogate.regressor", lambda doc: doc.update(surrogate={"regressor": {"n_estimator": 3}}),
+     "n_estimator"),
+    ("surrogate.classifier", lambda doc: doc.update(surrogate={"classifier": {"depth": 3}}),
+     "depth"),
+    ("surrogate.classifier.class_weight", lambda doc: doc.update(surrogate={"classifier": {
+        "class_weight": {"true": 0.75, "false": 0.25, "maybe": 0.0}}}), "maybe"),
+    ("evaluator", lambda doc: doc.update(evaluator={"command": "true", "timeout": 5}), "timeout"),
+], ids=["top level", "parameter", "design_of_experiment", "feasible_output", "surrogate",
+        "regressor", "classifier", "class_weight", "evaluator"])
+def test_every_section_rejects_an_unknown_key(section, change, key):
+    # a misspelt key would otherwise leave its field at the default
+    doc = json.loads(json.dumps(MINIMAL))
+    change(doc)
+    with pytest.raises(ValidationError, match=f"^{re.escape(section)}: unknown key {key!r}$"):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda s: Parameter("a,b", "integer", lower=0, upper=3),
+                 "a,b: name 'a,b' contains a character reserved by the CSV protocol",
+                 id="parameter-name-comma"),
+    pytest.param(lambda s: Parameter("c", "categorical", values=("x", " y")),
+                 "c: ' y' has leading or trailing whitespace", id="padded-level"),
+    pytest.param(lambda s: replace(s, objectives=("feasible", "cost")),
+                 "optimization_objectives: name 'feasible' is reserved for a records CSV column",
+                 id="objective-named-feasible"),
+    pytest.param(lambda s: replace(s, feasibility=FeasibleOutput("cost")),
+                 "feasible_output.name clashes with another column name",
+                 id="feasibility-named-like-an-objective"),
+    pytest.param(lambda s: replace(s, feasibility=FeasibleOutput("a")),
+                 "feasible_output.name clashes with another column name",
+                 id="feasibility-named-like-a-parameter"),
+    pytest.param(lambda s: FeasibleOutput(" ok"),
+                 "feasible_output.name: ' ok' has leading or trailing whitespace",
+                 id="padded-feasibility-name"),
+    pytest.param(lambda s: FeasibleOutput("ok", "true "),
+                 "feasible_output.true_value: 'true ' has leading or trailing whitespace",
+                 id="padded-true-value"),
+])
+def test_library_callers_meet_the_rules_of_the_scenario_file(make, message):
+    scenario = make_scenario()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make(scenario)
 
 
 def test_integer_bounds_stay_where_float_features_are_exact():
