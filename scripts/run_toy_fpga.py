@@ -39,7 +39,7 @@ def main() -> int:
     gap = hvi([r.objectives for r in front], ref, sigma)
 
     print(f"evaluated {len(result.records)} configurations over "
-          f"{result.meta['iterations_run']} iterations")
+          f"{result.tag + 1} iterations")
     print(f"normalized hvi vs true front: {gap:.4f}")
     print(f"{'config':<28} {'cycles':>9} {'logic':>7}  on true front?")
     truth = {r.objectives for r in true_front}

@@ -3,8 +3,9 @@
 Prior-guided warm-up sampling, per-objective random-forest surrogates, a
 random-forest feasibility filter, and an active-learning loop that peels
 successive predicted Pareto layers while never re-evaluating a point.
-A run returns its records; their hypervolume indicator (HVI) against a
-reference front is computed from them, for any number of objectives.
+A run yields one step per batch with every record so far; their
+hypervolume indicator (HVI) against a reference front is computed from the
+records, for any number of objectives.
 """
 
 __version__ = "0.1.0"
@@ -20,14 +21,12 @@ from .forest import (
 from .pareto import (
     EvaluationRecord,
     constrained_front,
-    dominates,
     hvi,
     hypervolume,
     objective_stddevs,
     pareto_front,
-    reference_front,
 )
-from .priors import beta_pdf, sample_beta, warmup_sample
+from .priors import sample_beta, warmup_sample
 from .rng import RngState
 from .space import (
     DesignSpace,
@@ -49,17 +48,17 @@ from .evaluators import (
     toy_fpga,
 )
 from .scenario import Scenario, parse_scenario
-from .optimizer import candidate_pool, predict_pareto, run, select_batch
+from .optimizer import Step, candidate_pool, predict_pareto, run, select_batch, steps
 
 __all__ = [
     "DesignSpace", "DomainError", "EnumerationError", "EvaluationError",
     "EvaluationRecord", "EvaluatorSpec", "Forest", "ForestHyperparams",
-    "Parameter", "Prior", "RngState", "RowSet", "Scenario", "ValidationError",
-    "beta_pdf", "brute_force_front", "candidate_pool", "constrained_front",
-    "decode_matrix", "dominates", "encode_matrix", "enumerate_space",
+    "Parameter", "Prior", "RngState", "RowSet", "Scenario", "Step", "ValidationError",
+    "brute_force_front", "candidate_pool", "constrained_front",
+    "decode_matrix", "encode_matrix", "enumerate_space",
     "evaluate_batch", "feature_importance", "fit_classifier",
     "fit_regressor", "hvi", "hypervolume", "kfold_recall",
     "objective_stddevs", "parse_scenario", "pareto_front", "predict_pareto",
-    "reference_front", "run", "sample_beta", "select_batch",
+    "run", "sample_beta", "select_batch", "steps",
     "toy_fpga", "warmup_sample",
 ]

@@ -7,7 +7,9 @@ Subcommands:
 
 A run writes samples.csv (every evaluation, tagged by iteration), pareto.csv
 (final constrained front), hvi_trace.csv, feature_importance.csv and
-run_meta.json into the scenario's output directory. Artifacts are
+run_meta.json into the scenario's output directory. samples.csv is replaced
+after every batch, so a run that fails or is killed keeps every completed
+batch; the other four are written once, at the end. Artifacts are
 byte-reproducible for a fixed scenario and seed.
 """
 
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import platform
+import re
 import sys
+import time
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -29,7 +32,7 @@ import numpy as np
 from . import __version__
 from .evaluators import EvaluationError, brute_force_front
 from .forest import feature_importance
-from .optimizer import RunResult, run
+from .optimizer import Step, steps
 from .pareto import (
     EvaluationRecord, constrained_front, feasible_front, feasible_hvi, hvi_trace, objective_stddevs,
 )
@@ -43,19 +46,16 @@ from .space import INTEGER, ORDINAL, REAL, DesignSpace, Parameter, ValidationErr
 
 def records_to_csv(space: DesignSpace, objectives: Sequence[str],
                    records: Sequence[EvaluationRecord], with_tag: bool = True) -> str:
-    buf = io.StringIO()
-    cols = list(space.names) + list(objectives) + ["feasible"]
-    if with_tag:
-        cols.append("iteration_tag")
-    buf.write(",".join(cols) + "\n")
-    for r in records:
-        cells = [canonical_str(v) for v in r.config]
-        cells += [canonical_str(v) for v in r.objectives]
-        cells.append(canonical_str(r.feasible))
-        if with_tag:
-            cells.append(str(r.iteration_tag))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    """The header line, then :func:`_record_lines`."""
+    cols = [*space.names, *objectives, "feasible"] + (["iteration_tag"] if with_tag else [])
+    return ",".join(cols) + "\n" + _record_lines(records, with_tag)
+
+
+def _record_lines(records: Sequence[EvaluationRecord], with_tag: bool = True) -> str:
+    """One CSV line per record: its values, objectives, feasibility and tag."""
+    return "".join(",".join(map(canonical_str, (*r.config, *r.objectives, r.feasible,
+                                                *((r.iteration_tag,) if with_tag else ()))))
+                   + "\n" for r in records)
 
 
 def _canonical_int(cell: str) -> int:
@@ -67,6 +67,18 @@ def _canonical_int(cell: str) -> int:
     return value
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _decimal(cell: str) -> float:
+    """The float of a cell holding an optional sign, digits with at most one
+    point and an optional exponent, as ``canonical_str`` writes one; else a
+    ValueError (``float`` alone also reads ``1_0.0`` and `` 2.0 ``)."""
+    if not _DECIMAL.fullmatch(cell):
+        raise ValueError(f"{cell!r} is not a decimal number")
+    return float(cell)
+
+
 def parse_value(param: Parameter, text: str) -> Any:
     """Invert canonical_str for one parameter value. A value outside the
     domain raises the DomainError ``encode_matrix`` would raise; a number
@@ -74,7 +86,7 @@ def parse_value(param: Parameter, text: str) -> Any:
     if param.kind == INTEGER:
         value = _canonical_int(text)
     elif param.kind == REAL:
-        value = float(text)
+        value = _decimal(text)
     elif param.kind == ORDINAL:  # the value written as text, if there is one
         value = next((v for v in param.values if canonical_str(v) == text), text)
     else:
@@ -135,8 +147,8 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, dict]]:
 
 
 def _finite(cell: str) -> float | None:
-    # NaN and inf pass float() but break dominance and the hypervolume
-    value = float(cell)
+    # a cell that overflows to inf breaks dominance and the hypervolume
+    value = _decimal(cell)
     return value if math.isfinite(value) else None
 
 
@@ -191,31 +203,28 @@ def load_scenario(path: str, overrides: Sequence[str] = (), seed: int | None = N
     return scenario_from_doc(doc)
 
 
-def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
+def write_run_artifacts(out_dir: Path, scenario: Scenario, last: Step, duration_seconds: float,
                         reference_path: str | None,
                         reference: list[tuple[float, ...]] | None) -> None:
-    """Write a run's artifacts; with ``reference`` (read from ``reference_path``)
+    """Write the artifacts but samples.csv of a run whose last step is ``last``
+    into ``out_dir``; with ``reference`` (read from ``reference_path``)
     hvi_trace.csv holds the HVI of the records up to each iteration tag."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    space, objectives, records = scenario.space, scenario.objectives, result.records
-    (out_dir / "samples.csv").write_text(
-        records_to_csv(space, objectives, records), encoding="utf-8")
+    space, objectives, records = scenario.space, scenario.objectives, last.records
     (out_dir / "pareto.csv").write_text(
         records_to_csv(space, objectives, constrained_front(records)), encoding="utf-8")
 
-    trace = io.StringIO()
-    trace.write("iteration,hvi\n")
+    trace = []
     if reference is not None:
         sigma = objective_stddevs([r.objectives for r in records] + reference)
-        for tag, value in hvi_trace(records, reference, sigma):
-            trace.write(f"{tag},{canonical_str(value)}\n")
-    (out_dir / "hvi_trace.csv").write_text(trace.getvalue(), encoding="utf-8")
+        trace = hvi_trace(records, reference, sigma)
+    (out_dir / "hvi_trace.csv").write_text("iteration,hvi\n" + "".join(
+        f"{tag},{canonical_str(value)}\n" for tag, value in trace), encoding="utf-8")
 
-    imp = io.StringIO()
-    imp.write("objective," + ",".join(space.names) + "\n")
-    for name, vec in zip(objectives, feature_importance(result.regressor)):
-        imp.write(name + "," + ",".join(canonical_str(float(v)) for v in vec) + "\n")
-    (out_dir / "feature_importance.csv").write_text(imp.getvalue(), encoding="utf-8")
+    rows = [["objective", *space.names]] + [
+        [name, *(canonical_str(float(v)) for v in vec)]
+        for name, vec in zip(objectives, feature_importance(last.regressor))]
+    (out_dir / "feature_importance.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
 
     meta = {
         "application_name": scenario.application_name,
@@ -229,7 +238,9 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, result: RunResult,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        **result.meta,
+        "iterations_run": last.tag + 1,
+        "evaluations": len(records),
+        "duration_seconds": duration_seconds,
     }
     if reference is not None:
         meta["hvi_stddevs"] = dict(zip(objectives, sigma.tolist()))
@@ -242,18 +253,20 @@ def cmd_run(args) -> int:
     if args.reference_front:
         reference = read_front_csv(Path(args.reference_front), scenario.objectives)
     out_dir = Path(scenario.output_dir)
-    try:
-        result = run(scenario)
-    except EvaluationError as e:
-        if e.partial_records:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "samples.csv").write_text(
-                records_to_csv(scenario.space, scenario.objectives, e.partial_records),
-                encoding="utf-8")
-        print(f"error: EvaluationError: {e}", file=sys.stderr)
-        return 1
-    write_run_artifacts(out_dir, scenario, result, args.reference_front, reference)
-    front = constrained_front(result.records)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0, tmp = time.perf_counter(), out_dir / "samples.csv.tmp"
+    # each record is formatted once, and after each step samples.csv is replaced
+    # whole by renaming a file over it: a failed or killed run keeps every batch
+    # it completed
+    samples, written = records_to_csv(scenario.space, scenario.objectives, ()), 0
+    for step in steps(scenario):
+        samples += _record_lines(step.records[written:])
+        written = len(step.records)
+        tmp.write_text(samples, encoding="utf-8")
+        tmp.replace(out_dir / "samples.csv")
+    write_run_artifacts(out_dir, scenario, step, time.perf_counter() - t0,
+                        args.reference_front, reference)
+    front = constrained_front(step.records)
     if not front:
         print("warning: no feasible point found; pareto.csv is empty", file=sys.stderr)
     if len(scenario.objectives) == 1:
@@ -263,8 +276,7 @@ def cmd_run(args) -> int:
                   f"at {dict(zip(scenario.space.names, best.config))}")
         else:
             print("no feasible point found")
-    print(f"wrote {len(result.records)} samples, front of {len(front)}, "
-          f"to {out_dir}")
+    print(f"wrote {len(step.records)} samples, front of {len(front)}, to {out_dir}")
     return 0
 
 
@@ -277,12 +289,10 @@ def cmd_brute_force(args) -> int:
     front, records = brute_force_front(scenario)
     out_dir = Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "all_points.csv").write_text(
-        records_to_csv(scenario.space, scenario.objectives, records, with_tag=False),
-        encoding="utf-8")
-    (out_dir / "true_front.csv").write_text(
-        records_to_csv(scenario.space, scenario.objectives, front, with_tag=False),
-        encoding="utf-8")
+    for name, rows in (("all_points.csv", records), ("true_front.csv", front)):
+        (out_dir / name).write_text(
+            records_to_csv(scenario.space, scenario.objectives, rows, with_tag=False),
+            encoding="utf-8")
     print(f"evaluated {len(records)} configurations; true front has {len(front)} points; "
           f"wrote {out_dir}/all_points.csv and {out_dir}/true_front.csv")
     return 0
@@ -341,24 +351,19 @@ def cmd_report(args) -> int:
     values = [(str(d), feasible_hvi(points, feasible, reference, sigma))
               for d, (points, feasible) in zip(run_dirs, per_run)]
 
-    buf = io.StringIO()
-    buf.write("run,hvi\n")
-    for name, value in values:
-        buf.write(f"{name},{canonical_str(float(value))}\n")
     hvis = [v for _, v in values]
-    mean = float(np.mean(hvis))
-    buf.write(f"mean,{canonical_str(mean)}\n")
+    values.append(("mean", np.mean(hvis)))
     if len(hvis) >= 2:
         from scipy import stats
 
         half = math.inf  # a run with no feasible sample leaves the spread unbounded
         if all(map(math.isfinite, hvis)):
-            half = float(stats.t.ppf(0.9, len(hvis) - 1) * np.std(hvis, ddof=1)
-                         / math.sqrt(len(hvis)))
-        buf.write(f"ci80_half_width,{canonical_str(half)}\n")
+            half = stats.t.ppf(0.9, len(hvis) - 1) * np.std(hvis, ddof=1) / math.sqrt(len(hvis))
+        values.append(("ci80_half_width", half))
+    text = "run,hvi\n" + "".join(f"{name},{canonical_str(float(v))}\n" for name, v in values)
     out_path = Path(args.output)
-    out_path.write_text(buf.getvalue(), encoding="utf-8")
-    print(buf.getvalue().rstrip("\n"))
+    out_path.write_text(text, encoding="utf-8")
+    print(text.rstrip("\n"))
     print(f"wrote {out_path}")
     return 0
 

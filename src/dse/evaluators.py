@@ -38,7 +38,6 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, raw_output: str = ""):
         super().__init__(message)
         self.raw_output = raw_output
-        self.partial_records: list[EvaluationRecord] = []  # run's records before the failure
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,7 @@ def _config_key(config: tuple) -> tuple[str, ...]:
 
 def request_csv(space: DesignSpace, batch: Sequence[tuple]) -> str:
     """The CSV document sent to a child evaluator's stdin."""
-    buf = io.StringIO()
-    buf.write(",".join(space.names) + "\n")
-    for config in batch:
-        buf.write(",".join(_config_key(config)) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(row) + "\n" for row in [space.names, *map(_config_key, batch)])
 
 
 def _response_rows(space: DesignSpace, batch: Sequence[tuple], text: str) -> list[dict[str, str]]:

@@ -16,22 +16,23 @@ without a copy, and only the front rows are decoded to configuration tuples
 (:func:`~dse.space.decode_matrix`).
 
 The archive of evaluated configurations is one :class:`~dse.space.RowSet`
-that :func:`run` grows with each batch when it returns, encoding and keying
+that :func:`steps` grows with each batch when it returns, encoding and keying
 its records once: its rows, in record order, are the matrix
 :func:`fit_surrogates` fits on, and its keys are what :func:`candidate_pool`
 and :func:`select_batch` draw around. The warm-up is the first batch of the
-same cycle.
+same cycle, and :func:`steps` yields the run's state after each batch's
+refit; :func:`run` is the last of them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import priors
-from .evaluators import EvaluationError, evaluate_batch
+from .evaluators import evaluate_batch
 from .forest import Forest, fit_classifier, fit_regressor
 from .pareto import EvaluationRecord, pareto_front
 from .rng import RngState
@@ -45,15 +46,15 @@ _STREAM_POOL = 3
 _STREAM_BATCH = 4
 
 
-@dataclass
-class RunResult:
-    """Every evaluation record in order, the regressor of the run's last
-    refit (the forest whose feature importances the CLI writes) and the
-    run's metadata."""
+@dataclass(frozen=True)
+class Step:
+    """A run after one batch's refit: the batch's tag (-1 for the warm-up),
+    every record so far in order, and the regressor refit on them. Later
+    steps build new values, so a step never changes once yielded."""
 
-    records: list[EvaluationRecord]
+    tag: int
+    records: tuple[EvaluationRecord, ...]
     regressor: Forest
-    meta: dict
 
 
 def _uniform_rows(space: DesignSpace, k: int, gen) -> np.ndarray:
@@ -83,7 +84,7 @@ def candidate_pool(space: DesignSpace, s: int, evaluated: RowSet, rng: RngState)
                          taken=evaluated)
 
 
-def fit_surrogates(X: np.ndarray, records: list[EvaluationRecord], scenario: Scenario,
+def fit_surrogates(X: np.ndarray, records: Sequence[EvaluationRecord], scenario: Scenario,
                    rng: RngState, *, classify: bool) -> tuple[Forest, Forest | None]:
     """Refit the models on the encoded archive ``X`` (one row per record):
     one regressor fit whose output j is objective j's forest (seeded
@@ -148,54 +149,52 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: 
     return fresh + decode_matrix(space, fill)
 
 
-def run(scenario: Scenario) -> RunResult:
-    """Execute the full search for a scenario.
+def steps(scenario: Scenario) -> Iterator[Step]:
+    """Execute the search for a scenario, one :class:`Step` per batch.
 
     Every batch, the warm-up of doe_samples prior-drawn configurations first
     (tag -1), goes through one cycle: evaluate it, encode and key it once into
-    the archive's row set, and refit on the set's rows; then stop after
-    optimization_iterations batches or at an empty prediction or batch, or
-    predict the front over a fresh pool without evaluated rows and select at
-    most evaluations_per_iteration of it. Only a refit that a prediction
-    follows fits the classifier; the last refit's regressor is returned.
+    the archive's row set, refit on the set's rows and yield the step; then
+    stop after optimization_iterations batches or at an empty prediction or
+    batch, or predict the front over a fresh pool without evaluated rows and
+    select at most evaluations_per_iteration of it. Only a refit that a
+    prediction follows fits the classifier. An evaluation that fails raises
+    out of the generator after the steps of the batches before it.
     """
-    t0 = time.perf_counter()
     space = scenario.space
     root = RngState(scenario.seed)
     fit_rng = root.substream(_STREAM_FIT)
 
     batch = priors.warmup_sample(space, scenario.doe_samples, root.substream(_STREAM_WARMUP))
-    records: list[EvaluationRecord] = []
+    records: tuple[EvaluationRecord, ...] = ()
     evaluated = RowSet.of(space, np.empty((0, len(space.parameters))))
-    i = -1
-    try:
-        while True:
-            records += evaluate_batch(scenario, batch, iteration_tag=i)
-            B = encode_matrix(space, batch)  # the new records' configurations, in order
-            evaluated = evaluated.union(B, row_keys(space, B))
-            i += 1
-            predicting = i < scenario.optimization_iterations
-            regressor, classifier = fit_surrogates(evaluated.rows, records, scenario,
-                                                   fit_rng.substream(i), classify=predicting)
-            if not predicting:
-                break
-            # no name here holds the pool, so the filter's survivors replace it
-            predicted = predict_pareto(
-                space, candidate_pool(space, scenario.pareto_prediction_samples, evaluated,
-                                      root.substream(_STREAM_POOL).substream(i)),
-                regressor, classifier, scenario.feasibility_threshold)
-            if not predicted:
-                break
-            batch = select_batch(predicted, scenario.evaluations_per_iteration, space,
-                                 evaluated, root.substream(_STREAM_BATCH).substream(i))
-            if not batch:
-                break
-    except EvaluationError as e:
-        e.partial_records = records
-        raise
+    for tag in range(-1, scenario.optimization_iterations):
+        records += tuple(evaluate_batch(scenario, batch, iteration_tag=tag))
+        B = encode_matrix(space, batch)  # the new records' configurations, in order
+        evaluated = evaluated.union(B, row_keys(space, B))
+        i = tag + 1  # the substream of this refit and of the prediction after it
+        predicting = i < scenario.optimization_iterations
+        regressor, classifier = fit_surrogates(evaluated.rows, records, scenario,
+                                               fit_rng.substream(i), classify=predicting)
+        yield Step(tag, records, regressor)
+        if not predicting:
+            return
+        # no name here holds the pool, so the filter's survivors replace it
+        predicted = predict_pareto(
+            space, candidate_pool(space, scenario.pareto_prediction_samples, evaluated,
+                                  root.substream(_STREAM_POOL).substream(i)),
+            regressor, classifier, scenario.feasibility_threshold)
+        if not predicted:
+            return
+        batch = select_batch(predicted, scenario.evaluations_per_iteration, space,
+                             evaluated, root.substream(_STREAM_BATCH).substream(i))
+        if not batch:
+            return
 
-    return RunResult(records=records, regressor=regressor, meta={
-        "iterations_run": i,
-        "evaluations": len(records),
-        "duration_seconds": time.perf_counter() - t0,
-    })
+
+def run(scenario: Scenario) -> Step:
+    """The last of the scenario's :func:`steps`: every record of the run and
+    the regressor of its last refit."""
+    for step in steps(scenario):
+        pass
+    return step

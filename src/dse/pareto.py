@@ -35,14 +35,6 @@ class EvaluationRecord:
     iteration_tag: int = -1
 
 
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Strict Pareto dominance: a is no worse everywhere and better somewhere."""
-    if len(a) != len(b):
-        raise ValueError("objective vectors must have equal length")
-    not_worse = all(x <= y for x, y in zip(a, b))
-    return not_worse and any(x < y for x, y in zip(a, b))
-
-
 def pareto_front(points: Sequence[ObjectiveVector]) -> list[int]:
     """Indices of the non-dominated points, ascending.
 
@@ -176,11 +168,3 @@ def hvi_trace(records: Sequence[EvaluationRecord], reference_front: Sequence[Obj
         trace.append((tag, feasible_hvi([r.objectives for r in upto], [r.feasible for r in upto],
                                         reference_front, stddevs)))
     return trace
-
-
-def reference_front(runs: Sequence[Sequence[EvaluationRecord]]) -> list[EvaluationRecord]:
-    """Best-known front: the constrained front of every record accumulated
-    across all runs of an experiment."""
-    if not runs:
-        raise ValueError("reference_front requires at least one run")
-    return constrained_front([r for records in runs for r in records])

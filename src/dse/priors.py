@@ -30,34 +30,6 @@ from .space import (
 )
 
 
-def beta_pdf(x: float, alpha: float, beta: float) -> float:
-    """Density of Beta(alpha, beta) at x in [0, 1].
-
-    Where a negative exponent makes the density blow up at an endpoint
-    (alpha < 1 at x=0, beta < 1 at x=1) the positive-infinity marker is
-    returned. The normalizing constant goes through log-gamma, good to
-    well over ten significant digits.
-    """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("beta_pdf requires alpha > 0 and beta > 0")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("beta_pdf is defined on [0, 1]")
-    log_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
-    if x == 0.0:
-        if alpha < 1.0:
-            return math.inf
-        if alpha > 1.0:
-            return 0.0
-        return math.exp(log_norm + (beta - 1.0) * math.log1p(-x))
-    if x == 1.0:
-        if beta < 1.0:
-            return math.inf
-        if beta > 1.0:
-            return 0.0
-        return math.exp(log_norm + (alpha - 1.0) * math.log(x))
-    return math.exp(log_norm + (alpha - 1.0) * math.log(x) + (beta - 1.0) * math.log1p(-x))
-
-
 def _gamma_variate(shape: float, gen) -> float:
     # Marsaglia-Tsang squeeze method; valid for every shape > 0.
     if shape < 1.0:

@@ -12,6 +12,9 @@ one value at a time with plain loops, not column by column with
 ``searchsorted``, and a forest predicts by walking its linked TreeNode view,
 not its node arrays, and the hypervolume is the inclusion-exclusion sum over
 every subset of the points, not a sweep.
+
+It also holds the helpers only the tests call: pairwise dominance, the
+reference front of several runs, and the Beta density the CDF integrates.
 """
 
 from __future__ import annotations
@@ -22,8 +25,25 @@ import math
 import numpy as np
 
 from dse.forest import Forest
-from dse.priors import beta_pdf, sample_beta
+from dse.pareto import EvaluationRecord, constrained_front
+from dse.priors import sample_beta
 from dse.space import CATEGORICAL, ENUMERATION_CAP, INTEGER, REAL, enumerate_space
+
+
+def dominates(a, b) -> bool:
+    """Strict Pareto dominance: a is no worse everywhere and better somewhere."""
+    if len(a) != len(b):
+        raise ValueError("objective vectors must have equal length")
+    not_worse = all(x <= y for x, y in zip(a, b))
+    return not_worse and any(x < y for x, y in zip(a, b))
+
+
+def reference_front(runs) -> list[EvaluationRecord]:
+    """Best-known front: the constrained front of every record accumulated
+    across all runs of an experiment."""
+    if not runs:
+        raise ValueError("reference_front requires at least one run")
+    return constrained_front([r for records in runs for r in records])
 
 
 def pairwise_front(points) -> set[int]:
@@ -56,6 +76,34 @@ def inclusion_exclusion_hypervolume(points, ref) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_NODES_FINE, _GL_WEIGHTS_FINE = np.polynomial.legendre.leggauss(200)
+
+
+def beta_pdf(x: float, alpha: float, beta: float) -> float:
+    """Density of Beta(alpha, beta) at x in [0, 1].
+
+    Where a negative exponent makes the density blow up at an endpoint
+    (alpha < 1 at x=0, beta < 1 at x=1) the positive-infinity marker is
+    returned. The normalizing constant goes through log-gamma, good to
+    well over ten significant digits.
+    """
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("beta_pdf requires alpha > 0 and beta > 0")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError("beta_pdf is defined on [0, 1]")
+    log_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
+    if x == 0.0:
+        if alpha < 1.0:
+            return math.inf
+        if alpha > 1.0:
+            return 0.0
+        return math.exp(log_norm + (beta - 1.0) * math.log1p(-x))
+    if x == 1.0:
+        if beta < 1.0:
+            return math.inf
+        if beta > 1.0:
+            return 0.0
+        return math.exp(log_norm + (alpha - 1.0) * math.log(x))
+    return math.exp(log_norm + (alpha - 1.0) * math.log(x) + (beta - 1.0) * math.log1p(-x))
 
 
 def _eval_density(ts: np.ndarray, a: float, b: float) -> np.ndarray:

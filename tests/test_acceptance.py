@@ -35,7 +35,7 @@ from dse.pareto import objective_stddevs
 from dse.space import encode_matrix
 
 from conftest import ACCEPTANCE_SEEDS, ROOT, SCENARIO_DIR, scenario_with
-from oracles import beta_cdf_numeric, pairwise_front
+from oracles import beta_cdf_numeric, dominates, pairwise_front, reference_front
 
 TOY = SCENARIO_DIR / "toy_fpga.json"
 
@@ -92,8 +92,6 @@ def test_acceptance_2_desk_scale_pareto_recovery(five_runs, toy_truth):
         print(f"seed {seed}: normalized hvi {value:.4f}")
         hits += value <= 0.1
     # the accumulated best-known front over the five runs recovers the truth
-    from dse import reference_front
-
     accumulated = reference_front([runs[s][0].records for s in ACCEPTANCE_SEEDS])
     assert {r.objectives for r in accumulated} == {r.objectives for r in true_front}
     criterion(2, f"pareto recovery {hits}/5 within 0.1, runs took {elapsed:.1f}s",
@@ -215,7 +213,6 @@ def test_acceptance_8_budget_and_wall_invariants(five_runs, tmp_path):
             front = constrained_front(result.records)
             ok = ok and all(r.feasible for r in front)
             objs = [r.objectives for r in front]
-            from dse import dominates
             ok = ok and not any(dominates(a, b) for a in objs for b in objs if a != b)
     # the same audit on emitted artifacts
     out = tmp_path / "audit"

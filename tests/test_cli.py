@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dse.cli import load_scenario, main, read_front_csv, read_records_csv
-from dse.pareto import constrained_front, dominates
+from dse.pareto import constrained_front
 from dse.scenario import parse_scenario
 from dse.space import ValidationError
 
 from conftest import SCENARIO_DIR
+from oracles import dominates
 
 TOY = str(SCENARIO_DIR / "toy_fpga.json")
 LINEAR = str(SCENARIO_DIR / "toy_linear.json")
@@ -79,7 +82,7 @@ def test_warmup_only_run_has_exactly_n_rows(tmp_path):
 
 
 def test_pareto_csv_matches_front_recomputed_from_samples(run_dir):
-    scenario = parse_scenario(open(TOY).read())
+    scenario = parse_scenario(Path(TOY).read_text())
     records = read_records_csv(run_dir / "samples.csv", scenario.space, scenario.objectives)
     front = constrained_front(records)
     pareto = read_records_csv(run_dir / "pareto.csv", scenario.space, scenario.objectives)
@@ -90,7 +93,7 @@ def test_pareto_csv_matches_front_recomputed_from_samples(run_dir):
 
 
 def test_emitted_csvs_roundtrip_through_own_parser(run_dir):
-    scenario = parse_scenario(open(TOY).read())
+    scenario = parse_scenario(Path(TOY).read_text())
     records = read_records_csv(run_dir / "samples.csv", scenario.space, scenario.objectives)
     assert len(records) == 130
     assert len({r.config for r in records}) == 130
@@ -320,38 +323,102 @@ def test_non_finite_objective_aborts_run_and_keeps_partial_archive(tmp_path, cap
     assert len(read_rows(out / "samples.csv")) == 30
 
 
-def test_failing_builtin_aborts_run_and_keeps_partial_archive(tmp_path, capsys, monkeypatch):
+# seed 7 evaluates 30 warm-up rows, then five batches of 20 (run_dir)
+@pytest.mark.parametrize("failing_call, kept", [(41, 30), (81, 70), (121, 110)],
+                         ids=["first batch", "middle batch", "last batch"])
+def test_failing_builtin_aborts_run_and_keeps_partial_archive(tmp_path, capsys, monkeypatch,
+                                                             run_dir, failing_call, kept):
     from dse import evaluators
 
     calls = []
 
-    def flaky(values):  # answers the 30-row warm-up, dies inside the first batch
+    def flaky(values):  # dies inside the batch that holds the failing call
         calls.append(values)
-        if len(calls) == 41:
+        if len(calls) == failing_call:
             return 1 / 0
         return evaluators.toy_fpga(values)
 
     monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "toy_fpga", flaky)
     out = tmp_path / "flaky"
-    assert run_cli("run", TOY, "--set", f"output_dir={out}") == 1
+    assert run_cli("run", TOY, "--seed", 7, "--set", f"output_dir={out}") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: EvaluationError: builtin evaluator 'toy_fpga' failed on "
                           "configuration (")
     assert err.endswith("): ZeroDivisionError: division by zero\n")
-    rows = read_rows(out / "samples.csv")
-    assert len(rows) == 30 and {r["iteration_tag"] for r in rows} == {"-1"}
+    # the header and the leading rows of the uninterrupted run, and nothing else
+    full = (run_dir / "samples.csv").read_bytes().splitlines(keepends=True)
+    assert (out / "samples.csv").read_bytes() == b"".join(full[:1 + kept])
+    assert sorted(path.name for path in out.iterdir()) == ["samples.csv"]
 
 
-def test_reordered_objectives_write_each_column_its_own_values(tmp_path, toy_scenario):
-    from dataclasses import replace
+# answers the 30-row warm-up as the toy_fpga builtin does; on a later batch it
+# touches the file named by its argument and sleeps until it is killed
+TOY_THEN_HANG = """\
+import csv, math, pathlib, sys, time
+rows = [r for r in csv.reader(sys.stdin) if r]
+if len(rows) - 1 != 30:
+    pathlib.Path(sys.argv[1]).touch()
+    time.sleep(300)
+idx = {name: i for i, name in enumerate(rows[0])}
+out = csv.writer(sys.stdout, lineterminator="\\n")
+out.writerow(rows[0] + ["cycles", "logic", "feasible"])
+for row in rows[1:]:
+    t, p, b = int(row[idx["T"]]), int(row[idx["P"]]), int(row[idx["B"]])
+    s = row[idx["S"]] == "true"
+    cycles = math.ceil(4096 / t) * math.ceil(t / p) * (1 if s else 2) + 64 * b
+    logic = 5 * p + 3 * t * (2 if s else 1) + 7 * b
+    out.writerow(row + [repr(float(cycles)), repr(float(logic)),
+                        "true" if logic <= 120 else "false"])
+"""
 
-    from dse.cli import write_run_artifacts
+
+def test_killed_run_keeps_its_completed_batches(tmp_path, run_dir):
+    import contextlib
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    from conftest import SRC
+
+    script, ready, out = tmp_path / "hang.py", tmp_path / "ready", tmp_path / "killed"
+    script.write_text(TOY_THEN_HANG)
+    evaluator = json.dumps({"command": f"{sys.executable} {script} {ready}"})
+    # its own process group, so one signal reaches the run and its evaluator
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dse", "run", TOY, "--seed", "7", "--set", f"output_dir={out}",
+         "--set", f"evaluator={evaluator}"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not ready.exists():
+            assert proc.poll() is None, "the run ended before its second batch"
+            assert time.monotonic() < deadline, "the run never reached its second batch"
+            time.sleep(0.02)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert proc.returncode == -signal.SIGKILL
+
+    scenario = parse_scenario(Path(TOY).read_text())
+    full = run_dir / "samples.csv"
+    records = read_records_csv(out / "samples.csv", scenario.space, scenario.objectives)
+    assert records == read_records_csv(full, scenario.space, scenario.objectives)[:30]
+    assert all(r.iteration_tag == -1 for r in records)
+    assert full.read_bytes().startswith((out / "samples.csv").read_bytes())
+    assert sorted(path.name for path in out.iterdir()) == ["samples.csv"]
+
+
+def test_reordered_objectives_write_each_column_its_own_values(tmp_path):
     from dse.evaluators import toy_fpga
-    from dse.optimizer import run
 
-    scenario = replace(toy_scenario, objectives=("logic", "cycles"), optimization_iterations=1)
-    write_run_artifacts(tmp_path, scenario, run(scenario), None, None)
+    assert run_cli("run", TOY, "--set", f"output_dir={tmp_path}",
+                   "--set", 'optimization_objectives=["logic", "cycles"]',
+                   "--set", "optimization_iterations=1") == 0
     rows = read_rows(tmp_path / "samples.csv")
     assert len(rows) == 50 and list(rows[0])[4:6] == ["logic", "cycles"]
     for row in rows:
@@ -405,7 +472,7 @@ def test_report_over_any_objective_count(tmp_path, objectives):
         assert run_cli("run", TOY, "--seed", seed, "--set", f"output_dir={out}", *overrides) == 0
     report = tmp_path / "report.csv"
     assert run_cli("report", *dirs, "--output", report) == 0
-    rows = list(csv.reader(open(report)))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert [r[0] for r in rows] == ["run", *map(str, dirs), "mean", "ci80_half_width"]
     assert all(0.0 <= float(r[1]) < math.inf for r in rows[1:])
 
@@ -419,7 +486,7 @@ def test_report_identical_runs_have_zero_ci(tmp_path, truth_dir):
     report = tmp_path / "report.csv"
     assert run_cli("report", *dirs, "--reference-front", truth_dir / "true_front.csv",
                    "--output", report) == 0
-    rows = list(csv.reader(open(report)))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[0] == ["run", "hvi"]
     values = {r[0]: r[1] for r in rows[1:]}
     assert float(values["ci80_half_width"]) == 0.0
@@ -432,7 +499,7 @@ def test_report_single_run_has_no_ci_row(tmp_path, run_dir, truth_dir):
     report = tmp_path / "single.csv"
     assert run_cli("report", run_dir, "--reference-front", truth_dir / "true_front.csv",
                    "--output", report) == 0
-    rows = list(csv.reader(open(report)))
+    rows = list(csv.reader(report.read_text().splitlines()))
     names = [r[0] for r in rows]
     assert "ci80_half_width" not in names
     values = {r[0]: r[1] for r in rows[1:]}
@@ -456,7 +523,7 @@ def test_report_half_width_is_inf_when_a_run_has_no_feasible_sample(tmp_path, ru
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli("report", run_dir, infeasible, "--reference-front",
                        truth_dir / "true_front.csv", "--output", report) == 0
-    values = {r[0]: r[1] for r in csv.reader(open(report))}
+    values = {r[0]: r[1] for r in csv.reader(report.read_text().splitlines())}
     assert values[str(infeasible)] == values["mean"] == values["ci80_half_width"] == "inf"
     assert capsys.readouterr().err == ""
 
@@ -540,10 +607,19 @@ TOY_RECORDS_HEADER = "T,P,S,B,cycles,logic,feasible,iteration_tag\n"
      "line 3, column 'iteration_tag': '0.5' is not an integer"),
     ("2,1,true,1,100.0,5.0,true,1_0",
      "line 3, column 'iteration_tag': '1_0' is not an integer"),
+    ("2,1,true,1,1_0.0,5.0,true,-1",
+     "line 3, column 'cycles': '1_0.0' is not a finite number"),
+    ("2,1,true,1, 2.0 ,5.0,true,-1",
+     "line 3, column 'cycles': ' 2.0 ' is not a finite number"),
+    ("2,1,true,1,1.2.3,5.0,true,-1",
+     "line 3, column 'cycles': '1.2.3' is not a finite number"),
+    ("2,1,true,1,0x1p3,5.0,true,-1",
+     "line 3, column 'cycles': '0x1p3' is not a finite number"),
 ], ids=["extra cell", "no tag cell", "nan objective", "feasible yes", "fractional tag",
-        "tag with an underscore"])
+        "tag with an underscore", "objective with an underscore", "objective padded",
+        "objective with two points", "objective in hex"])
 def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
-    scenario = parse_scenario(open(TOY).read())
+    scenario = parse_scenario(Path(TOY).read_text())
     path = tmp_path / "samples.csv"
     path.write_text(f"{TOY_RECORDS_HEADER}4,2,false,3,50.0,2.0,false,0\n{row}\n")
     with pytest.raises(ValidationError) as info:
@@ -563,7 +639,7 @@ def test_malformed_records_row_fails_with_file_and_line(tmp_path, row, message):
         "ordinal not a value", "categorical not a level", "integer with an underscore",
         "integer padded"])
 def test_records_parameter_cell_outside_the_space_fails(tmp_path, row, column, cell):
-    scenario = parse_scenario(open(TOY).read())
+    scenario = parse_scenario(Path(TOY).read_text())
     path = tmp_path / "samples.csv"
     path.write_text(f"{TOY_RECORDS_HEADER}4,2,false,3,50.0,2.0,false,0\n{row}\n")
     with pytest.raises(ValidationError) as info:
@@ -572,8 +648,40 @@ def test_records_parameter_cell_outside_the_space_fails(tmp_path, row, column, c
                                f"parameter's domain")
 
 
+REAL_A = 'input_parameters.A={"parameter_type": "real", "values": [-1.0, 100.0]}'
+LINEAR_RECORDS_HEADER = "A,B,C,latency,area,feasible\n"
+
+
+@pytest.mark.parametrize("cell", ["1_0.0", " 2.0 ", "1.2.3", "0x1p3"],
+                         ids=["underscore", "padded", "two points", "hex"])
+def test_records_real_parameter_cell_must_be_a_plain_decimal(tmp_path, cell):
+    scenario = load_scenario(LINEAR, [REAL_A])
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{LINEAR_RECORDS_HEADER}0.5,2,on,1.0,2.0,true\n{cell},2,on,1.0,2.0,true\n")
+    with pytest.raises(ValidationError) as info:
+        read_records_csv(path, scenario.space, scenario.objectives)
+    assert str(info.value) == (f"{path} line 3, column 'A': {cell!r} is not in the "
+                               f"parameter's domain")
+
+
+@given(st.lists(st.floats(-1.0, 100.0), min_size=1, max_size=20),
+       st.sampled_from(["0.50", "1e-05", "-0.0", "7", "5.", ".5", "+1E+01"]))
+def test_records_real_cells_read_back_every_written_float(tmp_path_factory, values, plain):
+    # every float canonical_str writes, and plain decimals, read back exactly
+    from dse.space import canonical_str
+
+    scenario = load_scenario(LINEAR, [REAL_A])
+    path = tmp_path_factory.mktemp("reals") / "samples.csv"
+    cells = [canonical_str(v) for v in values] + [plain]
+    path.write_text(LINEAR_RECORDS_HEADER + "".join(
+        f"{cell},2,on,{cell},{cell},true\n" for cell in cells))
+    records = read_records_csv(path, scenario.space, scenario.objectives)
+    assert [(r.config[0], *r.objectives) for r in records] == [
+        (v, v, v) for v in [*values, float(plain)]]
+
+
 def test_records_csv_needs_every_column_but_the_tag(tmp_path):
-    scenario = parse_scenario(open(TOY).read())
+    scenario = parse_scenario(Path(TOY).read_text())
     path = tmp_path / "points.csv"
     path.write_text("T,P,S,B,cycles,logic,feasible\n4,2,false,3,50.0,2.0,false\n")
     records = read_records_csv(path, scenario.space, scenario.objectives)
@@ -585,7 +693,7 @@ def test_records_csv_needs_every_column_but_the_tag(tmp_path):
     assert str(info.value) == f"{path} has no column 'logic'"
 
 
-@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", "1_0.0", " 2.0 ", "1.2.3", "0x1p3"])
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_non_finite_reference_cell_fails_with_file_line_and_column(
         tmp_path, run_dir, capsys, command, cell):

@@ -346,7 +346,7 @@ def test_a_run_builds_no_tree_nodes(toy_scenario_doc, monkeypatch):
     X = encode_matrix(scenario.space, [r.config for r in result.records])
     refit, _ = fit_surrogates(X, result.records, scenario,
                               RngState(1).substream(_STREAM_FIT).substream(
-                                  result.meta["iterations_run"]), classify=False)
+                                  result.tag + 1), classify=False)
     assert [_preorder(t) for t in result.regressor.trees] == [
         _preorder(t) for t in refit.trees]
     assert built

@@ -21,11 +21,11 @@ from dse import (
     run,
     select_batch,
 )
-from dse.pareto import dominates, feasible_front
+from dse.pareto import feasible_front
 from dse.space import RowSet, decode_matrix, distinct_rows, encode_matrix, enumerate_space
 
 from conftest import scenario_with
-from oracles import pairwise_front, tuple_pool
+from oracles import dominates, pairwise_front, tuple_pool
 
 PURE_TREE = ForestHyperparams(n_estimators=1, max_depth=None, max_features=1.0,
                               bootstrap=False)
@@ -530,7 +530,7 @@ def test_run_terminates_once_finite_space_is_exhausted(toy_scenario_doc):
     result = run(scenario)
     # warm-up already covers all 6 configurations; the loop must stop at once
     assert len(result.records) == 6
-    assert result.meta["iterations_run"] == 0
+    assert result.tag + 1 == 0
     fronts = {r.objectives for r in constrained_front(result.records)}
     assert fronts == {(101.0 + 5.0, 101.0)} or all(
         not dominates(a, b) for a in fronts for b in fronts if a != b)
@@ -557,6 +557,19 @@ def test_run_front_comes_from_actual_evaluations(toy_scenario_doc, toy_truth):
     for r in constrained_front(result.records):
         assert r.feasible
         assert truth[r.config].objectives == r.objectives
+
+
+def test_steps_add_one_batch_each_and_end_at_the_run(toy_scenario_doc):
+    from dse.optimizer import steps
+
+    scenario = scenario_with(toy_scenario_doc, seed=3)
+    seen = list(steps(scenario))  # every step held while later ones arrive
+    assert [step.tag for step in seen] == list(range(-1, scenario.optimization_iterations))
+    for before, after in zip(seen, seen[1:]):
+        assert len(after.records) > len(before.records)
+        assert after.records[:len(before.records)] == before.records
+        assert {r.iteration_tag for r in after.records[len(before.records):]} == {after.tag}
+    assert seen[-1].records == run(scenario).records
 
 
 def test_run_is_deterministic(toy_scenario_doc):
@@ -627,7 +640,7 @@ def count_loop_calls(monkeypatch):
 def test_loop_pools_and_predicts_once_per_batch(toy_scenario_doc, monkeypatch):
     counts = count_loop_calls(monkeypatch)
     result = run(scenario_with(toy_scenario_doc, optimization_iterations=3, seed=4))
-    assert result.meta["iterations_run"] == 3
+    assert result.tag + 1 == 3
     assert counts == {"candidate_pool": 3, "predict_pareto": 3, "select_batch": 3,
                       "fit_surrogates": 4}
 
@@ -644,7 +657,7 @@ def test_loop_stops_at_an_empty_prediction(toy_scenario_doc, monkeypatch):
     monkeypatch.setattr(optimizer, "predict_pareto", second_is_empty)
     counts = count_loop_calls(monkeypatch)
     result = run(scenario_with(toy_scenario_doc, optimization_iterations=3, seed=4))
-    assert result.meta["iterations_run"] == 1
+    assert result.tag + 1 == 1
     assert counts == {"candidate_pool": 2, "predict_pareto": 2, "select_batch": 1,
                       "fit_surrogates": 2}
 
@@ -662,12 +675,12 @@ def test_each_evaluated_configuration_is_encoded_once(toy_scenario_doc, monkeypa
 
     monkeypatch.setattr(optimizer, "encode_matrix", counted)
     result = run(scenario_with(toy_scenario_doc, seed=1))
-    iterations = result.meta["iterations_run"]
+    iterations = result.tag + 1
     assert iterations > 0
     # the warm-up, each returned batch, and the predictions of each select_batch
     assert len(calls) == 1 + 2 * iterations
     assert [name for name, _ in calls].count("select_batch") == iterations
-    assert sum(rows for name, rows in calls if name == "run") == len(result.records)
+    assert sum(rows for name, rows in calls if name == "steps") == len(result.records)
 
 
 def test_a_run_keys_each_row_once(toy_scenario_doc, monkeypatch):
@@ -679,7 +692,7 @@ def test_a_run_keys_each_row_once(toy_scenario_doc, monkeypatch):
     uniform = count_rows(monkeypatch, dse.optimizer._uniform_rows, lambda args, X: len(X))
     predicted = count_rows(monkeypatch, dse.optimizer.select_batch, lambda args, _: len(args[0]))
     result = run(scenario_with(toy_scenario_doc, seed=1))
-    assert result.meta["iterations_run"] > 0 and prior and predicted
+    assert result.tag + 1 > 0 and prior and predicted
     # each drawn row, each prediction and each evaluated configuration at most once
     assert sum(keyed) <= sum(prior) + sum(uniform) + sum(predicted) + len(result.records)
 
@@ -718,7 +731,7 @@ def test_each_refit_reads_the_archive_in_record_order(toy_scenario_doc, monkeypa
 
     monkeypatch.setattr(optimizer, "fit_surrogates", captured)
     result = run(scenario)
-    records, iterations = result.records, result.meta["iterations_run"]
+    records, iterations = result.records, result.tag + 1
     assert iterations == scenario.optimization_iterations
     # first the warm-up rows, then one more batch per refit
     assert [len(X) for X in fitted] == [sum(r.iteration_tag <= tag for r in records)

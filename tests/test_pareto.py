@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 from dse import (
     EvaluationRecord,
     constrained_front,
-    dominates,
     hvi,
     hypervolume,
     objective_stddevs,
     pareto_front,
-    reference_front,
 )
 from dse.pareto import feasible_front, feasible_hvi
-from oracles import inclusion_exclusion_hypervolume, pairwise_front
+from oracles import dominates, inclusion_exclusion_hypervolume, pairwise_front, reference_front
 
 
 def rec(objectives, feasible=True, tag=-1, key=None):

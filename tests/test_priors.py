@@ -10,7 +10,6 @@ from dse import (
     Parameter,
     Prior,
     RngState,
-    beta_pdf,
     decode_matrix,
     encode_matrix,
     enumerate_space,
@@ -20,7 +19,7 @@ from dse import (
 from dse.priors import prior_rows
 from dse.space import UNIFORM_PRIOR, RowSet
 
-from oracles import prior_config
+from oracles import beta_pdf, prior_config
 
 NAMED_SHAPES = [(1.0, 1.0), (3.0, 3.0), (0.5, 1.5), (1.5, 0.5)]
 
