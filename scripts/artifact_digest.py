@@ -25,7 +25,8 @@ forests fitted on a fixed set of seeded datasets, one line per forest kind
 (forests/regressor, forests/classifier) and one over all fits (forests).
 The set mixes real, integer-valued, categorical and duplicated columns, and
 fits regressors and classifiers under max_features "auto" (k = d and k < d)
-and 0.5.
+and 0.5, and under "auto" with min_samples_split=4, where a node's size
+counts the distinct rows of its tree's bootstrap draw.
 
 Usage: python3 scripts/artifact_digest.py
 """
@@ -112,6 +113,9 @@ def forest_fits():
             hp = ForestHyperparams(n_estimators=5, max_features=max_features)
             yield fit_regressor(X, y, hp, RngState(case, 1), unordered)
             yield fit_classifier(X, labels, hp, RngState(case, 2), unordered)
+        hp = ForestHyperparams(n_estimators=5, min_samples_split=4)
+        yield fit_regressor(X, y, hp, RngState(case, 3), unordered)
+        yield fit_classifier(X, labels, hp, RngState(case, 4), unordered)
 
 
 def forest_digests() -> dict[str, tuple[str, int]]:

@@ -1,8 +1,12 @@
 """Randomized decision forests, built from scratch.
 
 A regression forest with one output per objective acts as the surrogate; a
-binary classification forest acts as the feasibility filter. Trees are grown
-on bootstrap resamples with per-node feature subsampling. Ordered features
+binary classification forest acts as the feasibility filter. Each tree
+draws n of the n rows with replacement and fits the distinct rows it drew,
+each weighted by how often it was drawn, as scikit-learn passes bootstrap
+counts as sample weights; so a node's size, and with it
+``min_samples_split``, counts distinct rows. Each node draws a subsample
+of the features. Ordered features
 split on thresholds (midpoints between consecutive distinct values);
 features flagged unordered (categorical level indices) split on level
 equality, never on thresholds.
@@ -53,7 +57,8 @@ class ForestHyperparams:
     ``max_features`` is either the literal "auto" (all features for
     regressors, ceil(sqrt(d)) for classifiers) or a fraction of the feature
     count in (0, 1]. ``class_weight`` is (feasible, infeasible) and only
-    affects classifiers.
+    affects classifiers. ``min_samples_split`` counts a node's distinct
+    rows, not its bootstrap draws.
     """
 
     n_estimators: int = 10
@@ -158,12 +163,14 @@ class _TreeBuilder:
 
     Every split minimizes one criterion, the weight-averaged variance of the
     targets in the two children. Node impurity, leaf value and every split
-    gain come from sums over one 3 x (trees * n) matrix with rows w, w*y and
-    w*y*y, one block of n columns per tree's (bootstrap) sample and targets.
-    Regression samples weigh 1.0. The classifier fits its 0/1 labels with
-    class weights; for such labels the weighted variance p(1 - p) is half
-    the weighted Gini impurity 2p(1 - p), so both criteria pick the same
-    splits, and the leaf mean is the weighted feasible fraction.
+    gain come from sums over one 3 x rows matrix with rows w, w*y and w*y*y,
+    one block of columns per tree: the distinct rows of its bootstrap draw
+    (every row without bootstrap) in ascending row order, each weighing the
+    number of times it was drawn. The classifier fits its 0/1 labels with
+    class weights, which scale those counts; for such labels the weighted
+    variance p(1 - p) is half the weighted Gini impurity 2p(1 - p), so both
+    criteria pick the same splits, and the leaf mean is the weighted
+    feasible fraction. A node's size counts its distinct rows.
 
     The open nodes are arrays in the order they were opened: node id, tree,
     depth, size, moment sums, and their rows grouped by node. When every
@@ -183,7 +190,7 @@ class _TreeBuilder:
     lane in one expression; cuts between equal values or past a lane's end
     score -inf. Categorical features score each level against the rest
     from the sums of every (node, level). Node and level sums are taken in
-    sequence over a node's rows in sample order (``np.bincount``), and the
+    sequence over a node's rows in row order (``np.bincount``), and the
     right side of every cut is the node's sums minus the left side's. Every
     sum covers one node's rows only, so a tree does not depend on the trees
     it grows with. Ties, among the cuts of a lane, the levels of a feature
@@ -191,8 +198,8 @@ class _TreeBuilder:
     1e-15 of the best gain.
     """
 
-    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int):
-        # X, y and w hold one block of n samples per tree, in tree order
+    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int, sizes):
+        # X, y and w hold one block of ``sizes[t]`` rows per tree t, in tree order
         self.XT = np.ascontiguousarray(X.T)  # one row per feature
         self.y = y
         wy = w * y
@@ -204,8 +211,9 @@ class _TreeBuilder:
         self.hp = hp
         self.gens = gens
         self.k = k
-        self.n = len(y) // len(gens)
-        self.root_weight = w.reshape(len(gens), self.n).sum(axis=1)
+        self.sizes = sizes
+        self.root_weight = np.bincount(np.arange(len(gens)).repeat(sizes), weights=w,
+                                       minlength=len(gens))
         self.importance = np.zeros((len(gens), len(self.XT)))
 
     def build(self):
@@ -217,7 +225,7 @@ class _TreeBuilder:
             self.draws, self.drawn = self._draw(16), np.zeros(count, dtype=np.intp)
         self.values, self.splits, self.size = [], [], 0
         front = self._open(np.arange(count), np.zeros(count, dtype=np.intp),
-                           np.full(count, self.n), np.arange(count * self.n))
+                           self.sizes, np.arange(len(self.y)))
         while len(front[0]):
             if self.k < d:
                 newest = np.full(count, -1)
@@ -501,16 +509,21 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
     rngs = [rng] if vector else [rng.substream(j) for j in range(Y.shape[1])]
     gens = [RngState(r.seed ^ t, r.stream_id).generator
             for r in rngs for t in range(hp.n_estimators)]
-    sample = np.concatenate([gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
-                             for gen in gens])
-    y = Y[sample, np.arange(len(rngs)).repeat(hp.n_estimators * n)]
-    w = np.ones(len(y))
-    if classifier:  # class c weighs class_weight[c] / (count of c in the tree's sample)
-        pos = (y > 0.5).reshape(len(gens), n)
-        n_pos = pos.sum(axis=1, keepdims=True)
-        w = np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
-                     hp.class_weight[1] / np.maximum(n - n_pos, 1)).ravel()
-    builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k)
+    drawn = np.concatenate([gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
+                            for gen in gens])
+    # how often each tree drew each row; a tree fits the rows it drew, in row order
+    counts = np.bincount(np.arange(len(gens)).repeat(n) * n + drawn,
+                         minlength=len(gens) * n).reshape(len(gens), n)
+    tree, sample = np.nonzero(counts)
+    y = Y[sample, tree // hp.n_estimators]
+    w = counts[tree, sample].astype(float)
+    if classifier:  # each draw of class c weighs class_weight[c] / (draws of c in its tree)
+        pos = y > 0.5
+        n_pos = np.bincount(tree, weights=w * pos, minlength=len(gens))[tree]
+        w *= np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
+                      hp.class_weight[1] / np.maximum(n - n_pos, 1))
+    builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k,
+                           np.bincount(tree, minlength=len(gens)))
     feature, threshold, child, value = builder.build()
     importance = builder.importance.reshape(len(rngs), hp.n_estimators, d).mean(axis=1)
     return Forest(kind="classifier" if classifier else "regressor", unordered=unordered,
@@ -520,8 +533,9 @@ def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool
 
 def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
                   unordered: Sequence[bool] | None = None) -> Forest:
-    """Fit a regression forest: bootstrap bagging, per-node feature
-    subsampling, splits minimizing weighted child variance, mean leaves.
+    """Fit a regression forest: bootstrap bagging (each tree fits the rows it
+    drew, weighted by their draw counts), per-node feature subsampling,
+    splits minimizing weighted child variance, weighted mean leaves.
 
     ``y`` is a target vector, or an (n, p) matrix with one column per
     output. Output j's trees are then, bit for bit, those of a fit on
@@ -537,8 +551,9 @@ def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
 
     Splits minimize class-weighted Gini impurity, as a regression tree on
     the 0/1 labels: their weighted variance is half the Gini impurity. Each
-    sample of class c weighs class_weight[c] / (count of c in the tree's
-    bootstrap sample), so per-tree class mass matches the configured weights.
+    draw of class c weighs class_weight[c] / (draws of c in the tree's
+    bootstrap), so a row weighs that times its draw count and per-tree class
+    mass matches the configured weights.
     Leaves store the weighted feasible-class probability (the weighted label
     mean); a single-class training set yields a constant classifier. Any
     nonzero label is feasible; a NaN or infinite feature or label raises a

@@ -212,9 +212,11 @@ def test_level_split_when_no_ordered_feature_varies(kind):
 
 
 def _oracle_case(kind, gen, hp):
-    """A random mixed data set, its targets and sample weights, the fitted
-    forest and the impurity the brute-force oracle scores splits with. With
-    bootstrap off and every feature chosen, a fit draws nothing at random."""
+    """A random mixed data set, its targets, each tree's draws with the
+    weight of each draw, the fitted forest and the impurity the brute-force
+    oracle scores splits with. Tree t of a fit seeded RngState(0) draws its
+    bootstrap from RngState(0 ^ t); bootstrap off, it draws every row once.
+    Every feature is chosen, so a fit draws nothing else at random."""
     n, d = int(gen.integers(2, 25)), int(gen.integers(1, 4))
     unordered = [bool(gen.random() < 0.4) for _ in range(d)]
     X = np.column_stack([
@@ -222,16 +224,22 @@ def _oracle_case(kind, gen, hp):
         else np.round(gen.random(n), 2)
         for u in unordered
     ]).astype(float)
+    draws = [RngState(0 ^ t).generator.integers(0, n, size=n).tolist() if hp.bootstrap
+             else list(range(n)) for t in range(hp.n_estimators)]
     if kind == "regressor":
         y = np.round(gen.normal(size=n), int(gen.integers(0, 3))).tolist()
         forest = fit_regressor(X, y, hp, RngState(0), unordered)
-        return X.tolist(), unordered, y, [1.0] * n, forest, weighted_variance
-    # each sample of class c weighs class_weight[c] / (count of c)
+        trees = [(drawn, [1.0] * n) for drawn in draws]
+        return X.tolist(), unordered, y, trees, forest, weighted_variance
+    # each draw of class c weighs class_weight[c] / (draws of c in its tree)
     y = (gen.random(n) < gen.random()).tolist()
-    n_pos = sum(y)
-    w = [hp.class_weight[0] / n_pos if yi else hp.class_weight[1] / (n - n_pos) for yi in y]
     forest = fit_classifier(X, y, hp, RngState(0), unordered)
-    return X.tolist(), unordered, y, w, forest, weighted_gini
+    trees = []
+    for drawn in draws:
+        n_pos = sum(y[i] for i in drawn)
+        trees.append((drawn, [hp.class_weight[0] / n_pos if y[i] else
+                              hp.class_weight[1] / (n - n_pos) for i in drawn]))
+    return X.tolist(), unordered, y, trees, forest, weighted_gini
 
 
 @pytest.mark.parametrize("kind", ["regressor", "classifier"])
@@ -240,7 +248,7 @@ def test_root_split_reaches_the_brute_force_maximum(kind):
     hp = ForestHyperparams(n_estimators=1, max_depth=1, max_features=1.0, bootstrap=False)
     gen = np.random.default_rng(21 if kind == "regressor" else 22)
     for case in range(300):
-        rows, unordered, y, w, forest, impurity = _oracle_case(kind, gen, hp)
+        rows, unordered, y, [(_, w)], forest, impurity = _oracle_case(kind, gen, hp)
         best = max((split_decrease(y, w, left, impurity)
                     for left in candidate_splits(rows, unordered)), default=0.0)
         root = forest.trees[0]
@@ -254,35 +262,41 @@ def test_root_split_reaches_the_brute_force_maximum(kind):
 
 @pytest.mark.parametrize("kind", ["regressor", "classifier"])
 @pytest.mark.parametrize("max_depth", [None, 3])
-@pytest.mark.parametrize("min_samples_split", [2, 4])
-def test_every_node_split_reaches_the_brute_force_maximum(kind, max_depth, min_samples_split):
+@pytest.mark.parametrize("min_samples_split, bootstrap", [
+    (2, False), (4, False), (2, True), (4, True),
+], ids=["2", "4", "2-bootstrap", "4-bootstrap"])
+def test_every_node_split_reaches_the_brute_force_maximum(kind, max_depth, min_samples_split,
+                                                          bootstrap):
+    # a node's splits are scored over its draws, repeats included, and its
+    # size is its count of distinct rows
     hp = ForestHyperparams(n_estimators=2, max_depth=max_depth, max_features=1.0,
-                           bootstrap=False, min_samples_split=min_samples_split)
+                           bootstrap=bootstrap, min_samples_split=min_samples_split)
     gen = np.random.default_rng([23, max_depth or 0, min_samples_split, kind == "regressor"])
     for case in range(25):
-        rows, unordered, y, w, forest, impurity = _oracle_case(kind, gen, hp)
-        for tree in forest.trees:
-            stack = [(tree, list(range(len(rows))), 0)]
+        rows, unordered, y, trees, forest, impurity = _oracle_case(kind, gen, hp)
+        for tree, (drawn, w) in zip(forest.trees, trees):
+            stack = [(tree, list(range(len(drawn))), 0)]  # a node's draws, by position
             while stack:
-                node, idx, depth = stack.pop()
+                node, at, depth = stack.pop()
                 assert max_depth is None or depth <= max_depth, case
-                ys, ws = [y[i] for i in idx], [w[i] for i in idx]
+                xs, ys = [rows[drawn[i]] for i in at], [y[drawn[i]] for i in at]
+                ws = [w[i] for i in at]
+                size = len({drawn[i] for i in at})
                 best = max((split_decrease(ys, ws, left, impurity)
-                            for left in candidate_splits([rows[i] for i in idx], unordered)),
-                           default=0.0)
+                            for left in candidate_splits(xs, unordered)), default=0.0)
                 if node.is_leaf:
                     mean = sum(wi * yi for wi, yi in zip(ws, ys)) / sum(ws)
                     assert node.value == pytest.approx(mean, rel=1e-12, abs=1e-12), case
-                    if len(idx) >= min_samples_split and (max_depth is None or depth < max_depth):
+                    if size >= min_samples_split and (max_depth is None or depth < max_depth):
                         assert best <= 1e-12, case  # a leaf only where no split gains
                     continue
-                assert len(idx) >= min_samples_split, case
-                column = [rows[i][node.feature] for i in idx]
+                assert size >= min_samples_split, case
+                column = [x[node.feature] for x in xs]
                 left = [v == node.threshold if node.unordered else v <= node.threshold
                         for v in column]
                 assert split_decrease(ys, ws, left, impurity) >= best - 1e-12, case
-                stack.append((node.left, [i for i, go in zip(idx, left) if go], depth + 1))
-                stack.append((node.right, [i for i, go in zip(idx, left) if not go], depth + 1))
+                stack.append((node.left, [i for i, go in zip(at, left) if go], depth + 1))
+                stack.append((node.right, [i for i, go in zip(at, left) if not go], depth + 1))
 
 
 # --- prediction paths -------------------------------------------------------------
@@ -531,6 +545,46 @@ def test_matrix_fit_equals_per_column_fits(p, hp):
         assert feature_importance(forest)[1].tolist() == [0.2] * 5
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_bootstrap_tree_equals_a_fit_on_its_expanded_draw(p):
+    # a tree fits its distinct rows weighted by their draw counts; on small
+    # integer targets every sum is exact, so it is, bit for bit, the tree
+    # fitted without bootstrap on every draw, X[drawn] and y[drawn]
+    gen = np.random.default_rng([37, p])
+    n = 60
+    X = np.column_stack([gen.random(n), gen.integers(0, 3, n), gen.integers(1, 9, n),
+                         np.round(gen.random(n), 1)]).astype(float)
+    unordered = [False, True, False, False]
+    Y = np.column_stack([gen.integers(-3, 4, n), X[:, 2] + 2 * (X[:, 1] == 1)])[:, :p]
+    hp = ForestHyperparams(n_estimators=4)
+    flat = ForestHyperparams(n_estimators=1, bootstrap=False)
+    rng = RngState(7, 2)
+    forest = fit_regressor(X, Y if p > 1 else Y[:, 0], hp, rng, unordered)
+    for j, sub in enumerate([rng] if p == 1 else [rng.substream(j) for j in range(p)]):
+        expanded = []
+        for t in range(hp.n_estimators):
+            drawn = RngState(sub.seed ^ t, sub.stream_id).generator.integers(0, n, size=n)
+            expanded.append(fit_regressor(X[drawn], Y[drawn, j], flat, RngState(0), unordered))
+            assert _preorder(forest.trees[j * hp.n_estimators + t]) == _preorder(
+                expanded[-1].trees[0]), (j, t)
+        assert np.array_equal(np.atleast_2d(forest.raw_importance)[j],
+                              np.mean([e.raw_importance for e in expanded], axis=0)), j
+
+
+@pytest.mark.parametrize("kind", FITS)
+def test_min_samples_split_counts_distinct_rows(kind):
+    # three draws of two distinct rows, row 0 among them, make a root of
+    # size 2: min_samples_split=3 keeps it a leaf, 2 splits it
+    X, y = [[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0]
+    seed = next(s for s in range(100)
+                if len(set(drawn := RngState(s).generator.integers(0, 3, size=3).tolist())) == 2
+                and 0 in drawn)
+    three = ForestHyperparams(n_estimators=1, min_samples_split=3)
+    two = ForestHyperparams(n_estimators=1, min_samples_split=2)
+    assert FITS[kind](X, y, three, RngState(seed)).trees[0].is_leaf
+    assert not FITS[kind](X, y, two, RngState(seed)).trees[0].is_leaf
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_one_permuted_call_draws_successive_permutations(d):
     # a classifier tree draws its nodes' features in blocks, one
@@ -554,7 +608,7 @@ def test_classifier_draws_each_node_features_in_depth_first_order(monkeypatch):
     assert max(sum(not isinstance(v, float) for v in _preorder(t)) for t in fitted.trees) > 16
 
     def up_front(self, m):
-        return np.array([[g.permutation(len(self.XT))[:self.k] for _ in range(2 * self.n)]
+        return np.array([[g.permutation(len(self.XT))[:self.k] for _ in range(2 * self.sizes.max())]
                          for g in self.gens])
 
     monkeypatch.setattr(_TreeBuilder, "_draw", up_front)
