@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Census of acceptance 4 (classifier recall improves with active learning).
+"""Census of acceptances 4 (classifier recall improves with active
+learning) and 3 (the feasibility filter's value) on toy_fpga.
 
 For every seed of a range, runs the bundled toy_fpga scenario with the
 feasibility filter on and compares the feasibility classifier's 5-fold
@@ -10,7 +11,13 @@ grouped into consecutive five-seed sets from the first seed; a set passes
 when at least 4 of its 5 seeds do (a trailing set of fewer seeds is shown but
 not judged).
 
-A second, whole-space measure follows: toy_fpga's 240 configurations are
+Acceptance 3 also runs each seed with the filter off. Both runs get their
+HVI against the true front (deviations over both runs and the true front)
+and their infeasible fraction after the warm-up; as in the acceptance test,
+a set passes when in 4 of 5 seeds the filter's HVI is no worse, and in 4
+its fraction lower.
+
+A whole-space measure follows: toy_fpga's 240 configurations are
 enumerable, so a classifier fitted on the warm-up records and one fitted on
 all records (both seeded RngState(seed, 501)) are scored against the
 feasibility labels of brute_force_front at the scenario's threshold. Each
@@ -29,8 +36,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dse import (RngState, brute_force_front, encode_matrix, fit_classifier, kfold_recall,
-                 parse_scenario, run)
+from dse import (RngState, brute_force_front, constrained_front, encode_matrix, fit_classifier,
+                 hvi, kfold_recall, objective_stddevs, parse_scenario, run)
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "toy_fpga.json"
 SET_SIZE, SET_BOUND = 5, 4
@@ -47,17 +54,16 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def scenario_for(doc: dict, seed: int):
-    """The scenario of the document at a seed, with the feasibility filter on."""
-    return parse_scenario(json.dumps({**doc, "seed": seed, "use_feasibility_filter": True}))
+def scenario_for(doc: dict, seed: int, use_filter: bool = True):
+    """The scenario of the document at a seed, with the feasibility filter on or off."""
+    return parse_scenario(json.dumps({**doc, "seed": seed, "use_feasibility_filter": use_filter}))
 
 
-def recalls(scenario, seed: int, truth) -> tuple[float, float, list[tuple[float, float]]]:
-    """(warm-up, final) 5-fold recall of one filter-on run, and the
-    (precision, recall) on the whole space of a classifier fitted on its
+def recalls(scenario, seed: int, records, truth) -> tuple[float, float, list[tuple[float, float]]]:
+    """(warm-up, final) 5-fold recall of one filter-on run's records, and
+    the (precision, recall) on the whole space of a classifier fitted on its
     warm-up records and of one fitted on all its records."""
     space, hp = scenario.space, scenario.classifier_hp
-    records = run(scenario).records
     X_all = encode_matrix(space, [r.config for r in truth])
     feasible = np.array([r.feasible for r in truth])
     out, whole = [], []
@@ -72,6 +78,33 @@ def recalls(scenario, seed: int, truth) -> tuple[float, float, list[tuple[float,
     return out[0], out[1], whole
 
 
+def filter_value(on, off, ref) -> tuple[float, float, float, float]:
+    """HVI vs ``ref`` of filter-on and -off records, then infeasible fractions after warm-up."""
+    sigma = objective_stddevs([r.objectives for r in on + off] + ref)
+    hvis = [hvi([r.objectives for r in constrained_front(rs)], ref, sigma) for rs in (on, off)]
+    fractions = [np.mean([not r.feasible for r in rs if r.iteration_tag >= 0]) for rs in (on, off)]
+    return (*hvis, *fractions)
+
+
+def judge_sets(seeds: list[int], counts: dict[str, dict[int, bool]]) -> str:
+    """Print each five-seed set's count of passing seeds under every label of
+    ``counts``; a set passes when each count reaches SET_BOUND. Returns which pass."""
+    passing = []
+    for i in range(0, len(seeds), SET_SIZE):
+        group = seeds[i:i + SET_SIZE]
+        wins = [sum(passed[s] for s in group) for passed in counts.values()]
+        name = f"{group[0]}-{group[-1]}"
+        tally = ", ".join(f"{label}{n}/{len(group)} seeds" for label, n in zip(counts, wins))
+        if len(group) < SET_SIZE:
+            print(f"set {name}: {tally} (fewer than {SET_SIZE}, not judged)")
+            continue
+        ok = min(wins) >= SET_BOUND
+        passing += [name] if ok else []
+        print(f"set {name}: {tally}  {'pass' if ok else 'FAIL'}")
+    return (f"{len(passing)}/{len(seeds) // SET_SIZE} five-seed sets pass"
+            + (f" ({', '.join(passing)})" if passing else ""))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -81,30 +114,30 @@ def main() -> int:
 
     doc = json.loads(SCENARIO.read_text())
     scenario = scenario_for(doc, 0)
-    truth = brute_force_front(scenario)[1]
-    passed, whole = {}, {}
+    true_front, truth = brute_force_front(scenario)
+    ref = [r.objectives for r in true_front]
+    passed, value, whole = {}, {}, {}
     for seed in args.seeds:
-        initial, final, whole[seed] = recalls(scenario_for(doc, seed), seed, truth)
+        on, off = (run(scenario_for(doc, seed, use_filter)).records for use_filter in (True, False))
+        initial, final, whole[seed] = recalls(scenario, seed, on, truth)
+        value[seed] = filter_value(on, off, ref)
         passed[seed] = final >= initial
         print(f"seed {seed:>3}: recall warm-up {initial:.3f} -> final {final:.3f}  "
               f"{'pass' if passed[seed] else 'FAIL'}")
 
     seeds = list(args.seeds)
-    judged = []
-    for i in range(0, len(seeds), SET_SIZE):
-        group = seeds[i:i + SET_SIZE]
-        wins = sum(passed[s] for s in group)
-        name = f"{group[0]}-{group[-1]}"
-        if len(group) < SET_SIZE:
-            print(f"set {name}: {wins}/{len(group)} seeds (fewer than {SET_SIZE}, not judged)")
-            continue
-        ok = wins >= SET_BOUND
-        judged.append((name, ok))
-        print(f"set {name}: {wins}/{SET_SIZE} seeds  {'pass' if ok else 'FAIL'}")
-    passing = [name for name, ok in judged if ok]
-    print(f"\nrecall final >= warm-up in {sum(passed.values())}/{len(seeds)} seeds; "
-          f"{len(passing)}/{len(judged)} five-seed sets pass"
-          + (f" ({', '.join(passing)})" if passing else ""))
+    summary = judge_sets(seeds, {"": passed})
+    print(f"\nrecall final >= warm-up in {sum(passed.values())}/{len(seeds)} seeds; {summary}")
+
+    print("\nfilter on/off: hvi vs the true front, infeasible fraction after the warm-up:")
+    for seed in seeds:
+        print(f"seed {seed:>3}: hvi {value[seed][0]:.4f}/{value[seed][1]:.4f}, "
+              f"infeasible fraction {value[seed][2]:.2f}/{value[seed][3]:.2f}")
+    no_worse = {s: v[0] <= v[1] for s, v in value.items()}
+    fewer = {s: v[2] < v[3] for s, v in value.items()}
+    summary = judge_sets(seeds, {"hvi no worse ": no_worse, "infeasible fraction lower ": fewer})
+    print(f"\nfilter hvi no worse in {sum(no_worse.values())}/{len(seeds)} seeds, infeasible "
+          f"fraction lower in {sum(fewer.values())}/{len(seeds)} seeds; {summary}")
 
     print(f"\nwhole space ({len(truth)} configurations), classifier fitted on the warm-up "
           f"-> all records:")

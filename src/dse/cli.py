@@ -9,8 +9,10 @@ A run writes samples.csv (every evaluation, tagged by iteration), pareto.csv
 (final constrained front), hvi_trace.csv, feature_importance.csv and
 run_meta.json into the scenario's output directory. samples.csv is replaced
 after every batch, so a run that fails or is killed keeps every completed
-batch; the other four are written once, at the end. Artifacts are
-byte-reproducible for a fixed scenario and seed.
+batch; the other four are written once, at the end. Before its first batch
+a run deletes the five (and a leftover samples.csv.tmp), so what a failed
+run leaves is its own. Artifacts are byte-reproducible for a fixed scenario
+and seed.
 """
 
 from __future__ import annotations
@@ -133,9 +135,14 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, dict]]:
     """Each row, after its "<path> line <n>", of a CSV file that has ``columns``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        header = reader.fieldnames or []
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError(f"{path} has no column {missing[0]!r}")
+        # a row's dict keeps the last copy's cell, unnoticed
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
+        if repeated:
+            raise ValidationError(f"{path} has column {repeated[0]!r} more than once")
         for row in reader:
             where = f"{path} line {reader.line_num}"
             # csv.DictReader files a long row's extra cells under the key None
@@ -255,6 +262,11 @@ def cmd_run(args) -> int:
     out_dir = Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0, tmp = time.perf_counter(), out_dir / "samples.csv.tmp"
+    # an earlier run's metadata beside this run's partial samples.csv would
+    # be reported as one run
+    for name in ("samples.csv", "pareto.csv", "hvi_trace.csv", "feature_importance.csv",
+                 "run_meta.json", tmp.name):
+        (out_dir / name).unlink(missing_ok=True)
     # each record is formatted once, and after each step samples.csv is replaced
     # whole by renaming a file over it: a failed or killed run keeps every batch
     # it completed

@@ -5,7 +5,8 @@ External evaluators are one-shot child processes: they receive a request CSV
 the same parameter columns plus one column per objective and, when the
 scenario declares one, the feasibility column. Rows are joined back to
 configurations by the parameter columns, never by row order, so children may
-answer out of order.
+answer out of order. A child that times out is killed with its whole process
+group, so the processes it started die with it.
 
 A builtin's result dict and a child's response row are read by the same
 rules (:func:`_records`): every objective and the named feasibility output
@@ -17,10 +18,13 @@ and so does an exception a builtin raises.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -139,6 +143,10 @@ def _response_rows(space: DesignSpace, batch: Sequence[tuple], text: str) -> lis
         raise EvaluationError("evaluator produced no CSV output", text)
     header = [h.strip() for h in rows[0]]
     col = {name: i for i, name in enumerate(header)}
+    # a row's column -> cell map keeps the last copy's cell, unnoticed
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise EvaluationError(f"response has column {repeated[0]!r} more than once", text)
     for name in space.names:
         if name not in col:
             raise EvaluationError(f"response is missing column {name!r}", text)
@@ -214,31 +222,33 @@ def evaluate_batch(scenario: Scenario, batch: Sequence[tuple],
     if spec.name is not None:
         return _records(scenario, batch, _builtin_outputs(spec.name, space, batch), iteration_tag)
 
-    request = request_csv(space, batch)
     try:
-        proc = subprocess.run(
-            shlex.split(spec.command),
-            input=request,
-            capture_output=True,
-            text=True,
-            timeout=spec.timeout_seconds,
-            cwd=spec.working_dir,
-        )
-    except subprocess.TimeoutExpired as e:
-        # on POSIX the output captured before the timeout is bytes, even with text=True
-        output = [out.decode(errors="replace") if isinstance(out, bytes) else out
-                  for out in (e.stdout, e.stderr) if out]
-        raise EvaluationError(f"evaluator timed out after {spec.timeout_seconds}s",
-                              "".join(output))
+        # a session of its own, so that a kill reaches the processes the child
+        # starts (a synthesis tool's workers) along with it
+        child = subprocess.Popen(shlex.split(spec.command), stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 cwd=spec.working_dir, start_new_session=True)
     except OSError as e:
         raise EvaluationError(f"failed to launch evaluator: {e}")
-    if proc.returncode != 0:
-        raise EvaluationError(
-            f"evaluator exited with status {proc.returncode}",
-            proc.stdout + proc.stderr,
-        )
-    return _records(scenario, batch, _response_rows(space, batch, proc.stdout),
-                    iteration_tag, proc.stdout)
+    with child:
+        try:
+            stdout, stderr = child.communicate(request_csv(space, batch),
+                                               timeout=spec.timeout_seconds)
+        except BaseException as e:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            if not isinstance(e, subprocess.TimeoutExpired):
+                raise
+            # on POSIX the output captured before the timeout is bytes, even with text=True
+            output = [out.decode(errors="replace") if isinstance(out, bytes) else out
+                      for out in (e.stdout, e.stderr) if out]
+            raise EvaluationError(f"evaluator timed out after {spec.timeout_seconds}s",
+                                  "".join(output))
+    if child.returncode != 0:
+        raise EvaluationError(f"evaluator exited with status {child.returncode}",
+                              stdout + stderr)
+    return _records(scenario, batch, _response_rows(space, batch, stdout), iteration_tag, stdout)
 
 
 def brute_force_front(scenario: Scenario):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from dse.scenario import parse_scenario
 from dse.space import ValidationError
 
 from conftest import SCENARIO_DIR
-from oracles import dominates
+from oracles import dominates, inclusion_exclusion_hypervolume, pairwise_front
 
 TOY = str(SCENARIO_DIR / "toy_fpga.json")
 LINEAR = str(SCENARIO_DIR / "toy_linear.json")
@@ -106,6 +107,34 @@ def test_hvi_trace_has_one_row_per_stage(run_dir):
     assert [int(r["iteration"]) for r in rows] == [-1, 0, 1, 2, 3, 4]
     values = [float(r["hvi"]) for r in rows]
     assert values[-1] <= values[0]
+
+
+def test_hvi_trace_matches_the_oracles(run_dir, truth_dir):
+    # per tag: the pairwise front of the feasible samples so far against the
+    # true front, both scaled by the deviations over every sample plus the
+    # true front, with the reference point at the maximum plus 1e-6
+    def points(rows):
+        return [(float(r["cycles"]), float(r["logic"])) for r in rows]
+
+    samples = read_rows(run_dir / "samples.csv")
+    truth = points(read_rows(truth_dir / "true_front.csv"))
+    sigma = [statistics.pstdev(column) for column in zip(*points(samples), *truth)]
+
+    def scaled(front):
+        return [tuple(v / s for v, s in zip(point, sigma)) for point in front]
+
+    reference, trace = scaled(truth), read_rows(run_dir / "hvi_trace.csv")
+    for row in trace:
+        feasible = points(r for r in samples if r["feasible"] == "true"
+                          and int(r["iteration_tag"]) <= int(row["iteration"]))
+        front = scaled(feasible[i] for i in sorted(pairwise_front(feasible)))
+        ref_point = [max(column) + 1e-6 for column in zip(*front, *reference)]
+        volume = inclusion_exclusion_hypervolume(reference, ref_point)
+        expected = max(0.0, volume - inclusion_exclusion_hypervolume(front, ref_point))
+        # a difference of two volumes keeps their rounding: a gap near 0 is
+        # exact only relative to the volumes
+        assert float(row["hvi"]) == pytest.approx(expected, rel=1e-12, abs=1e-12 * volume)
+    assert len(trace) == 6
 
 
 def test_feature_importance_rows_sum_to_one(run_dir):
@@ -352,14 +381,45 @@ def test_failing_builtin_aborts_run_and_keeps_partial_archive(tmp_path, capsys, 
     assert sorted(path.name for path in out.iterdir()) == ["samples.csv"]
 
 
+@pytest.mark.parametrize("failing_call, left", [(1, []), (31, ["samples.csv"])],
+                         ids=["in the warm-up", "after the warm-up"])
+def test_failed_run_leaves_none_of_an_earlier_runs_artifacts(tmp_path, capsys, monkeypatch,
+                                                             run_dir, failing_call, left):
+    from dse import evaluators
+
+    out = tmp_path / "reused"
+    assert run_cli("run", TOY, "--seed", 1, "--set", f"output_dir={out}") == 0
+    (out / "samples.csv.tmp").write_text("left by a killed run\n")
+    (out / "notes.txt").write_text("not an artifact\n")
+    calls = []
+
+    def flaky(values):
+        calls.append(values)
+        if len(calls) == failing_call:
+            return 1 / 0
+        return evaluators.toy_fpga(values)
+
+    monkeypatch.setitem(evaluators.BUILTIN_EVALUATORS, "toy_fpga", flaky)
+    assert run_cli("run", TOY, "--seed", 7, "--set", f"output_dir={out}") == 1
+    assert capsys.readouterr().err.startswith("error: EvaluationError: builtin evaluator")
+    assert sorted(path.name for path in out.iterdir()) == sorted(["notes.txt", *left])
+    if left:  # the warm-up of seed 7, as the uninterrupted run wrote it
+        full = (run_dir / "samples.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "samples.csv").read_bytes() == b"".join(full[:31])
+
+
 # answers the 30-row warm-up as the toy_fpga builtin does; on a later batch it
-# touches the file named by its argument and sleeps until it is killed
+# touches the file named by its argument and sleeps until the run that started
+# it is gone (it runs in a session of its own, so the run's kill misses it)
 TOY_THEN_HANG = """\
-import csv, math, pathlib, sys, time
+import csv, math, os, pathlib, sys, time
 rows = [r for r in csv.reader(sys.stdin) if r]
 if len(rows) - 1 != 30:
     pathlib.Path(sys.argv[1]).touch()
-    time.sleep(300)
+    run, deadline = os.getppid(), time.monotonic() + 300
+    while os.getppid() == run and time.monotonic() < deadline:
+        time.sleep(0.05)
+    sys.exit(1)
 idx = {name: i for i, name in enumerate(rows[0])}
 out = csv.writer(sys.stdout, lineterminator="\\n")
 out.writerow(rows[0] + ["cycles", "logic", "feasible"])
@@ -591,6 +651,21 @@ def test_reference_feasible_cell_must_be_true_or_false(tmp_path, run_dir, capsys
     err = capsys.readouterr().err
     assert err == (f"error: ValidationError: {reference} line 3, column 'feasible': "
                    f"'yes' is not true or false\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_repeated_csv_column_fails_naming_file_and_column(tmp_path, run_dir, capsys, command):
+    # csv.DictReader would read the point as (3.0, 2.0), the last copy's cell
+    reference = tmp_path / "ref.csv"
+    reference.write_text("cycles,logic,cycles\n5.0,2.0,3.0\n")
+    if command == "run":
+        args = ["run", TOY, "--set", f"output_dir={tmp_path / 'out'}"]
+    else:
+        args = ["report", run_dir, "--output", tmp_path / "report.csv"]
+    assert run_cli(*args, "--reference-front", reference) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValidationError: {reference} has column 'cycles' more than once\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,13 @@
+import contextlib
 import json
 import math
+import os
+import signal
 import sys
 import textwrap
+import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +208,23 @@ def test_duplicate_row_is_a_protocol_error(tmp_path):
         evaluate_batch(scenario, [(2, 1, "true", 1)])
 
 
+def test_repeated_response_column_is_a_protocol_error(tmp_path):
+    # a column -> cell map would read cost as the last copy's 999.0
+    body = textwrap.dedent("""\
+        import csv, sys
+        rows = [row for row in csv.reader(sys.stdin) if row]
+        out = csv.writer(sys.stdout, lineterminator="\\n")
+        out.writerow(rows[0] + ["cost", "feasible", "cost"])
+        for row in rows[1:]:
+            out.writerow(row + ["5.0", "true", "999.0"])
+    """)
+    scenario = scenario_of(small_space(), ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "repeat.py", body))
+    with pytest.raises(EvaluationError, match="^response has column 'cost' more than once$") as err:
+        evaluate_batch(scenario, [(2, 1, "true", 1)])
+    assert err.value.raw_output == "T,P,S,B,cost,feasible,cost\n2,1,true,1,5.0,true,999.0\n"
+
+
 def test_nonzero_exit_carries_child_output(tmp_path):
     body = "import sys; sys.stderr.write('boom\\n'); sys.exit(2)"
     space = small_space()
@@ -229,6 +251,36 @@ def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed
     with pytest.raises(EvaluationError, match="timed out after 0.5s") as err:
         evaluate_batch(scenario, [(2, 1, "true", 1)])
     assert err.value.raw_output == printed
+
+
+def running(pid):
+    """Whether ``pid`` is alive; a killed orphan can linger as a zombie until
+    its new parent reaps it, and a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(") ", 1)[1][0] != "Z"
+    except ProcessLookupError:
+        return False
+    except OSError:  # no /proc: the signal found it
+        return True
+
+
+def test_timeout_kills_the_processes_the_child_started(tmp_path):
+    # a synthesis tool starts its own workers; killing the child alone leaves them running
+    scenario = scenario_of(small_space(), ("cost",), FEA, timeout_seconds=0.5,
+                           command="sh -c 'sleep 5 & echo $! > pid; wait'",
+                           working_dir=str(tmp_path))
+    pid_file = tmp_path / "pid"
+    try:
+        with pytest.raises(EvaluationError, match="timed out after 0.5s"):
+            evaluate_batch(scenario, [(2, 1, "true", 1)])
+        pid, deadline = int(pid_file.read_text()), time.monotonic() + 2.0
+        while running(pid):
+            assert time.monotonic() < deadline, "the child's own child outlived the timeout"
+            time.sleep(0.02)
+    finally:  # a failing run leaves nothing behind
+        with contextlib.suppress(FileNotFoundError, ValueError, ProcessLookupError):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
 # --- one set of rules for builtin results and child responses ---------------------
