@@ -23,7 +23,9 @@ import json
 import math
 import platform
 import re
+import signal
 import sys
+import threading
 import time
 from functools import partial
 from pathlib import Path
@@ -414,13 +416,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand. While it runs on the main thread, SIGTERM (a job
+    scheduler) and SIGHUP (a closing terminal) raise SystemExit(128 +
+    signum), so the command unwinds: a child evaluator runs in a session of
+    its own, and only unwinding kills its process group. A signal the
+    process ignores (``nohup`` ignores SIGHUP) stays ignored. The previous
+    handlers come back on return."""
     args = build_parser().parse_args(argv)
+    caught = ()
+    if threading.current_thread() is threading.main_thread():  # only it may set handlers
+        caught = [s for s in (signal.SIGTERM, signal.SIGHUP)
+                  if signal.getsignal(s) is not signal.SIG_IGN]
+    saved = [(signum, signal.signal(signum, _exit_on_signal)) for signum in caught]
     try:
         return args.fn(args)
     except (EvaluationError, OSError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    finally:
+        for signum, handler in saved:  # None: a handler not set from Python
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
 if __name__ == "__main__":  # pragma: no cover

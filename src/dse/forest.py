@@ -15,12 +15,16 @@ targets in the two children: on the classifier's class-weighted 0/1 labels
 that variance is half the weighted Gini impurity, so it picks the splits
 Gini would (Breiman et al., Classification and Regression Trees, 1984).
 
-The trees of one fit, of every output of a regressor fitted on an (n, p)
-target matrix alike, grow together in passes over an array frontier of open
-nodes, each pass one vectorized sweep: level by level, every open node of
-every tree at once, when each node considers every feature (regressors
-under "auto"); otherwise each tree's newest open node, so that each node's
-feature draw comes from its tree's generator in depth-first order.
+The trees of one fit grow together in passes over an array frontier of open
+nodes, each pass one vectorized sweep; so do those of every output of a
+regressor fitted on an (n, p) target matrix, and those of both models of a
+``fit_pair`` (the regressor and the classifier of one refit). Each tree
+keeps its own rule: level by level, all its open nodes at once, when each
+node considers every feature (regressors under "auto"); otherwise its
+newest open node, so that each node's feature draw comes from its tree's
+generator in depth-first order. A pass takes what every tree's rule asks
+for, so a ``fit_pair`` costs the longer of the two pass loops, not their
+sum, and each of its forests is bit for bit the one a separate fit grows.
 Level-wise growth follows LightGBM (Ke et al., NeurIPS 2017); the splits
 are exact, and every sum covers one node's rows, so the trees do not depend
 on the batch. A fitted forest is the node arrays the builder records; no
@@ -153,11 +157,11 @@ def _select(front, mask):
     """The nodes of a frontier (id, tree, depth, size, sums, rows) in ``mask``."""
     ids, trees, depths, sizes, sums, rows = front
     return (ids[mask], trees[mask], depths[mask], sizes[mask], sums[:, mask],
-            rows[np.repeat(mask, sizes)])
+            rows[mask.repeat(sizes)])
 
 
 class _TreeBuilder:
-    """Grows the trees of one fit together, in passes over an array
+    """Grows the trees of one or more fits together, in passes over an array
     frontier; adds each split's impurity decrease to its tree's importance
     of the split feature.
 
@@ -172,15 +176,17 @@ class _TreeBuilder:
     criteria pick the same splits, and the leaf mean is the weighted
     feasible fraction. A node's size counts its distinct rows.
 
-    The open nodes are arrays in the order they were opened: node id, tree,
-    depth, size, moment sums, and their rows grouped by node. When every
-    node chooses every feature (k == d: regressors under "auto") nothing is
-    drawn, and a pass takes every open node: the trees grow one depth per
-    pass. Otherwise (the classifier) a pass takes each tree's newest open
-    node, so every tree draws its nodes' k features from its generator in
-    depth-first order. A pass splits or closes the nodes it takes and opens
-    their children, right before left. Values and splits are recorded in
-    arrays, which are the fitted forest.
+    Each tree has its own generator, k (features each node chooses from),
+    ``min_samples_split`` and maximum depth. The open nodes are arrays in
+    the order they were opened: node id, tree, depth, size, moment sums,
+    and their rows grouped by node. A tree whose nodes choose every feature
+    (k == d: regressors under "auto") draws nothing, and a pass takes all
+    its open nodes: it grows one depth per pass. Any other tree (the
+    classifier) has a pass take its newest open node, so that it draws its
+    nodes' k features from its generator in depth-first order. A pass
+    splits or closes the nodes it takes and opens their children, right
+    before left. Values and splits are recorded in arrays, which are the
+    fitted forests.
 
     A pass scores every chosen (feature, node) pair, a lane, at once.
     Ordered lanes: one stable argsort of each lane's values, one gather of
@@ -192,14 +198,16 @@ class _TreeBuilder:
     from the sums of every (node, level). Node and level sums are taken in
     sequence over a node's rows in row order (``np.bincount``), and the
     right side of every cut is the node's sums minus the left side's. Every
-    sum covers one node's rows only, so a tree does not depend on the trees
-    it grows with. Ties, among the cuts of a lane, the levels of a feature
-    and the features of a node alike, go to the first candidate within
-    1e-15 of the best gain.
+    sum covers one node's rows only, and a tree's nodes are taken in the
+    same passes whatever grows beside it, so a tree does not depend on the
+    trees it grows with. Ties, among the cuts of a lane, the levels of a
+    feature and the features of a node alike, go to the first candidate
+    within 1e-15 of the best gain.
     """
 
-    def __init__(self, X, y, w, unordered, hp: ForestHyperparams, gens, k: int, sizes):
-        # X, y and w hold one block of ``sizes[t]`` rows per tree t, in tree order
+    def __init__(self, X, y, w, unordered, sizes, gens, k, min_split, max_depth):
+        # X, y and w hold one block of ``sizes[t]`` rows per tree t, in tree
+        # order; gens, k, min_split and max_depth hold one entry per tree
         self.XT = np.ascontiguousarray(X.T)  # one row per feature
         self.y = y
         wy = w * y
@@ -208,50 +216,61 @@ class _TreeBuilder:
         # each categorical feature's sorted levels and every sample's level index
         self.levels = {f: np.unique(self.XT[f], return_inverse=True)
                        for f in np.flatnonzero(self.unordered).tolist()}
-        self.hp = hp
-        self.gens = gens
-        self.k = k
         self.sizes = sizes
+        self.gens = gens
+        self.k, self.min_split, self.max_depth = k, min_split, max_depth
+        self.depth_first = k < len(self.XT)  # a tree that draws its nodes' features
+        self.slot = self.depth_first.cumsum() - 1  # such a tree's row in self.draws
         self.root_weight = np.bincount(np.arange(len(gens)).repeat(sizes), weights=w,
                                        minlength=len(gens))
         self.importance = np.zeros((len(gens), len(self.XT)))
 
     def build(self):
-        """The node arrays (feature, threshold, child, value) of the grown
-        trees, numbered as opened: the roots, then each split's right and
-        left child; feature and child are -1 at a leaf."""
-        count, d = len(self.gens), len(self.XT)
-        if self.k < d:  # row i of a tree's draws: the features of the i-th node it scores
-            self.draws, self.drawn = self._draw(16), np.zeros(count, dtype=np.intp)
-        self.values, self.splits, self.size = [], [], 0
+        """The node arrays (tree, feature, threshold, child, value) of the
+        grown trees, numbered as opened: the roots, then each split's right
+        and left child; feature and child are -1 at a leaf."""
+        count, depth_first = len(self.gens), self.depth_first
+        any_depth_first = depth_first.any()
+        if any_depth_first:  # row i of a tree's draws: the feature order of its i-th node
+            self.draws = self._draw(16)
+            self.drawn = np.zeros(len(self.draws), dtype=np.intp)
+        self.trees, self.values, self.splits, self.size = [], [], [], 0
         front = self._open(np.arange(count), np.zeros(count, dtype=np.intp),
                            self.sizes, np.arange(len(self.y)))
         while len(front[0]):
-            if self.k < d:
+            if any_depth_first:
+                trees = front[1]
+                at = np.arange(len(trees))
                 newest = np.full(count, -1)
-                np.maximum.at(newest, front[1], np.arange(len(front[1])))
-                take = newest[front[1]] == np.arange(len(front[1]))
-                children = self._split(_select(front, take))
-                front = tuple(np.concatenate(pair, axis=-1)
-                              for pair in zip(_select(front, ~take), children))
-            else:
-                front = self._split(front)
+                np.maximum.at(newest, trees, at)
+                take = ~depth_first[trees] | (newest[trees] == at)
+                if not take.all():
+                    children = self._split(_select(front, take))
+                    front = tuple(np.concatenate(pair, axis=-1)
+                                  for pair in zip(_select(front, ~take), children))
+                    continue
+            front = self._split(front)
         feature, child = np.full(self.size, -1), np.full(self.size, -1)
         threshold = np.zeros(self.size)
         for ids, f, test, right in self.splits:
             feature[ids], threshold[ids], child[ids] = f, test, right
-        return feature, threshold, child, np.concatenate(self.values)
+        return (np.concatenate(self.trees), feature, threshold, child,
+                np.concatenate(self.values))
 
     def _draw(self, m):
-        """Each tree's next m permutation(d) draws, one row each, cut to k."""
+        """The next m permutation(d) draws of each tree that draws features,
+        one row each."""
         perms = np.tile(np.arange(len(self.XT)), (m, 1))
-        return np.stack([gen.permuted(perms, axis=1)[:, :self.k] for gen in self.gens])
+        return np.stack([self.gens[t].permuted(perms, axis=1)
+                         for t in self.depth_first.nonzero()[0].tolist()])
 
     def _sums(self, rows, segment, count):
         """3 x count sums of the moments of ``rows`` by ``segment`` label,
-        each taken in sequence in row order."""
-        return np.stack([np.bincount(segment, weights=m, minlength=count)
-                         for m in self.M.take(rows, axis=1)])
+        each taken in sequence in row order: one bincount, moment i's labels
+        shifted by i * count."""
+        labels = segment + count * np.arange(3)[:, None]
+        return np.bincount(labels.ravel(), weights=self.M.take(rows, axis=1).ravel(),
+                           minlength=3 * count).reshape(3, count)
 
     def _open(self, trees, depths, sizes, rows):
         """Numbers and records the new nodes of ``trees``, whose ``sizes``
@@ -260,13 +279,13 @@ class _TreeBuilder:
         rounding leaves its variance a little above zero."""
         ids = np.arange(self.size, self.size + len(sizes))
         self.size += len(sizes)
-        starts = np.cumsum(sizes) - sizes
-        sums = self._sums(rows, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+        starts = sizes.cumsum() - sizes
+        sums = self._sums(rows, np.arange(len(sizes)).repeat(sizes), len(sizes))
         y = self.y[rows]
-        grow = ((sizes >= max(2, self.hp.min_samples_split)) & ~(_variance(*sums) <= 0.0)
+        grow = ((sizes >= self.min_split[trees]) & (depths < self.max_depth[trees])
+                & ~(_variance(*sums) <= 0.0)
                 & (np.maximum.reduceat(y, starts) > np.minimum.reduceat(y, starts)))
-        if self.hp.max_depth is not None:
-            grow &= depths < self.hp.max_depth
+        self.trees.append(trees)
         self.values.append(sums[1] / sums[0])
         return _select((ids, trees, depths, sizes, sums, rows), grow)
 
@@ -279,16 +298,16 @@ class _TreeBuilder:
         np.add.at(self.importance, (trees[split], feature[split]),
                   (sums[0] / self.root_weight[trees] * gain)[split])
         # the rows of every split node, right child then left child
-        rows = rows[np.repeat(split, sizes)]
-        column = np.repeat(feature[split], sizes[split])
+        rows = rows[split.repeat(sizes)]
+        sizes, feature, threshold = sizes[split], feature[split], threshold[split]
+        column = feature.repeat(sizes)
         value = self.XT[column, rows]
-        test = np.repeat(threshold[split], sizes[split])
-        count = int(split.sum())
-        side = np.repeat(2 * np.arange(count), sizes[split])
+        test = threshold.repeat(sizes)
+        count = len(sizes)
+        side = (2 * np.arange(count)).repeat(sizes)
         side += np.where(self.unordered[column], value == test, value <= test)
-        self.splits.append((ids[split], feature[split], threshold[split],
-                            self.size + 2 * np.arange(count)))
-        return self._open(np.repeat(trees[split], 2), np.repeat(depths[split] + 1, 2),
+        self.splits.append((ids[split], feature, threshold, self.size + 2 * np.arange(count)))
+        return self._open(trees[split].repeat(2), (depths[split] + 1).repeat(2),
                           np.bincount(side, minlength=2 * count),
                           rows[side.argsort(kind="stable")])
 
@@ -297,18 +316,20 @@ class _TreeBuilder:
         whose rows, grouped by node in ascending order, are ``rows``; the
         gain is -inf where no chosen feature separates the node's rows."""
         d = len(self.XT)
-        if self.k < d:
+        chosen = np.ones((d, len(sizes)), dtype=bool)  # a tree that draws none chooses all
+        nodes = self.depth_first[trees].nonzero()[0]
+        if nodes.size:
             if self.drawn.max() == self.draws.shape[1]:  # a tree has used its draws up
                 self.draws = np.concatenate([self.draws, self._draw(self.draws.shape[1])], axis=1)
-            chosen = np.zeros((d, len(sizes)), dtype=bool)
-            chosen[self.draws[trees, self.drawn[trees]].T, np.arange(len(sizes))] = True
-            self.drawn[trees] += 1  # a pass takes one node per tree
-        else:  # every feature is chosen, so a draw could not change the tree
-            chosen = np.ones((d, len(sizes)), dtype=bool)
+            slot = self.slot[trees[nodes]]
+            # each node's features in the order its tree drew them; the first k are chosen
+            chosen[self.draws[slot, self.drawn[slot]].T, nodes] = (
+                np.arange(d)[:, None] < self.k[trees[nodes]])
+            self.drawn[slot] += 1  # a pass takes one node of such a tree
         # gain and threshold of the best cut of every chosen (feature, node)
         gains = np.full((d, len(sizes)), -np.inf)
         tests = np.zeros((d, len(sizes)))
-        lanes = np.nonzero(chosen & np.logical_not(self.unordered)[:, None])
+        lanes = (chosen & ~self.unordered[:, None]).nonzero()
         if lanes[0].size:
             gains[lanes], tests[lanes] = self._score_thresholds(*lanes, rows, sizes, sums)
         self._score_levels(chosen, rows, sizes, sums, gains, tests)
@@ -320,7 +341,7 @@ class _TreeBuilder:
         """(gain, threshold) arrays of the best threshold cut of each (ordered
         feature, node) lane, scanned in chunks of lanes of similar size."""
         S = self.M.take(rows, axis=1)
-        starts = np.cumsum(sizes) - sizes
+        starts = sizes.cumsum() - sizes
         n = sizes[nodes]
         gain = np.empty(len(nodes))
         threshold = np.empty(len(nodes))
@@ -347,7 +368,7 @@ class _TreeBuilder:
         del at, order
         left = left.cumsum(axis=2, out=left)
         # only cuts between distinct values are scored
-        lanes, cuts = np.nonzero(boundary)
+        lanes, cuts = boundary.nonzero()
         g = np.full(boundary.shape, -np.inf)
         g[lanes, cuts] = _gain(total[:, lanes], left[:, lanes, cuts])
         best = _first_best(g, axis=1)
@@ -362,7 +383,7 @@ class _TreeBuilder:
         split of each categorical feature at each node that chose it, from
         the sums of every (node, level)."""
         count = len(sizes)
-        node = np.repeat(np.arange(count), sizes)
+        node = np.arange(count).repeat(sizes)
         for f, (levels, index) in self.levels.items():
             nodes = np.flatnonzero(chosen[f])
             if not nodes.size:
@@ -370,7 +391,7 @@ class _TreeBuilder:
             left = self._sums(rows, node * len(levels) + index[rows], count * len(levels))
             left = left.reshape(3, count, len(levels))[:, nodes]
             present = left[0] > 0.0  # every sample weighs more than zero
-            i, level = np.nonzero(present & (present.sum(axis=1, keepdims=True) >= 2))
+            i, level = (present & (present.sum(axis=1, keepdims=True) >= 2)).nonzero()
             g = np.full(present.shape, -np.inf)
             g[i, level] = _gain(sums[:, nodes[i]], left[:, i, level])
             level = _first_best(g, axis=1)
@@ -495,40 +516,64 @@ def _prepare(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _fit(X, y, hp: ForestHyperparams, rng: RngState, unordered, classifier: bool) -> Forest:
-    X, y = _prepare(X, y)
-    if classifier:  # every nonzero label is the feasible class
-        y = (y != 0.0) * 1.0
-    n, d = X.shape
+def _fit(X, jobs, unordered) -> list[Forest]:
+    """One forest per job (targets, hyperparameters, rng, classifier?), all
+    fitted on the features X by one builder. The builder numbers the nodes
+    of every job in one sequence; each forest takes its own nodes in that
+    order, renumbered from 0, so it is bit for bit the forest a fit of its
+    job alone grows."""
+    blocks, gens, vectors = [], [], []
+    for y, hp, rng, classifier in jobs:
+        X, y = _prepare(X, y)
+        if classifier:  # every nonzero label is the feasible class
+            y = (y != 0.0) * 1.0
+        n, d = X.shape
+        vectors.append(y.ndim == 1)
+        Y = y.reshape(n, -1)  # one column per output
+        rngs = [rng] if vectors[-1] else [rng.substream(j) for j in range(Y.shape[1])]
+        job_gens = [RngState(r.seed ^ t, r.stream_id).generator
+                    for r in rngs for t in range(hp.n_estimators)]
+        drawn = np.concatenate([gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
+                                for gen in job_gens])
+        # how often each tree drew each row; a tree fits the rows it drew, in row order
+        counts = np.bincount(np.arange(len(job_gens)).repeat(n) * n + drawn,
+                             minlength=len(job_gens) * n).reshape(len(job_gens), n)
+        tree, sample = counts.nonzero()
+        y = Y[sample, tree // hp.n_estimators]
+        w = counts[tree, sample].astype(float)
+        if classifier:  # each draw of class c weighs class_weight[c] / (draws of c in its tree)
+            pos = y > 0.5
+            n_pos = np.bincount(tree, weights=w * pos, minlength=len(job_gens))[tree]
+            w *= np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
+                          hp.class_weight[1] / np.maximum(n - n_pos, 1))
+        blocks.append((sample, y, w, np.bincount(tree, minlength=len(job_gens))))
+        gens += job_gens
     unordered = tuple(bool(u) for u in (unordered if unordered is not None else [False] * d))
     if len(unordered) != d:
         raise FitError("unordered mask length does not match feature count")
 
-    k = hp.resolve_max_features(d, classifier)
-    vector, Y = y.ndim == 1, y.reshape(n, -1)  # one column per output
-    rngs = [rng] if vector else [rng.substream(j) for j in range(Y.shape[1])]
-    gens = [RngState(r.seed ^ t, r.stream_id).generator
-            for r in rngs for t in range(hp.n_estimators)]
-    drawn = np.concatenate([gen.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
-                            for gen in gens])
-    # how often each tree drew each row; a tree fits the rows it drew, in row order
-    counts = np.bincount(np.arange(len(gens)).repeat(n) * n + drawn,
-                         minlength=len(gens) * n).reshape(len(gens), n)
-    tree, sample = np.nonzero(counts)
-    y = Y[sample, tree // hp.n_estimators]
-    w = counts[tree, sample].astype(float)
-    if classifier:  # each draw of class c weighs class_weight[c] / (draws of c in its tree)
-        pos = y > 0.5
-        n_pos = np.bincount(tree, weights=w * pos, minlength=len(gens))[tree]
-        w *= np.where(pos, hp.class_weight[0] / np.maximum(n_pos, 1),
-                      hp.class_weight[1] / np.maximum(n - n_pos, 1))
-    builder = _TreeBuilder(X[sample], y, w, unordered, hp, gens, k,
-                           np.bincount(tree, minlength=len(gens)))
-    feature, threshold, child, value = builder.build()
-    importance = builder.importance.reshape(len(rngs), hp.n_estimators, d).mean(axis=1)
-    return Forest(kind="classifier" if classifier else "regressor", unordered=unordered,
-                  n_trees=len(gens), feature=feature, threshold=threshold, child=child,
-                  value=value, raw_importance=importance[0] if vector else importance)
+    sample, y, w, sizes = (np.concatenate(column) for column in zip(*blocks))
+    trees = [len(block[3]) for block in blocks]  # per job
+    k = np.repeat([hp.resolve_max_features(d, classifier) for _, hp, _, classifier in jobs],
+                  trees)
+    min_split = np.repeat([max(2, hp.min_samples_split) for _, hp, _, _ in jobs], trees)
+    max_depth = np.repeat([hp.max_depth or math.inf for _, hp, _, _ in jobs], trees)
+    builder = _TreeBuilder(X[sample], y, w, unordered, sizes, gens, k, min_split, max_depth)
+    tree, feature, threshold, child, value = builder.build()
+    forests, first = [], 0
+    for (_, hp, _, classifier), count, vector in zip(jobs, trees, vectors):
+        mine = (tree >= first) & (tree < first + count)
+        rank = mine.cumsum() - 1  # a node's id among its own forest's
+        right = child[mine]
+        importance = builder.importance[first:first + count].reshape(
+            -1, hp.n_estimators, d).mean(axis=1)
+        forests.append(Forest(
+            kind="classifier" if classifier else "regressor", unordered=unordered,
+            n_trees=count, feature=feature[mine], threshold=threshold[mine],
+            child=np.where(right >= 0, rank[right], -1), value=value[mine],
+            raw_importance=importance[0] if vector else importance))
+        first += count
+    return forests
 
 
 def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
@@ -542,7 +587,7 @@ def fit_regressor(X, y, hp: ForestHyperparams, rng: RngState,
     ``y[:, j]`` seeded ``rng.substream(j)``, and all p outputs grow in the
     same passes. A NaN or infinite feature or target raises a FitError.
     """
-    return _fit(X, y, hp, rng, unordered, classifier=False)
+    return _fit(X, [(y, hp, rng, False)], unordered)[0]
 
 
 def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
@@ -559,7 +604,21 @@ def fit_classifier(X, labels, hp: ForestHyperparams, rng: RngState,
     nonzero label is feasible; a NaN or infinite feature or label raises a
     FitError.
     """
-    return _fit(X, np.asarray(labels, dtype=float).ravel(), hp, rng, unordered, classifier=True)
+    return _fit(X, [(np.asarray(labels, dtype=float).ravel(), hp, rng, True)], unordered)[0]
+
+
+def fit_pair(X, y, labels, regressor_hp: ForestHyperparams, classifier_hp: ForestHyperparams,
+             rng: RngState, classifier_rng: RngState,
+             unordered: Sequence[bool] | None = None) -> tuple[Forest, Forest]:
+    """``(fit_regressor(X, y, regressor_hp, rng, unordered),
+    fit_classifier(X, labels, classifier_hp, classifier_rng, unordered))``,
+    bit for bit, grown in one builder's passes: the regressor's trees take
+    all their open nodes each pass, beside the classifier's depth-first
+    ones, so a refit pays for the longer of the two pass loops, not both."""
+    regressor, classifier = _fit(X, [(y, regressor_hp, rng, False),
+                                     (np.asarray(labels, dtype=float).ravel(), classifier_hp,
+                                      classifier_rng, True)], unordered)
+    return regressor, classifier
 
 
 def feature_importance(forest: Forest) -> np.ndarray:

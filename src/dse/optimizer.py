@@ -33,7 +33,8 @@ import numpy as np
 
 from . import priors
 from .evaluators import evaluate_batch
-from .forest import Forest, fit_classifier, fit_regressor
+from .forest import Forest, fit_pair, fit_regressor
+from .forest import fit_classifier  # noqa: F401 -- perfbench's tracer patches this name here
 from .pareto import EvaluationRecord, pareto_front
 from .rng import RngState
 from .scenario import Scenario
@@ -89,19 +90,18 @@ def fit_surrogates(X: np.ndarray, records: Sequence[EvaluationRecord], scenario:
     """Refit the models on the encoded archive ``X`` (one row per record):
     one regressor fit whose output j is objective j's forest (seeded
     ``rng.substream(j)``), and, when ``classify`` is set and the scenario
-    filters, the feasibility classifier; otherwise the classifier is None
-    and every candidate passes the filter. A run clears ``classify`` on a
-    refit that no prediction follows."""
+    filters, the feasibility classifier (seeded ``rng.substream(p)``),
+    grown with the regressor in one pass loop by ``fit_pair``, each forest
+    bit for bit a separate fit; otherwise the classifier is None and every
+    candidate passes the filter. A run clears ``classify`` on a refit that
+    no prediction follows."""
     unordered = scenario.space.unordered_mask
-    p = len(scenario.objectives)
-
-    regressor = fit_regressor(X, [r.objectives for r in records], scenario.regressor_hp, rng,
-                              unordered)
-    classifier = None
+    objectives = [r.objectives for r in records]
     if classify and scenario.filters_feasibility:
-        classifier = fit_classifier(X, [r.feasible for r in records], scenario.classifier_hp,
-                                    rng.substream(p), unordered)
-    return regressor, classifier
+        return fit_pair(X, objectives, [r.feasible for r in records], scenario.regressor_hp,
+                        scenario.classifier_hp, rng, rng.substream(len(scenario.objectives)),
+                        unordered)
+    return fit_regressor(X, objectives, scenario.regressor_hp, rng, unordered), None
 
 
 def predict_pareto(space: DesignSpace, pool: np.ndarray, regressor: Forest,

@@ -96,6 +96,8 @@ class Scenario:
             raise ValidationError("pareto_prediction_samples must be >= 1")
         if not (0.0 < self.feasibility_threshold < 1.0):
             raise ValidationError("feasibility_threshold must lie in (0, 1)")
+        if not 0 <= self.seed < 2 ** 64:  # RngState keeps 64 bits: a wider seed would alias
+            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def filters_feasibility(self) -> bool:

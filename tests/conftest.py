@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,3 +48,15 @@ def scenario_with(doc: dict, **changes):
     out = json.loads(json.dumps(doc))
     out.update(changes)
     return parse_scenario(json.dumps(out))
+
+
+def running(pid):
+    """Whether ``pid`` is alive; a killed orphan can linger as a zombie until
+    its new parent reaps it, and a zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(") ", 1)[1][0] != "Z"
+    except ProcessLookupError:
+        return False
+    except OSError:  # no /proc: the signal found it
+        return True

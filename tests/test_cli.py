@@ -1,7 +1,13 @@
+import contextlib
 import csv
 import json
 import math
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +18,7 @@ from dse.pareto import constrained_front
 from dse.scenario import parse_scenario
 from dse.space import ValidationError
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, SRC, running
 from oracles import dominates, inclusion_exclusion_hypervolume, pairwise_front
 
 TOY = str(SCENARIO_DIR / "toy_fpga.json")
@@ -227,9 +233,11 @@ def test_scalar_fields_must_have_their_json_type(override, field):
 def test_overrides_reach_the_scenario_fields():
     scenario = load_scenario(TOY, ["surrogate.classifier.max_depth=6",
                                    "pareto_prediction_samples=5000",
-                                   "input_parameters.B.prior=[2, 5]"])
+                                   "input_parameters.B.prior=[2, 5]",
+                                   "seed=18446744073709551615"])  # the largest 64-bit seed
     assert scenario.classifier_hp.max_depth == 6
     assert scenario.pareto_prediction_samples == 5000
+    assert scenario.seed == 2 ** 64 - 1
     prior = next(p.prior for p in scenario.space.parameters if p.name == "B")
     assert (prior.alpha, prior.beta) == (2.0, 5.0)
 
@@ -248,6 +256,8 @@ def test_overrides_reach_the_scenario_fields():
      "design_of_experiment: unknown key 'number_of_sample'"),
     ('feasible_output.true_valeu="yes"', "feasible_output: unknown key 'true_valeu'"),
     ("surrogate.regresor.n_estimators=3", "surrogate: unknown key 'regresor'"),
+    ("seed=-1", "seed must lie in [0, 2**64), got -1"),
+    ("seed=18446744073709551616", "seed must lie in [0, 2**64), got 18446744073709551616"),
 ])
 def test_out_of_range_fields_fail_with_their_section_named(override, message, capsys):
     assert run_cli("run", TOY, "--set", override) == 1
@@ -471,6 +481,80 @@ def test_killed_run_keeps_its_completed_batches(tmp_path, run_dir):
     assert all(r.iteration_tag == -1 for r in records)
     assert full.read_bytes().startswith((out / "samples.csv").read_bytes())
     assert sorted(path.name for path in out.iterdir()) == ["samples.csv"]
+
+
+@contextlib.contextmanager
+def hanging_run(tmp_path, **popen_args):
+    """A ``dse run`` subprocess whose command evaluator starts a worker and
+    never answers; yields the run and the worker's pid once the worker is
+    up, and kills whatever is left on the way out."""
+    pid_file = tmp_path / "pid"
+    evaluator = json.dumps({"command": "sh -c 'sleep 5 & echo $! > pid; wait'",
+                            "working_dir": str(tmp_path)})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dse", "run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
+         "--set", f"evaluator={evaluator}"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, **popen_args)
+    worker = None
+    try:
+        deadline = time.monotonic() + 120
+        while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+            assert proc.poll() is None, "the run ended before its evaluator started a worker"
+            assert time.monotonic() < deadline, "the evaluator never started its worker"
+            time.sleep(0.02)
+        worker = int(pid_file.read_text())
+        yield proc, worker
+    finally:  # a failing run leaves nothing behind
+        proc.kill()
+        proc.wait(timeout=30)
+        if worker is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_terminated_run_takes_its_evaluator_with_it(tmp_path, signum):
+    # a job scheduler sends SIGTERM, a closing terminal SIGHUP; sent to the
+    # run alone, it must still end the evaluator, which runs in a session of
+    # its own, and the worker that evaluator started
+    with hanging_run(tmp_path) as (proc, worker):
+        proc.send_signal(signum)
+        assert proc.wait(timeout=5) == 128 + signum
+        deadline = time.monotonic() + 2.0
+        while running(worker):
+            assert time.monotonic() < deadline, "the evaluator's worker outlived the run"
+            time.sleep(0.02)
+
+
+def test_run_started_with_sighup_ignored_outlives_a_hangup(tmp_path):
+    # nohup (or trap '' HUP) starts a run with SIGHUP ignored, so that it
+    # outlives the terminal; the run must keep that disposition
+    def ignore_hangups():
+        signal.signal(signal.SIGHUP, signal.SIG_IGN)
+
+    with hanging_run(tmp_path, preexec_fn=ignore_hangups) as (proc, worker):
+        proc.send_signal(signal.SIGHUP)
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(timeout=1)
+        assert running(worker)
+        proc.send_signal(signal.SIGTERM)  # still caught: the run unwinds
+        assert proc.wait(timeout=5) == 128 + signal.SIGTERM
+
+
+def test_main_restores_the_signal_handlers_it_replaced(tmp_path):
+    # perfbench and the tests call main in-process
+    def mine(signum, frame):
+        pass
+
+    before = [signal.signal(s, mine) for s in (signal.SIGTERM, signal.SIGHUP)]
+    try:
+        assert run_cli("run", TOY, "--set", f"output_dir={tmp_path}",
+                       "--set", "optimization_iterations=0") == 0
+        assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)] == [mine, mine]
+    finally:
+        for s, handler in zip((signal.SIGTERM, signal.SIGHUP), before):
+            signal.signal(s, handler)
 
 
 def test_reordered_objectives_write_each_column_its_own_values(tmp_path):

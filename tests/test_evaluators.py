@@ -7,7 +7,6 @@ import sys
 import textwrap
 import time
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from dse import evaluators
 from dse.scenario import FeasibleOutput
 from dse.space import DomainError, canonical_str
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, running
 
 FEA = FeasibleOutput("feasible", "true")
 TOY = parse_scenario((SCENARIO_DIR / "toy_fpga.json").read_text())
@@ -251,18 +250,6 @@ def test_timeout_is_an_evaluation_error_with_the_output_so_far(tmp_path, printed
     with pytest.raises(EvaluationError, match="timed out after 0.5s") as err:
         evaluate_batch(scenario, [(2, 1, "true", 1)])
     assert err.value.raw_output == printed
-
-
-def running(pid):
-    """Whether ``pid`` is alive; a killed orphan can linger as a zombie until
-    its new parent reaps it, and a zombie counts as gone."""
-    try:
-        os.kill(pid, 0)
-        return Path(f"/proc/{pid}/stat").read_text().rsplit(") ", 1)[1][0] != "Z"
-    except ProcessLookupError:
-        return False
-    except OSError:  # no /proc: the signal found it
-        return True
 
 
 def test_timeout_kills_the_processes_the_child_started(tmp_path):

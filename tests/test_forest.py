@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dse import (
     ForestHyperparams,
@@ -12,7 +13,7 @@ from dse import (
     fit_regressor,
     kfold_recall,
 )
-from dse.forest import FitError, TreeNode, _TreeBuilder
+from dse.forest import FitError, TreeNode, _TreeBuilder, fit_pair
 from dse.optimizer import _STREAM_FIT, fit_surrogates, run
 from dse.space import encode_matrix
 
@@ -545,6 +546,53 @@ def test_matrix_fit_equals_per_column_fits(p, hp):
         assert feature_importance(forest)[1].tolist() == [0.2] * 5
 
 
+@st.composite
+def pair_cases(draw):
+    """Features with ties and categorical columns, p targets (a vector or an
+    (n, p) matrix), labels that may hold one class only, hyperparameters
+    drawn per model and a seed per model."""
+    n, d, p = draw(st.integers(2, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    unordered = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))  # the values
+    X = np.column_stack([gen.integers(0, 4, n) if u or gen.random() < 0.5
+                         else np.round(gen.random(n), 2) for u in unordered]).astype(float)
+    Y = np.round(gen.normal(size=(n, p)) * 5, int(gen.integers(0, 3)))
+    if p == 1 and draw(st.booleans()):
+        Y = Y[:, 0]
+    single = draw(st.none() | st.booleans())  # the one class of the labels, if any
+    labels = [single] * n if single is not None else (gen.random(n) < gen.random()).tolist()
+
+    def hyperparams(max_features):
+        return ForestHyperparams(
+            n_estimators=draw(st.integers(1, 4)), max_depth=draw(st.none() | st.integers(1, 4)),
+            max_features=draw(max_features), bootstrap=draw(st.booleans()),
+            min_samples_split=draw(st.integers(1, 6)))
+
+    regressor_hp = hyperparams(st.sampled_from(["auto", 0.3, 0.6, 1.0]))
+    classifier_hp = hyperparams(st.sampled_from(["auto", 0.5, 1.0]))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=4, max_size=4))
+    return (X, Y, labels, regressor_hp, classifier_hp, RngState(*seeds[:2]),
+            RngState(*seeds[2:]), unordered)
+
+
+@given(pair_cases())
+@settings(max_examples=200, deadline=None)
+def test_fit_pair_grows_the_forests_separate_fits_grow(case):
+    # one builder grows both models, the regressor's trees level-wise (or
+    # depth-first under a max_features fraction) beside the classifier's
+    # depth-first ones; each forest must come out array for array as a fit
+    # of its own, node numbering included
+    X, Y, labels, regressor_hp, classifier_hp, rng, classifier_rng, unordered = case
+    pair = fit_pair(X, Y, labels, regressor_hp, classifier_hp, rng, classifier_rng, unordered)
+    alone = (fit_regressor(X, Y, regressor_hp, rng, unordered),
+             fit_classifier(X, labels, classifier_hp, classifier_rng, unordered))
+    for fused, single in zip(pair, alone):
+        assert (fused.kind, fused.n_trees, fused.unordered) == (
+            single.kind, single.n_trees, single.unordered)
+        for name in ("feature", "threshold", "child", "value", "raw_importance"):
+            assert np.array_equal(getattr(fused, name), getattr(single, name)), (fused.kind, name)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_bootstrap_tree_equals_a_fit_on_its_expanded_draw(p):
     # a tree fits its distinct rows weighted by their draw counts; on small
@@ -608,7 +656,7 @@ def test_classifier_draws_each_node_features_in_depth_first_order(monkeypatch):
     assert max(sum(not isinstance(v, float) for v in _preorder(t)) for t in fitted.trees) > 16
 
     def up_front(self, m):
-        return np.array([[g.permutation(len(self.XT))[:self.k] for _ in range(2 * self.sizes.max())]
+        return np.array([[g.permutation(len(self.XT)) for _ in range(2 * self.sizes.max())]
                          for g in self.gens])
 
     monkeypatch.setattr(_TreeBuilder, "_draw", up_front)

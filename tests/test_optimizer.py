@@ -605,9 +605,15 @@ def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
 def test_disabling_the_filter_skips_the_classifier(toy_scenario_doc, monkeypatch):
     import dse.optimizer as optimizer
 
-    counts, fits, original = count_loop_calls(monkeypatch), [], optimizer.fit_classifier
-    monkeypatch.setattr(optimizer, "fit_classifier",
-                        lambda *args: fits.append(1) or original(*args))
+    counts, fits, original = count_loop_calls(monkeypatch), [], optimizer.fit_surrogates
+
+    def fit_surrogates(*args, **kwargs):
+        regressor, classifier = original(*args, **kwargs)
+        if classifier is not None:
+            fits.append(1)
+        return regressor, classifier
+
+    monkeypatch.setattr(optimizer, "fit_surrogates", fit_surrogates)
     for use_filter, iterations in [(False, 5), (True, 5), (True, 0)]:
         counts.update(dict.fromkeys(counts, 0))
         fits.clear()
