@@ -123,17 +123,20 @@ def forest_digests() -> dict[str, tuple[str, int]]:
     importances, per forest kind and (key "") over all fits in fit order."""
     hashes, counts = {}, {}
     for forest in forest_fits():
+        feature, threshold, child, value = (
+            a.tolist() for a in (forest.feature, forest.threshold, forest.child, forest.value))
         lines = []
-        for tree in forest.trees:
-            stack = [tree]
+        for root in range(forest.n_trees):
+            stack = [root]
             while stack:
                 node = stack.pop()
-                if node.is_leaf:
-                    lines.append(f"L {float(node.value).hex()}\n")
+                if child[node] < 0:
+                    lines.append(f"L {float(value[node]).hex()}\n")
                 else:
-                    lines.append(f"N {node.feature} {float(node.threshold).hex()} "
-                                 f"{int(node.unordered)}\n")
-                    stack += [node.right, node.left]
+                    f = feature[node]
+                    lines.append(f"N {f} {float(threshold[node]).hex()} "
+                                 f"{int(forest.unordered[f])}\n")
+                    stack += [child[node], child[node] + 1]  # right, then left on top
         lines.append(" ".join(float(v).hex() for v in forest.raw_importance) + "\n")
         for key in ("", forest.kind):
             hashes.setdefault(key, hashlib.sha256()).update("".join(lines).encode())

@@ -145,7 +145,7 @@ def select_batch(predicted: list[tuple], m: int, space: DesignSpace, evaluated: 
         chosen = sorted(gen.choice(len(fresh), size=m, replace=False).tolist())
         return [fresh[i] for i in chosen]
     fill = distinct_rows(space, m - len(fresh), lambda k: priors.prior_rows(space, k, rng), rng,
-                         taken=evaluated.union(P[new], keys[new]), limit=100 * m)
+                         taken=evaluated.union(P[new], keys[new]))
     return fresh + decode_matrix(space, fill)
 
 

@@ -2,15 +2,17 @@
 
 Numeric parameters draw a Beta(alpha, beta) variate on [0, 1], rescale it
 onto the parameter's range and snap to the closest allowed value. Categorical
-parameters draw a level from an explicit probability table. Priors shape only
-the warm-up phase and the random fill of undersized batches; the surrogates
-and the front prediction never see them.
+parameters draw a level from their prior's probability table, or uniformly
+when ``probs`` is None. Priors shape only the warm-up phase and the random
+fill of undersized batches; the surrogates and the front prediction never
+see them.
 
 Both prior-guided draws go through :func:`~dse.space.distinct_rows`, the one
-sampler of distinct configurations that the uniform candidate pool uses too:
-:func:`prior_rows` supplies its blocks of encoded rows. It draws the unit
-variates one value at a time in row-major order and maps each column onto
-its domain with numpy, so no value passes through a configuration tuple.
+sampler of distinct configurations, with the one draw budget that the uniform
+candidate pool has too: :func:`prior_rows` supplies its blocks of encoded
+rows. It draws the unit variates one value at a time in row-major order and
+maps each column onto its domain with numpy, so no value passes through a
+configuration tuple.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def prior_rows(space: DesignSpace, k: int, rng: RngState) -> np.ndarray:
             X[:, j] = np.round(p.lower + u * (p.upper - p.lower)) + 0.0
         elif p.kind == CATEGORICAL:
             n = len(p.values)
-            probs = p.prior.probs if p.prior.shape == "categorical" else [1.0 / n] * n
+            probs = [1.0 / n] * n if p.prior.probs is None else p.prior.probs
             X[:, j] = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), n - 1)
         else:
             values = np.array(p.values, dtype=float)

@@ -9,6 +9,8 @@ not know and hold its required keys. The reader checks JSON types only;
 every value rule lives in the type it guards (``Prior``, ``Parameter``,
 ``DesignSpace``, ``FeasibleOutput``, ``ForestHyperparams``,
 ``EvaluatorSpec``, ``Scenario``), so library callers meet the same rules.
+The named prior shapes (:data:`BETA_SHAPES`) are file syntax: the reader
+turns ``"decay"`` into ``Prior(0.5, 1.5)``.
 A constructor's ``ValueError`` reaches the user as a ``ValidationError``
 that names its section (:func:`_built`).
 """
@@ -23,7 +25,6 @@ from typing import Any, Callable, Collection
 from .evaluators import EvaluatorSpec
 from .forest import ForestHyperparams
 from .space import (
-    BETA_SHAPES,
     CATEGORICAL,
     INTEGER,
     ORDINAL,
@@ -105,6 +106,14 @@ class Scenario:
         return self.use_feasibility_filter and self.feasibility is not None
 
 
+# the named Beta prior shapes of a scenario file -> (alpha, beta)
+BETA_SHAPES = {
+    "uniform": (1.0, 1.0),
+    "gaussian": (3.0, 3.0),
+    "decay": (0.5, 1.5),
+    "exponential": (1.5, 0.5),
+}
+
 _TOP_LEVEL_KEYS = {
     "application_name", "optimization_objectives", "feasible_output",
     "input_parameters", "design_of_experiment", "optimization_iterations",
@@ -180,15 +189,15 @@ def _read_prior(raw: Any, kind: str, where: str) -> Prior:
     if isinstance(raw, str):
         if raw not in BETA_SHAPES:
             raise ValidationError(f"{where}: unknown prior shape {raw!r}")
-        return Prior(raw, *BETA_SHAPES[raw])
+        return Prior(*BETA_SHAPES[raw])
     if not isinstance(raw, list):
         raise ValidationError(f"{where}: unrecognized prior {raw!r}")
     if kind != CATEGORICAL and len(raw) != 2:
         raise ValidationError(f"{where}: Beta prior must be a two-element [alpha, beta] list")
     numbers = tuple(require_number(v, f"{where}.prior") for v in raw)
     if kind == CATEGORICAL:
-        return _built(f"{where}: ", Prior, "categorical", probs=numbers)
-    return _built(f"{where}: ", Prior, "beta", *numbers)
+        return _built(f"{where}: ", Prior, probs=numbers)
+    return _built(f"{where}: ", Prior, *numbers)
 
 
 def _read_parameter(name: str, raw: Any) -> Parameter:

@@ -26,14 +26,6 @@ ORDINAL = "ordinal"
 CATEGORICAL = "categorical"
 PARAMETER_KINDS = (REAL, INTEGER, ORDINAL, CATEGORICAL)
 
-# named Beta prior shapes -> (alpha, beta)
-BETA_SHAPES = {
-    "uniform": (1.0, 1.0),
-    "gaussian": (3.0, 3.0),
-    "decay": (0.5, 1.5),
-    "exponential": (1.5, 0.5),
-}
-
 ENUMERATION_CAP = 10_000_000
 
 # characters the CSV protocol and artifacts cannot carry in a name or level
@@ -89,22 +81,19 @@ def canonical_str(value: Any) -> str:
 
 @dataclass(frozen=True)
 class Prior:
-    """Belief about where a parameter's good values lie.
+    """Belief about where a parameter's good values lie: a Beta(alpha, beta)
+    density over the unit interval, rescaled onto a numeric domain when
+    sampled, or a probability per categorical level (``probs``; alpha and
+    beta stay 1). Named shapes are scenario-file syntax (:mod:`dse.scenario`)."""
 
-    Numeric parameters (real/integer/ordinal) carry a Beta(alpha, beta)
-    density over the unit interval, rescaled onto the domain at sampling
-    time. Categorical parameters carry an explicit probability per level.
-    """
-
-    shape: str  # "uniform" | "gaussian" | "decay" | "exponential" | "beta" | "categorical"
     alpha: float = 1.0
     beta: float = 1.0
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.shape == "categorical":
-            if self.probs is None:
-                raise ValidationError("categorical prior requires probabilities")
+        if self.probs is not None:
+            if (self.alpha, self.beta) != (1.0, 1.0):  # NaN too
+                raise ValidationError("a prior takes a probability table or alpha and beta, not both")
             if not all(p >= 0 for p in self.probs):  # NaN too
                 raise ValidationError("categorical prior probabilities must be >= 0")
             total = math.fsum(self.probs)
@@ -115,11 +104,9 @@ class Prior:
                 raise ValidationError("Beta prior requires alpha > 0 and beta > 0")
             if not (self.alpha < math.inf and self.beta < math.inf):
                 raise ValidationError("Beta prior requires finite alpha and beta")
-            if self.probs is not None:
-                raise ValidationError("probability table only valid for categorical priors")
 
 
-UNIFORM_PRIOR = Prior("uniform", *BETA_SHAPES["uniform"])
+UNIFORM_PRIOR = Prior()
 
 
 @dataclass(frozen=True)
@@ -181,14 +168,14 @@ class Parameter:
                         f"{self.name}: level {lv!r} contains a character reserved by the CSV protocol"
                     )
         if self.kind == CATEGORICAL:
-            if self.prior.shape != "categorical" and self.prior != UNIFORM_PRIOR:
+            if self.prior.probs is None and self.prior != UNIFORM_PRIOR:
                 raise ValidationError(f"{self.name}: categorical parameters take probability priors")
-            if self.prior.shape == "categorical" and len(self.prior.probs) != len(self.values):
+            if self.prior.probs is not None and len(self.prior.probs) != len(self.values):
                 raise ValidationError(
                     f"{self.name}: prior lists {len(self.prior.probs)} probabilities "
                     f"for {len(self.values)} levels"
                 )
-        elif self.prior.shape == "categorical":
+        elif self.prior.probs is not None:
             raise ValidationError(f"{self.name}: probability priors only attach to categorical parameters")
 
     # -- domain helpers -----------------------------------------------------
@@ -404,7 +391,7 @@ class RowSet:
 
 
 def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray], rng,
-                  taken: RowSet | None = None, limit: int | None = None) -> np.ndarray:
+                  taken: RowSet | None = None) -> np.ndarray:
     """Up to n distinct encoded rows, none in the set ``taken`` (None:
     nothing taken). When n covers what a finite space has left untaken, that
     comes back in enumeration order, and nothing is drawn. Otherwise
@@ -413,8 +400,8 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
     are not :meth:`RowSet.new` against the taken and kept rows are dropped. A
     block that loses no row is returned as drawn, not copied, so a pool drawn
     in one column-major block stays that one buffer; the kept rows join the
-    set only when another block or the top-up follows. After ``limit`` drawn
-    rows (default 100*n) a finite space is topped up with a
+    set only when another block or the top-up follows. After the one budget
+    of 100*n drawn rows a finite space is topped up with a
     ``rng.generator.permutation`` of the ranks neither taken nor kept, read
     off the set's keys, so the result is short only when the space runs out."""
     card = space.cardinality()
@@ -423,7 +410,7 @@ def distinct_rows(space: DesignSpace, n: int, draw: Callable[[int], np.ndarray],
     taken = RowSet.of(space, nothing) if taken is None else taken
     whole = finite and n >= card - len(taken)
     kept, missing = [], n
-    left = 0 if whole else 100 * n if limit is None else limit
+    left = 0 if whole else 100 * n
     while missing > 0 and left > 0:
         k = min(missing, left)
         left -= k

@@ -219,7 +219,7 @@ def prior_value(param, rng):
     or scans the ordinal values for the nearest, the first on a tie."""
     if param.kind == CATEGORICAL:
         k = len(param.values)
-        probs = param.prior.probs if param.prior.shape == "categorical" else [1.0 / k] * k
+        probs = [1.0 / k] * k if param.prior.probs is None else param.prior.probs
         u, acc = rng.generator.random(), 0.0
         for level, p in zip(param.values, probs):
             acc += p

@@ -650,6 +650,39 @@ def test_report_single_run_has_no_ci_row(tmp_path, run_dir, truth_dir):
     assert float(values["mean"]) == float(rows[1][1])
 
 
+@pytest.fixture(scope="module")
+def warmup_runs(tmp_path_factory):
+    """Three warm-up-only toy runs of 10 samples, seeds 1-3: unlike full runs,
+    which all find the true front, their HVIs differ."""
+    dirs = []
+    for seed in (1, 2, 3):
+        out = tmp_path_factory.mktemp(f"warmup{seed}")
+        assert run_cli("run", TOY, "--seed", seed, "--set", f"output_dir={out}",
+                       "--set", "optimization_iterations=0",
+                       "--set", 'design_of_experiment={"number_of_samples": 10}') == 0
+        dirs.append(out)
+    return dirs
+
+
+# the 0.9 quantile of Student's t by degrees of freedom, in closed form:
+# tan(pi (p - 1/2)) at one, (2p - 1) / sqrt(2p (1 - p)) at two
+T_QUANTILE_90 = {1: math.tan(0.4 * math.pi), 2: 0.8 / math.sqrt(0.18)}
+
+
+@pytest.mark.parametrize("runs", [2, 3])
+def test_report_half_width_is_the_t_interval_of_the_run_hvis(tmp_path, warmup_runs, truth_dir,
+                                                            runs):
+    dirs = warmup_runs[:runs]
+    report = tmp_path / "report.csv"
+    assert run_cli("report", *dirs, "--reference-front", truth_dir / "true_front.csv",
+                   "--output", report) == 0
+    values = {r[0]: float(r[1]) for r in csv.reader(report.read_text().splitlines()[1:])}
+    hvis = [values[str(d)] for d in dirs]
+    half = T_QUANTILE_90[runs - 1] * statistics.stdev(hvis) / math.sqrt(runs)
+    assert 0.0 < half < math.inf
+    assert values["ci80_half_width"] == pytest.approx(half, rel=1e-12, abs=0.0)
+
+
 def test_report_half_width_is_inf_when_a_run_has_no_feasible_sample(tmp_path, run_dir,
                                                                    truth_dir, capsys):
     import shutil

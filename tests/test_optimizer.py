@@ -266,45 +266,47 @@ def unused_in_random_order(space, taken, seed):
 
 
 DISTINCT_CASES = [
-    pytest.param(ORD, [(8, 0)], [(8.0, 0), (1, 0), (8.0, 1)], 2, None, [(1, 0), (8, 1)],
+    pytest.param(ORD, [(8, 0)], [(8.0, 0), (1, 0), (8.0, 1)], 2, [(1, 0), (8, 1)],
                  id="ordinal-8-vs-8.0"),
-    pytest.param(REAL_CAT, [(-0.0, "a")], [(0.0, "a"), (0.5, "a"), (-0.0, "b")], 2, None,
+    pytest.param(REAL_CAT, [(-0.0, "a")], [(0.0, "a"), (0.5, "a"), (-0.0, "b")], 2,
                  [(0.5, "a"), (-0.0, "b")], id="real-minus-zero"),
     pytest.param(ORD, [(1, 0), (1, 0), (5, 1), (1, 0)],
-                 [(1, 0), (5, 1), (5, 0), (5, 0), (8, 0)], 2, None, [(5, 0), (8, 0)],
+                 [(1, 0), (5, 1), (5, 0), (5, 0), (8, 0)], 2, [(5, 0), (8, 0)],
                  id="repeated-taken"),
-    pytest.param(ORD, [(1, 0), (8, 1)], [], 3, 0,
-                 unused_in_random_order(ORD, [(1, 0), (8, 1)], 7)[:3], id="limit-0-tops-up"),
-    pytest.param(ORD, [(1, 0), (8, 1)], [(1, 0), (5, 1), (5, 1)], 3, 3,
+    # the top-up follows 100 drawn rows per row asked for, here 300
+    pytest.param(ORD, [(1, 0), (8, 1)], [(1, 0), (8, 1)] * 150, 3,
+                 unused_in_random_order(ORD, [(1, 0), (8, 1)], 7)[:3], id="spent-budget-tops-up"),
+    pytest.param(ORD, [(1, 0), (8, 1)],
+                 [(1, 0), (5, 1), (5, 1)] + [(1, 0), (5, 1), (8, 1)] * 99, 3,
                  [(5, 1)] + unused_in_random_order(ORD, [(1, 0), (8, 1), (5, 1)], 7)[:2],
                  id="top-up-after-kept-draws"),
     pytest.param(REAL_CAT, [(0.25, "a"), (0.75, "b"), (0.25, "b")],
                  [(0.75, "b"), (0.25, "a"), (0.75, "a"), (0.75, "a"), (0.25, "b"), (-1.0, "b")],
-                 2, None, [(0.75, "a"), (-1.0, "b")], id="hashed-keys"),
-    pytest.param(ORD, [(8, 1), (1, 0)], [], 6, None, [(1, 1), (5, 0), (5, 1), (8, 0)],
+                 2, [(0.75, "a"), (-1.0, "b")], id="hashed-keys"),
+    pytest.param(ORD, [(8, 1), (1, 0)], [], 6, [(1, 1), (5, 0), (5, 1), (8, 0)],
                  id="whole-space-but-taken"),
-    pytest.param(ORD, [(8, 1), (1, 0)], [], 4, None, [(1, 1), (5, 0), (5, 1), (8, 0)],
+    pytest.param(ORD, [(8, 1), (1, 0)], [], 4, [(1, 1), (5, 0), (5, 1), (8, 0)],
                  id="all-that-is-left"),
 ]
 
 
-@pytest.mark.parametrize("space, taken, draws, n, limit, expected", DISTINCT_CASES)
-def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, limit, expected):
-    check_distinct_rows(space, taken, draws, n, limit, expected)
+@pytest.mark.parametrize("space, taken, draws, n, expected", DISTINCT_CASES)
+def test_distinct_rows_never_returns_a_taken_row(space, taken, draws, n, expected):
+    check_distinct_rows(space, taken, draws, n, expected)
 
 
-@pytest.mark.parametrize("space, taken, draws, n, limit, expected",
+@pytest.mark.parametrize("space, taken, draws, n, expected",
                          [case for case in DISTINCT_CASES
                           if case.id in ("real-minus-zero", "hashed-keys")])
 def test_distinct_rows_compares_rows_that_share_a_hash(monkeypatch, space, taken, draws, n,
-                                                       limit, expected):
+                                                       expected):
     import dse.space
 
     monkeypatch.setattr(dse.space, "row_keys", lambda space, X: np.zeros(len(X), dtype=np.uint64))
-    check_distinct_rows(space, taken, draws, n, limit, expected)
+    check_distinct_rows(space, taken, draws, n, expected)
 
 
-def check_distinct_rows(space, taken, draws, n, limit, expected):
+def check_distinct_rows(space, taken, draws, n, expected):
     for order in (taken, taken[::-1]):
         script = iter(draws)
 
@@ -314,7 +316,7 @@ def check_distinct_rows(space, taken, draws, n, limit, expected):
 
         rng = SimpleNamespace(generator=np.random.default_rng(7))
         taken = RowSet.of(space, encode_matrix(space, order))
-        got = decode_matrix(space, distinct_rows(space, n, draw, rng, taken=taken, limit=limit))
+        got = decode_matrix(space, distinct_rows(space, n, draw, rng, taken=taken))
         assert got == expected
         assert next(script, None) is None  # blocks of exactly the rows still missing
 
@@ -465,7 +467,7 @@ def test_batch_fill_falls_back_to_enumeration_when_the_prior_runs_dry():
     # the prior never draws "b"; both "a" configurations are already taken
     space = DesignSpace((
         Parameter("v", "categorical", values=("a", "b"),
-                  prior=Prior("categorical", probs=(1.0, 0.0))),
+                  prior=Prior(probs=(1.0, 0.0))),
         Parameter("n", "integer", lower=0, upper=1),
     ))
     archive = {("a", 0), ("a", 1)}

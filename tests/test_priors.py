@@ -133,7 +133,7 @@ def test_a_real_draw_stays_inside_its_upper_bound(monkeypatch):
 
 def test_degenerate_categorical_prior_is_constant():
     p = Parameter("v", "categorical", values=("car", "truck", "motorbike"),
-                  prior=Prior("categorical", probs=(1.0, 0.0, 0.0)))
+                  prior=Prior(probs=(1.0, 0.0, 0.0)))
     assert set(one_parameter_draws(p, 200, RngState(5))) == {"car"}
 
 
@@ -147,7 +147,7 @@ def test_integer_sampling_stays_in_bounds():
 def test_categorical_frequencies_match_prior():
     probs = (0.6, 0.3, 0.1)
     p = Parameter("v", "categorical", values=("a", "b", "c"),
-                  prior=Prior("categorical", probs=probs))
+                  prior=Prior(probs=probs))
     n = 10_000
     draws = one_parameter_draws(p, n, RngState(7))
     for level, pk in zip(("a", "b", "c"), probs):
@@ -192,7 +192,7 @@ def test_warmup_has_no_duplicates(toy_scenario):
 # enumeration fallback
 ONLY_A = DesignSpace((
     Parameter("v", "categorical", values=("a", "b"),
-              prior=Prior("categorical", probs=(1.0, 0.0))),
+              prior=Prior(probs=(1.0, 0.0))),
     Parameter("n", "integer", lower=0, upper=1),
 ))
 
@@ -212,9 +212,9 @@ def sampling_spaces(draw):
     for i in range(n):
         kind = draw(st.sampled_from(["real", "integer", "ordinal", "categorical"]))
         shape = draw(st.sampled_from(["uniform", "gaussian", "decay", "exponential"]))
-        from dse.space import BETA_SHAPES
+        from dse.scenario import BETA_SHAPES
 
-        prior = Prior(shape, *BETA_SHAPES[shape])
+        prior = Prior(*BETA_SHAPES[shape])
         if kind == "real":
             lo = draw(st.floats(min_value=-10, max_value=10, allow_nan=False))
             width = draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
@@ -232,7 +232,7 @@ def sampling_spaces(draw):
             weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
                            .filter(any))
             prior = (UNIFORM_PRIOR if weights is None else
-                     Prior("categorical", probs=tuple(w / sum(weights) for w in weights)))
+                     Prior(probs=tuple(w / sum(weights) for w in weights)))
             params.append(Parameter(f"p{i}", "categorical",
                                     values=tuple(f"v{j}" for j in range(k)), prior=prior))
     return DesignSpace(tuple(params))
@@ -258,21 +258,21 @@ def test_prior_rows_encode_the_one_value_at_a_time_draw(space, seed, k):
 # --- the prior stream and the uniform pool ------------------------------------
 
 MIXED = DesignSpace((
-    Parameter("x", "real", lower=-2.0, upper=3.0, prior=Prior("gaussian", 3.0, 3.0)),
-    Parameter("n", "integer", lower=1, upper=6, prior=Prior("decay", 0.5, 1.5)),
-    Parameter("o", "ordinal", values=(1, 2.5, 8, 20), prior=Prior("exponential", 1.5, 0.5)),
+    Parameter("x", "real", lower=-2.0, upper=3.0, prior=Prior(3.0, 3.0)),
+    Parameter("n", "integer", lower=1, upper=6, prior=Prior(0.5, 1.5)),
+    Parameter("o", "ordinal", values=(1, 2.5, 8, 20), prior=Prior(1.5, 0.5)),
     Parameter("c", "categorical", values=("a", "b", "c"),
-              prior=Prior("categorical", probs=(0.5, 0.3, 0.2))),
+              prior=Prior(probs=(0.5, 0.3, 0.2))),
 ))
 
 
-def sequential_distinct(space, n, rng, taken=(), limit=None):
+def sequential_distinct(space, n, rng, taken=()):
     """Oracle: the distinct configurations that one prior_config call per
-    configuration draws, not in ``taken``, stopping at n or after ``limit``
-    configurations (default 100*n); a finite space then continues with a
-    random order of its unused configurations."""
+    configuration draws, not in ``taken``, stopping at n or after 100*n
+    configurations; a finite space then continues with a random order of its
+    unused configurations."""
     seen, out = set(taken), []
-    for _ in range(100 * n if limit is None else limit):
+    for _ in range(100 * n):
         if len(out) == n:
             break
         cfg = prior_config(space, rng)
@@ -297,7 +297,7 @@ def test_warmup_and_batch_fill_follow_the_sequential_prior_stream(toy_scenario, 
     predicted = list(archive) + sequential_distinct(space, 1, RngState(13), taken=archive)
     m = n - len(archive) + 1
     expected = predicted[-1:] + sequential_distinct(space, m - 1, RngState(14),
-                                                    taken=archive | set(predicted), limit=100 * m)
+                                                    taken=archive | set(predicted))
     X = RowSet.of(space, encode_matrix(space, list(archive)))
     assert select_batch(predicted, m, space, X, RngState(14)) == expected
 

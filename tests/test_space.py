@@ -61,6 +61,9 @@ def test_categorical_prior_sum_violation():
     ("b", "decay", "input_parameters.b: categorical parameters take probability priors"),
     ("a", [0, 1], "input_parameters.a: Beta prior requires alpha > 0 and beta > 0"),
     ("a", [1.0, -2], "input_parameters.a: Beta prior requires alpha > 0 and beta > 0"),
+    ("a", "fancy", "input_parameters.a: unknown prior shape 'fancy'"),
+    ("a", 3, "input_parameters.a: unrecognized prior 3"),
+    ("a", [1, 2, 3], "input_parameters.a: Beta prior must be a two-element [alpha, beta] list"),
 ])
 def test_prior_value_rules_name_their_parameter(param, prior, message):
     doc = json.loads(json.dumps(MINIMAL))
@@ -253,19 +256,19 @@ def test_parameter_bounds_must_be_finite_and_integer_bounds_integral(kind, lower
 
 
 @pytest.mark.parametrize("make, message", [
-    pytest.param(lambda: Prior("beta", math.inf, 1.0), "Beta prior requires finite alpha and beta",
+    pytest.param(lambda: Prior(math.inf, 1.0), "Beta prior requires finite alpha and beta",
                  id="alpha-inf"),
-    pytest.param(lambda: Prior("beta", 1.0, math.inf), "Beta prior requires finite alpha and beta",
+    pytest.param(lambda: Prior(1.0, math.inf), "Beta prior requires finite alpha and beta",
                  id="beta-inf"),
-    pytest.param(lambda: Prior("beta", math.nan, 1.0), "Beta prior requires alpha > 0 and beta > 0",
+    pytest.param(lambda: Prior(math.nan, 1.0), "Beta prior requires alpha > 0 and beta > 0",
                  id="alpha-nan"),
-    pytest.param(lambda: Prior("beta", 1.0, math.nan), "Beta prior requires alpha > 0 and beta > 0",
+    pytest.param(lambda: Prior(1.0, math.nan), "Beta prior requires alpha > 0 and beta > 0",
                  id="beta-nan"),
-    pytest.param(lambda: Prior("categorical", probs=(math.nan, 1.0)),
+    pytest.param(lambda: Prior(probs=(math.nan, 1.0)),
                  "categorical prior probabilities must be >= 0", id="probability-nan"),
-    pytest.param(lambda: Prior("categorical", probs=(math.inf, -math.inf)),
+    pytest.param(lambda: Prior(probs=(math.inf, -math.inf)),
                  "categorical prior probabilities must be >= 0", id="probability-minus-inf"),
-    pytest.param(lambda: Prior("categorical", probs=(math.inf, 0.0)),
+    pytest.param(lambda: Prior(probs=(math.inf, 0.0)),
                  "probabilities sum to inf, expected 1", id="probability-inf"),
     pytest.param(lambda: Parameter("o", "ordinal", values=(1, math.inf)),
                  "o: ordinal values must be finite numbers", id="ordinal-inf"),
@@ -279,8 +282,30 @@ def test_parameter_bounds_must_be_finite_and_integer_bounds_integral(kind, lower
 def test_constructors_refuse_non_finite_numbers(make, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         make()
-    assert Prior("beta", 0.5, 1e300).beta == 1e300
+    assert Prior(0.5, 1e300).beta == 1e300
     assert Parameter("o", "ordinal", values=(-1e300, 0, 2.5)).values == (-1e300, 0, 2.5)
+
+
+def test_a_prior_is_a_probability_table_or_a_beta_density():
+    with pytest.raises(ValidationError,
+                       match="^a prior takes a probability table or alpha and beta, not both$"):
+        Prior(0.5, 1.5, probs=(0.5, 0.5))
+    assert Prior(1.0, 1.0, probs=(0.5, 0.5)) == Prior(probs=(0.5, 0.5))
+    levels = ("x", "y")
+    assert Parameter("c", "categorical", values=levels, prior=Prior(1.0, 1.0)).prior == UNIFORM_PRIOR
+    with pytest.raises(ValidationError, match="^c: categorical parameters take probability priors$"):
+        Parameter("c", "categorical", values=levels, prior=Prior(0.5, 1.5))
+    with pytest.raises(ValidationError,
+                       match="^r: probability priors only attach to categorical parameters$"):
+        Parameter("r", "real", lower=0.0, upper=1.0, prior=Prior(probs=(1.0,)))
+
+
+@pytest.mark.parametrize("shape, density", [("uniform", (1.0, 1.0)), ("gaussian", (3.0, 3.0)),
+                                            ("decay", (0.5, 1.5)), ("exponential", (1.5, 0.5))])
+def test_a_named_prior_shape_reads_as_its_beta_density(shape, density):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["input_parameters"]["a"]["prior"] = shape
+    assert parse_scenario(json.dumps(doc)).space.parameters[0].prior == Prior(*density)
 
 
 def test_unknown_top_level_field_rejected():
@@ -397,10 +422,10 @@ def test_scenario_parses_every_prior_and_evaluator_kind():
                                        "max_depth": 4}}
     s = parse_scenario(json.dumps(doc))
     r, i, o, c = s.space.parameters
-    assert (r.lower, r.upper, r.prior) == (0.5, 2.5, Prior("beta", 2.0, 5.0))
-    assert (i.lower, i.upper, i.prior) == (1, 9, Prior("exponential", 1.5, 0.5))
-    assert (o.values, o.prior) == ((1, 5, 8), Prior("gaussian", 3.0, 3.0))
-    assert (c.values, c.prior) == (("x", "y", "z"), Prior("categorical", probs=(0.2, 0.3, 0.5)))
+    assert (r.lower, r.upper, r.prior) == (0.5, 2.5, Prior(2.0, 5.0))
+    assert (i.lower, i.upper, i.prior) == (1, 9, Prior(1.5, 0.5))
+    assert (o.values, o.prior) == ((1, 5, 8), Prior(3.0, 3.0))
+    assert (c.values, c.prior) == (("x", "y", "z"), Prior(probs=(0.2, 0.3, 0.5)))
     ev = s.evaluator
     assert (ev.name, ev.command, ev.working_dir, ev.timeout_seconds) == (
         None, "python eval.py", "/tmp", 12.5)
