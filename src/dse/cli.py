@@ -23,9 +23,7 @@ import json
 import math
 import platform
 import re
-import signal
 import sys
-import threading
 import time
 from functools import partial
 from pathlib import Path
@@ -416,31 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
+# the tail of a failed evaluator's output that ``dse run`` prints
+_OUTPUT_TAIL_LINES = 20
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand. While it runs on the main thread, SIGTERM (a job
-    scheduler) and SIGHUP (a closing terminal) raise SystemExit(128 +
-    signum), so the command unwinds: a child evaluator runs in a session of
-    its own, and only unwinding kills its process group. A signal the
-    process ignores (``nohup`` ignores SIGHUP) stays ignored. The previous
-    handlers come back on return."""
+    """Run one subcommand; a failure the user can act on prints one error
+    line, followed by the last lines of the evaluator's output if it has
+    any, and returns 1."""
     args = build_parser().parse_args(argv)
-    caught = ()
-    if threading.current_thread() is threading.main_thread():  # only it may set handlers
-        caught = [s for s in (signal.SIGTERM, signal.SIGHUP)
-                  if signal.getsignal(s) is not signal.SIG_IGN]
-    saved = [(signum, signal.signal(signum, _exit_on_signal)) for signum in caught]
     try:
         return args.fn(args)
     except (EvaluationError, OSError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, EvaluationError):
+            for line in e.raw_output.splitlines()[-_OUTPUT_TAIL_LINES:]:
+                print(line, file=sys.stderr)
         return 1
-    finally:
-        for signum, handler in saved:  # None: a handler not set from Python
-            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
 if __name__ == "__main__":  # pragma: no cover

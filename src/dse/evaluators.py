@@ -5,8 +5,9 @@ External evaluators are one-shot child processes: they receive a request CSV
 the same parameter columns plus one column per objective and, when the
 scenario declares one, the feasibility column. Rows are joined back to
 configurations by the parameter columns, never by row order, so children may
-answer out of order. A child that times out is killed with its whole process
-group, so the processes it started die with it.
+answer out of order. A child that times out, or whose run is ended by
+SIGTERM or SIGHUP, is killed with its whole process group, so the processes
+it started die with it.
 
 A builtin's result dict and a child's response row are read by the same
 rules (:func:`_records`): every objective and the named feasibility output
@@ -26,6 +27,7 @@ import os
 import shlex
 import signal
 import subprocess
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -222,29 +224,56 @@ def evaluate_batch(scenario: Scenario, batch: Sequence[tuple],
     if spec.name is not None:
         return _records(scenario, batch, _builtin_outputs(spec.name, space, batch), iteration_tag)
 
+    child, received = None, []
+
+    def unwind(signum, frame):
+        # until Popen returns, the child's pid is unknown and a kill could not
+        # reach it: the signal is held, and raised once the child has a pid;
+        # only the first one raises, so a second cannot cut the cleanup short
+        received.append(signum)
+        if child is not None and len(received) == 1:
+            raise SystemExit(128 + signum)
+
+    # SIGTERM (a job scheduler) and SIGHUP (a closing terminal) unwind the
+    # guarded region below, so the child's process group dies with the run.
+    # Only a signal at its default action is caught: one that nohup ignores,
+    # or that someone else handles, is theirs. Only the main thread may set
+    # a handler.
+    caught = []
+    if threading.current_thread() is threading.main_thread():
+        caught = [s for s in (signal.SIGTERM, signal.SIGHUP)
+                  if signal.getsignal(s) is signal.SIG_DFL]
+    for signum in caught:
+        signal.signal(signum, unwind)
     try:
         # a session of its own, so that a kill reaches the processes the child
         # starts (a synthesis tool's workers) along with it
         child = subprocess.Popen(shlex.split(spec.command), stdin=subprocess.PIPE,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                  cwd=spec.working_dir, start_new_session=True)
-    except OSError as e:
-        raise EvaluationError(f"failed to launch evaluator: {e}")
-    with child:
-        try:
-            stdout, stderr = child.communicate(request_csv(space, batch),
-                                               timeout=spec.timeout_seconds)
-        except BaseException as e:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(child.pid, signal.SIGKILL)
-            child.wait()
-            if not isinstance(e, subprocess.TimeoutExpired):
-                raise
-            # on POSIX the output captured before the timeout is bytes, even with text=True
-            output = [out.decode(errors="replace") if isinstance(out, bytes) else out
-                      for out in (e.stdout, e.stderr) if out]
-            raise EvaluationError(f"evaluator timed out after {spec.timeout_seconds}s",
-                                  "".join(output))
+        if received:
+            raise SystemExit(128 + received[0])
+        stdout, stderr = child.communicate(request_csv(space, batch),
+                                           timeout=spec.timeout_seconds)
+    except BaseException as e:
+        if child is None:
+            if isinstance(e, OSError):
+                raise EvaluationError(f"failed to launch evaluator: {e}")
+            raise
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        with child:  # closes the pipes and reaps the child
+            pass
+        if not isinstance(e, subprocess.TimeoutExpired):
+            raise
+        # on POSIX the output captured before the timeout is bytes, even with text=True
+        output = [out.decode(errors="replace") if isinstance(out, bytes) else out
+                  for out in (e.stdout, e.stderr) if out]
+        raise EvaluationError(f"evaluator timed out after {spec.timeout_seconds}s",
+                              "".join(output))
+    finally:
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
     if child.returncode != 0:
         raise EvaluationError(f"evaluator exited with status {child.returncode}",
                               stdout + stderr)

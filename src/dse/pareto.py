@@ -124,15 +124,26 @@ def objective_stddevs(objectives: Sequence[ObjectiveVector]) -> np.ndarray:
     return arr.std(axis=0)
 
 
+# the reference point's margin past the reference front's nadir, as a
+# fraction of the front's range in each objective
+REF_MARGIN = 0.1
+
+
 def hvi(approx_front: Sequence[ObjectiveVector],
         reference_front: Sequence[ObjectiveVector],
         stddevs: Sequence[float]) -> float:
     """Hypervolume indicator of an approximated front against a reference.
 
     Both fronts are scaled by 1/stddev per objective (zero deviations are
-    left unscaled, with a warning), the reference point is the component-wise
-    max over both scaled fronts plus a small margin, and the result is
-    HV(reference) - HV(approximation), floored at zero.
+    left unscaled, with a warning). The reference point comes from the scaled
+    reference front alone: its nadir plus :data:`REF_MARGIN` of its range in
+    each objective, or plus :data:`REF_MARGIN` itself (a tenth of a standard
+    deviation) where that range is zero. So the point does not move as an
+    approximation grows, and a front that misses an extreme point of the
+    reference loses at least the margin's slab beyond it (Ishibuchi, Imada,
+    Setoguchi & Nojima, Evolutionary Computation 26(3), 2018). The result is
+    HV(reference) - HV(approximation), floored at zero; approximation points
+    beyond the reference point are clipped out.
     """
     A, R = np.asarray(approx_front, dtype=float), np.asarray(reference_front, dtype=float)
     scale = np.array(stddevs, dtype=float)
@@ -145,7 +156,8 @@ def hvi(approx_front: Sequence[ObjectiveVector],
                     np.nonzero(zero)[0].tolist())
         scale[zero] = 1.0
     A, R = A / scale, R / scale
-    ref_point = np.maximum(A.max(axis=0), R.max(axis=0)) + 1e-6
+    span = R.max(axis=0) - R.min(axis=0)
+    ref_point = R.max(axis=0) + REF_MARGIN * np.where(span > 0.0, span, 1.0)
     return max(0.0, hypervolume(R, ref_point) - hypervolume(A, ref_point))
 
 

@@ -167,6 +167,10 @@ class Parameter:
                     raise ValidationError(
                         f"{self.name}: level {lv!r} contains a character reserved by the CSV protocol"
                     )
+        if self.kind in (REAL, ORDINAL):  # priors and draws scale unit draws by the width
+            lo, hi = (self.lower, self.upper) if self.kind == REAL else (vals[0], vals[-1])
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValidationError(f"{self.name}: domain is wider than the largest float")
         if self.kind == CATEGORICAL:
             if self.prior.probs is None and self.prior != UNIFORM_PRIOR:
                 raise ValidationError(f"{self.name}: categorical parameters take probability priors")

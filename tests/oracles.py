@@ -74,6 +74,14 @@ def inclusion_exclusion_hypervolume(points, ref) -> float:
     return total
 
 
+def hvi_reference_point(reference) -> list[float]:
+    """The HVI reference point of a (scaled) reference front: its nadir plus
+    a tenth of its range in each objective, or plus 0.1 where the range is
+    zero."""
+    return [max(column) + 0.1 * ((max(column) - min(column)) or 1.0)
+            for column in zip(*reference)]
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_NODES_FINE, _GL_WEIGHTS_FINE = np.polynomial.legendre.leggauss(200)
 

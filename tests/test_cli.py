@@ -19,7 +19,9 @@ from dse.scenario import parse_scenario
 from dse.space import ValidationError
 
 from conftest import SCENARIO_DIR, SRC, running
-from oracles import dominates, inclusion_exclusion_hypervolume, pairwise_front
+from oracles import (
+    dominates, hvi_reference_point, inclusion_exclusion_hypervolume, pairwise_front,
+)
 
 TOY = str(SCENARIO_DIR / "toy_fpga.json")
 LINEAR = str(SCENARIO_DIR / "toy_linear.json")
@@ -118,7 +120,8 @@ def test_hvi_trace_has_one_row_per_stage(run_dir):
 def test_hvi_trace_matches_the_oracles(run_dir, truth_dir):
     # per tag: the pairwise front of the feasible samples so far against the
     # true front, both scaled by the deviations over every sample plus the
-    # true front, with the reference point at the maximum plus 1e-6
+    # true front, with the reference point at the scaled true front's nadir
+    # plus a tenth of its range
     def points(rows):
         return [(float(r["cycles"]), float(r["logic"])) for r in rows]
 
@@ -134,13 +137,24 @@ def test_hvi_trace_matches_the_oracles(run_dir, truth_dir):
         feasible = points(r for r in samples if r["feasible"] == "true"
                           and int(r["iteration_tag"]) <= int(row["iteration"]))
         front = scaled(feasible[i] for i in sorted(pairwise_front(feasible)))
-        ref_point = [max(column) + 1e-6 for column in zip(*front, *reference)]
+        ref_point = hvi_reference_point(reference)
         volume = inclusion_exclusion_hypervolume(reference, ref_point)
         expected = max(0.0, volume - inclusion_exclusion_hypervolume(front, ref_point))
         # a difference of two volumes keeps their rounding: a gap near 0 is
         # exact only relative to the volumes
         assert float(row["hvi"]) == pytest.approx(expected, rel=1e-12, abs=1e-12 * volume)
     assert len(trace) == 6
+
+
+def test_seed_3_hvi_trace_never_rises(tmp_path, truth_dir):
+    # with the reference point at the maximum over both fronts plus 1e-6,
+    # this run wrote 0.1372 at tag 0 and 0.1412 at tag 1, though tag 1 adds
+    # records to tag 0's
+    out = tmp_path / "seed3"
+    assert run_cli("run", TOY, "--seed", 3, "--set", f"output_dir={out}",
+                   "--reference-front", truth_dir / "true_front.csv") == 0
+    values = [float(r["hvi"]) for r in read_rows(out / "hvi_trace.csv")]
+    assert len(values) == 6 and all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_feature_importance_rows_sum_to_one(run_dir):
@@ -483,17 +497,32 @@ def test_killed_run_keeps_its_completed_batches(tmp_path, run_dir):
     assert sorted(path.name for path in out.iterdir()) == ["samples.csv"]
 
 
+# dse.run as a library caller runs it, with no CLI around it
+LIBRARY_RUN = """
+import json, sys
+from pathlib import Path
+from dse import parse_scenario, run
+doc = json.loads(Path(sys.argv[1]).read_text())
+doc["evaluator"] = json.loads(sys.argv[2])
+run(parse_scenario(json.dumps(doc)))
+"""
+
+HANGING_EVALUATOR = "sh -c 'sleep 5 & echo $! > pid; wait'"
+
+
 @contextlib.contextmanager
-def hanging_run(tmp_path, **popen_args):
-    """A ``dse run`` subprocess whose command evaluator starts a worker and
-    never answers; yields the run and the worker's pid once the worker is
-    up, and kills whatever is left on the way out."""
+def hanging_run(tmp_path, library=False, **popen_args):
+    """A ``dse run`` subprocess (``dse.run`` in one with ``library``) whose
+    command evaluator starts a worker and never answers; yields the run and
+    the worker's pid once the worker is up, and kills whatever is left on
+    the way out."""
     pid_file = tmp_path / "pid"
-    evaluator = json.dumps({"command": "sh -c 'sleep 5 & echo $! > pid; wait'",
-                            "working_dir": str(tmp_path)})
+    evaluator = json.dumps({"command": HANGING_EVALUATOR, "working_dir": str(tmp_path)})
+    args = (["-c", LIBRARY_RUN, TOY, evaluator] if library else
+            ["-m", "dse", "run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
+             "--set", f"evaluator={evaluator}"])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dse", "run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
-         "--set", f"evaluator={evaluator}"],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, **popen_args)
     worker = None
@@ -511,6 +540,13 @@ def hanging_run(tmp_path, **popen_args):
         if worker is not None:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(worker, signal.SIGKILL)
+
+
+def assert_gone_soon(pid, what):
+    deadline = time.monotonic() + 2.0
+    while running(pid):
+        assert time.monotonic() < deadline, f"{what} outlived the run"
+        time.sleep(0.02)
 
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
@@ -542,19 +578,83 @@ def test_run_started_with_sighup_ignored_outlives_a_hangup(tmp_path):
         assert proc.wait(timeout=5) == 128 + signal.SIGTERM
 
 
-def test_main_restores_the_signal_handlers_it_replaced(tmp_path):
-    # perfbench and the tests call main in-process
-    def mine(signum, frame):
-        pass
+def test_terminated_library_run_takes_its_evaluator_with_it(tmp_path):
+    # the evaluator guards its child itself, so a caller of dse.run needs no CLI
+    with hanging_run(tmp_path, library=True) as (proc, worker):
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 128 + signal.SIGTERM
+        assert_gone_soon(worker, "the evaluator's worker")
 
-    before = [signal.signal(s, mine) for s in (signal.SIGTERM, signal.SIGHUP)]
+
+# dse run, with a SIGTERM sent to itself from inside subprocess.Popen after
+# the fork (where Popen closes the child's ends of the pipes) or just after
+# Popen returns; the hook writes the child's pid first
+TERMINATE_IN_POPEN = """
+import os, signal, subprocess, sys
+from pathlib import Path
+from dse.cli import main
+where, pid_file = sys.argv[1], Path(sys.argv[2])
+
+def terminate(popen):
+    pid_file.write_text(f"{popen.pid}\\n")
+    os.kill(os.getpid(), signal.SIGTERM)
+
+if where == "after-fork":
+    close = subprocess.Popen._close_pipe_fds
+    def hooked(self, *fds):
+        terminate(self)
+        close(self, *fds)
+    subprocess.Popen._close_pipe_fds = hooked
+else:
+    init = subprocess.Popen.__init__
+    def hooked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        terminate(self)
+    subprocess.Popen.__init__ = hooked
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("where", ["after-fork", "after-popen"])
+def test_sigterm_while_popen_starts_the_evaluator_takes_it_with_it(tmp_path, where):
+    # before Popen returns the child has no pid to kill; the signal must wait
+    # for it rather than end the run and orphan the child
+    assert callable(subprocess.Popen._close_pipe_fds)  # the hook this test needs
+    evaluator = json.dumps({"command": HANGING_EVALUATOR, "working_dir": str(tmp_path)})
+    child_file, worker_file = tmp_path / "child", tmp_path / "pid"
+    proc = subprocess.run(
+        [sys.executable, "-c", TERMINATE_IN_POPEN, where, str(child_file),
+         "run", TOY, "--set", f"output_dir={tmp_path / 'out'}", "--set", f"evaluator={evaluator}"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120)
+    child = int(child_file.read_text())
     try:
-        assert run_cli("run", TOY, "--set", f"output_dir={tmp_path}",
-                       "--set", "optimization_iterations=0") == 0
-        assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)] == [mine, mine]
-    finally:
-        for s, handler in zip((signal.SIGTERM, signal.SIGHUP), before):
-            signal.signal(s, handler)
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert_gone_soon(child, "the evaluator")
+        time.sleep(0.5)  # a live evaluator would start its worker by now
+        if worker_file.exists() and worker_file.read_text().endswith("\n"):
+            assert_gone_soon(int(worker_file.read_text()), "the evaluator's worker")
+    finally:  # a failing run leaves nothing behind
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child, signal.SIGKILL)
+
+
+def test_failed_evaluator_output_follows_the_error_line(tmp_path, capsys):
+    # a failed synthesis says why on stderr; dse run shows the last 20 lines
+    script = tmp_path / "fail.py"
+    script.write_text("import sys\n"
+                      "for i in range(30):\n"
+                      "    print(f'log line {i}', file=sys.stderr)\n"
+                      "print('synthesis failed: timing constraints not met on net clk', "
+                      "file=sys.stderr)\n"
+                      "sys.exit(3)\n")
+    evaluator = json.dumps({"command": f"{sys.executable} {script}"})
+    assert run_cli("run", TOY, "--set", f"output_dir={tmp_path / 'out'}",
+                   "--set", f"evaluator={evaluator}") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: EvaluationError: evaluator exited with status 3",
+                   *(f"log line {i}" for i in range(11, 30)),
+                   "synthesis failed: timing constraints not met on net clk"]
 
 
 def test_reordered_objectives_write_each_column_its_own_values(tmp_path):

@@ -234,6 +234,37 @@ def test_nonzero_exit_carries_child_output(tmp_path):
     assert "boom" in err.value.raw_output
 
 
+def _mine(signum, frame):
+    pass
+
+
+@pytest.mark.parametrize("found", [signal.SIG_DFL, _mine], ids=["default", "custom"])
+def test_evaluate_batch_leaves_the_signal_handlers_as_it_found_them(tmp_path, monkeypatch, found):
+    # perfbench and the tests evaluate in-process; while the child lives, a
+    # default handler is replaced (so a signal unwinds and kills the child)
+    # and someone else's is kept
+    import subprocess
+
+    during, popen = [], subprocess.Popen
+
+    def spy(*args, **kwargs):
+        during.append([signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)])
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    scenario = scenario_of(small_space(), ("cost",), FEA, timeout_seconds=60,
+                           command=write_script(tmp_path, "echo.py", ECHO_EVALUATOR))
+    before = [signal.signal(s, found) for s in (signal.SIGTERM, signal.SIGHUP)]
+    try:
+        assert len(evaluate_batch(scenario, [(2, 1, "true", 1)])) == 1
+        assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)] == [found, found]
+    finally:
+        for s, handler in zip((signal.SIGTERM, signal.SIGHUP), before):
+            signal.signal(s, handler)
+    assert len(during) == 1
+    assert all((handler is found) == (found is _mine) for handler in during[0])
+
+
 @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
 def test_evaluator_timeout_must_be_positive_and_finite(timeout):
     with pytest.raises(ValueError, match="^evaluator timeout must be positive and finite$"):

@@ -584,8 +584,7 @@ def test_run_is_deterministic(toy_scenario_doc):
 
 def test_archive_knowledge_grows_monotonically(toy_scenario_doc, toy_truth):
     """Against a fixed reference box, the hypervolume of the archive front
-    never shrinks as records accumulate (the raw hvi trace can tick up when
-    a fresh extreme trade-off point widens its data-driven reference box)."""
+    never shrinks as records accumulate."""
     from dse.pareto import constrained_front, hvi_trace, hypervolume, objective_stddevs
 
     front, all_records = toy_truth

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dse import (
     EvaluationRecord,
@@ -13,8 +13,11 @@ from dse import (
     objective_stddevs,
     pareto_front,
 )
-from dse.pareto import feasible_front, feasible_hvi
-from oracles import dominates, inclusion_exclusion_hypervolume, pairwise_front, reference_front
+from dse.pareto import feasible_front, feasible_hvi, hvi_trace
+from oracles import (
+    dominates, hvi_reference_point, inclusion_exclusion_hypervolume, pairwise_front,
+    reference_front,
+)
 
 
 def rec(objectives, feasible=True, tag=-1, key=None):
@@ -243,6 +246,52 @@ def test_hvi_requires_non_empty_fronts():
 def test_hvi_rejects_mismatched_objective_counts(approx, reference, stddevs):
     with pytest.raises(ValueError):
         hvi(approx, reference, stddevs)
+
+
+def test_hvi_reference_point_has_a_floor_on_a_flat_reference_front():
+    # a single reference point has no range: the margin is a tenth of one
+    # standard deviation, and a missed point loses that box
+    assert hvi([(1.0, 1.0)], [(0.0, 0.0)], (1.0, 1.0)) == pytest.approx(0.1 * 0.1)
+    assert hvi([(0.0, 1.0)], [(0.0, 0.0), (0.0, 0.0)], (2.0, 2.0)) == pytest.approx(0.1 * 0.1)
+
+
+def objective_lists(p, min_size):
+    return st.lists(st.tuples(*[st.integers(0, 6)] * p), min_size=min_size, max_size=8)
+
+
+@given(st.integers(1, 3).flatmap(lambda p: st.tuples(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 6)] * p), st.booleans(), st.integers(-1, 3)),
+             min_size=1, max_size=12),
+    objective_lists(p, 1))))
+@settings(max_examples=200, deadline=None)
+def test_hvi_trace_never_rises(case):
+    # each tag only adds records, and the reference point comes from the
+    # reference front alone, so the gap can only close
+    rows, reference = case
+    records = [rec(objectives, feasible, tag, key=(i,))
+               for i, (objectives, feasible, tag) in enumerate(rows)]
+    sigma = objective_stddevs([r.objectives for r in records] + reference)
+    values = [value for _, value in hvi_trace(records, reference, sigma)]
+    assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+@given(st.integers(2, 3).flatmap(lambda p: objective_lists(p, 2)))
+@settings(max_examples=200, deadline=None)
+def test_a_front_missing_an_extreme_point_loses_at_least_the_margin_slab(points):
+    # the point with the least first objective is missing; what only it
+    # dominates includes the box from it to the next least first objective,
+    # and out to the reference point, at least one margin past it, in the others
+    reference = sorted({points[i] for i in pareto_front(points)})
+    assume(len(reference) >= 2 and reference[0][0] < reference[1][0])
+    extreme, approx = reference[0], reference[1:]
+    ref_point = hvi_reference_point(reference)
+    volume = inclusion_exclusion_hypervolume(reference, ref_point)
+    value = hvi(approx, reference, (1.0,) * len(extreme))
+    assert value == pytest.approx(volume - inclusion_exclusion_hypervolume(approx, ref_point),
+                                  rel=1e-12, abs=1e-12 * volume)
+    slab = (approx[0][0] - extreme[0]) * np.prod(
+        [r - max(column) for r, column in zip(ref_point[1:], list(zip(*reference))[1:])])
+    assert value >= slab * (1 - 1e-12)
 
 
 def test_feasible_hvi_scores_the_feasible_front_and_inf_without_one():

@@ -225,6 +225,31 @@ def test_integer_bounds_stay_where_float_features_are_exact():
             parse_scenario(json.dumps(doc))
 
 
+# a domain whose width overflows to inf: priors and draws scale by the width,
+# so every draw would collapse to one row
+WIDE_DOMAINS = [("real", [-1e308, 1e308]), ("ordinal", [-1e308, 0, 1e308]),
+                ("ordinal", [-10 ** 308, 10 ** 308])]
+
+
+@pytest.mark.parametrize("kind, values", WIDE_DOMAINS)
+def test_scenario_with_a_domain_wider_than_a_float_fails_to_load(kind, values):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["input_parameters"]["x"] = {"parameter_type": kind, "values": values}
+    with pytest.raises(ValidationError,
+                       match=r"^input_parameters\.x: domain is wider than the largest float$"):
+        parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, values", WIDE_DOMAINS)
+def test_parameter_domain_width_must_be_a_finite_float(kind, values):
+    bounds = dict(lower=values[0], upper=values[-1]) if kind == "real" else dict(values=tuple(values))
+    with pytest.raises(ValidationError, match="^x: domain is wider than the largest float$"):
+        Parameter("x", kind, **bounds)
+    # the widest domains that fit still load
+    Parameter("x", "real", lower=-8e307, upper=8e307)
+    Parameter("x", "ordinal", values=(-8e307, 0, 8e307))
+
+
 # JSON text -> the float json.loads reads it as, without complaint
 NON_FINITE_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf"}
 
